@@ -11,14 +11,15 @@ from .audit import AuditLedger, CostVector, extrapolate, predict, verify
 from .classifier import BifurcationRule, Dispatcher, HandoffAdapter, PlaneTarget, RuleTable
 from .descriptors import EGRESS, FlowKey, HttpExchangeMeta, PacketDescriptor
 from .events import BatchPolicy, EventEndpoint, SocketMap
-from .packet_plane import Mode, PacketPlane
+from .packet_plane import PacketPlane
 from .pool import FrameRef, FramePool, PoolConfig, attach_pool, create_pool, release_pool
 from .proxy_plane import BrokerConfig, ProxyPlane
 from .rings import DescriptorRing, NicRingSet, RingPair
+from .runtime import ChainRuntime, Mode
 
 __all__ = [
     "AuditLedger", "BatchPolicy", "BifurcationRule", "BrokerConfig",
-    "CostVector", "DescriptorRing", "Dispatcher", "EGRESS", "EventEndpoint",
+    "ChainRuntime", "CostVector", "DescriptorRing", "Dispatcher", "EGRESS", "EventEndpoint",
     "FlowKey", "FramePool", "FrameRef", "HandoffAdapter", "HttpExchangeMeta",
     "Mode", "NicRingSet", "PacketDescriptor", "PacketPlane", "PlaneTarget",
     "PoolConfig", "ProxyPlane", "RingPair", "RuleTable", "SocketMap",

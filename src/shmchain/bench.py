@@ -22,7 +22,6 @@ from ._util import percentile
 from .descriptors import FlowKey
 from .errors import (
     InvalidConfig,
-    InvalidSampleCount,
     InvalidTolerance,
     NeverLossFree,
     PlaneUnavailable,
@@ -702,8 +701,3 @@ def unified_run(packet_target, collector: CollectorSink, proxy_address,
     report.extras["l2l3_offered"] = offered
     report.extras["http_requests"] = len(http_bytes)
     return report
-
-
-def require_samples(n: int) -> None:
-    if n < 1:
-        raise InvalidSampleCount(str(n))

@@ -354,9 +354,10 @@ def build_planes(spec: ChainSpec, *, registry=None, ledgers=None,
     from ._util import parse_hostport
     from .events import BatchPolicy
     from .handlers import build_handler
-    from .packet_plane import Mode, PacketPlane
+    from .packet_plane import PacketPlane
     from .pool import PoolConfig, create_pool
     from .proxy_plane import BrokerConfig, ProxyPlane
+    from .runtime import Mode
 
     ledgers = ledgers or {}
     pools = {}
@@ -392,12 +393,3 @@ def build_planes(spec: ChainSpec, *, registry=None, ledgers=None,
             plane.set_filter(src, dst, verdict)
         planes[name] = plane
     return pools, planes
-
-
-def build_rule_table(spec: ChainSpec):
-    from .classifier import RuleTable
-
-    table = RuleTable()
-    for rule in spec.rules:
-        table.add_rule(rule)
-    return table

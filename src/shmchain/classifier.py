@@ -57,18 +57,11 @@ class RuleTable:
             rules.sort(key=lambda r: r.priority)
             self._rules = rules
 
-    def remove_rule(self, priority: int) -> None:
-        with self._lock:
-            self._rules = [r for r in self._rules if r.priority != priority]
-
     def classify(self, key: FlowKey) -> PlaneTarget:
         for rule in self._rules:
             if rule.matches(key):
                 return rule.target
         return self.DEFAULT
-
-    def rules(self) -> list[BifurcationRule]:
-        return list(self._rules)
 
 
 class Dispatcher:
@@ -100,18 +93,6 @@ class Dispatcher:
         raise PlaneUnavailable(
             "flow classified to the proxy plane; connect to "
             f"{self.proxy_plane.listen_address} instead")
-
-    def resolve(self, flow: FlowKey):
-        """Classification decision plus the entry point for the flow."""
-        target = self.rules.classify(flow)
-        self.counts[target] += 1
-        if target is PlaneTarget.L2L3:
-            if self.packet_plane is None or not self.packet_plane.running:
-                raise PlaneUnavailable("packet plane not running")
-            return target, self.packet_plane.ingress
-        if self.proxy_plane is None or not self.proxy_plane.running:
-            raise PlaneUnavailable("proxy plane not running")
-        return target, self.proxy_plane.listen_address
 
 
 HANDOFF_COST = CostVector(copies=1, interrupts=2, context_switches=1)

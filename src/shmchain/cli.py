@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -27,11 +28,12 @@ from .bench import (
     pktgen_run,
     unified_run,
 )
-from .chainspec import build_planes, build_rule_table, parse_spec, render_spec
+from .chainspec import build_planes, parse_spec, render_spec
 from .errors import ShmChainError
-from .packet_plane import Mode, PacketPlane
+from .packet_plane import PacketPlane
 from .pool import PoolRegistry
 from .proxy_plane import ProxyPlane
+from .runtime import Mode
 
 DEFAULT_PACKET_SPEC = """\
 [pool.packet]
@@ -97,6 +99,20 @@ def _packet_plane_from_spec(spec, ledger, mode_override=None, registry=None):
     if mode_override:
         plane.set_mode(Mode(mode_override))
     return pools, planes, plane
+
+
+def _run_sampled(plane, duration: float, load):
+    """Run ``load()`` while sampling the CPU of the plane's threads for
+    ``duration`` seconds; returns the load's result and the CPU series."""
+    series = {}
+    sampler = threading.Thread(
+        target=lambda: series.update(cpu_sample(plane.thread_ids(),
+                                                duration=duration)),
+        daemon=True)
+    sampler.start()
+    result = load()
+    sampler.join()
+    return result, series
 
 
 def cmd_validate_spec(args) -> int:
@@ -165,12 +181,11 @@ def cmd_bench_l2l3(args) -> int:
             (out / "mlfr.json").write_text(json.dumps(result, indent=2))
         else:
             config = PktgenConfig(args.packet_size, args.rate, args.duration)
-            cpu = None
-            report = pktgen_run(config, plane, collector=collector)
-            series = cpu_sample(plane.thread_ids(), duration=0.5)
-            cpu = {name: sum(vals) / len(vals) if vals else 0.0
-                   for name, vals in series.items()}
-            report.cpu = cpu
+            report, series = _run_sampled(
+                plane, args.duration,
+                lambda: pktgen_run(config, plane, collector=collector))
+            report.cpu = {name: sum(vals) / len(vals) if vals else 0.0
+                          for name, vals in series.items()}
             report.write_json(out / "bench_l2l3.json")
             print(json.dumps(report.as_dict(), indent=2) if args.json else
                   f"offered {report.offered} delivered {report.delivered} "
@@ -206,8 +221,9 @@ def cmd_bench_l4l7(args) -> int:
     try:
         config = HttpLoadConfig(concurrency=args.concurrency,
                                 duration=args.duration)
-        report = http_load(config, plane.listen_address)
-        series = cpu_sample(plane.thread_ids(), duration=0.5)
+        report, series = _run_sampled(
+            plane, args.duration,
+            lambda: http_load(config, plane.listen_address))
         report.cpu = {name: sum(vals) / len(vals) if vals else 0.0
                       for name, vals in series.items()}
         report.extras["cpu_total_cores"] = cpu_total(series)

@@ -47,13 +47,6 @@ class HttpExchangeMeta:
     connection_id: int
     backend_choice: int | None = None
 
-    def header(self, name: str) -> str | None:
-        lname = name.lower()
-        for key, value in self.headers:
-            if key.lower() == lname:
-                return value
-        return None
-
 
 @dataclass
 class PacketDescriptor:

@@ -87,14 +87,6 @@ class PlaneUnavailable(ShmChainError):
     pass
 
 
-class SinkUnavailable(ShmChainError):
-    pass
-
-
-class Malformed(ShmChainError):
-    """Packet too short for the header a handler needs."""
-
-
 class NoBackends(ShmChainError):
     pass
 

@@ -153,16 +153,15 @@ class EventEndpoint:
 class SocketMap:
     """Function-id routing for event deliveries, with send-site filtering.
 
-    When constructed with a pool, undeliverable descriptors (unknown or
-    filtered destination, inbox full) have their frame returned to that pool
-    before the error propagates, and the drop is counted.
+    An undeliverable descriptor (unknown or filtered destination, inbox
+    full) is counted in ``dropped`` and stays with the sender, which owns its
+    frame when the error propagates.
     """
 
-    def __init__(self, pool=None):
+    def __init__(self):
         self._entries: dict[str, EventEndpoint] = {}
         self._lock = threading.Lock()
         self._filter = None
-        self._pool = pool
         self.dropped = 0
 
     def register(self, fn_id: str,
@@ -173,12 +172,6 @@ class SocketMap:
             endpoint = EventEndpoint(fn_id, capacity)
             self._entries[fn_id] = endpoint
             return endpoint
-
-    def deregister(self, fn_id: str) -> None:
-        with self._lock:
-            endpoint = self._entries.pop(fn_id, None)
-        if endpoint is not None:
-            endpoint.close()
 
     def lookup(self, fn_id: str) -> EventEndpoint | None:
         with self._lock:
@@ -191,32 +184,24 @@ class SocketMap:
     def send(self, desc) -> None:
         """Deliver ``desc`` to its destination's inbox and set its wakeup.
 
-        Frame ownership transfers on success; on failure the frame is freed
-        (when a pool is attached) and the drop counted.
+        Frame ownership transfers on success; on failure it stays with the
+        caller and the drop is counted.
         """
         endpoint = self.lookup(desc.dst_fn)
         if endpoint is None:
-            self._drop(desc)
+            self.dropped += 1
             raise UnknownDestination(desc.dst_fn)
         hook = self._filter
         if hook is not None and not hook(desc.src_fn, desc.dst_fn):
-            self._drop(desc)
+            self.dropped += 1
             raise UnknownDestination(
                 f"{desc.src_fn}->{desc.dst_fn}: denied by filter"
             )
         try:
             endpoint.deliver(desc)
         except (InboxFull, UnknownDestination):
-            self._drop(desc)
+            self.dropped += 1
             raise
-
-    def _drop(self, desc) -> None:
-        self.dropped += 1
-        if self._pool is not None:
-            try:
-                self._pool.free_frame(desc.frame)
-            except Exception:
-                pass
 
     def close_all(self) -> None:
         with self._lock:

@@ -1,266 +1,81 @@
-"""Packet-plane chain manager: ingress into shared memory, centralized
-descriptor routing across per-function ring pairs with filtering, and egress.
+"""Packet plane: the L2/L3 edges of a chain run by :class:`ChainRuntime`.
 
-Two run modes share one topology API. Polling mode gives every function a
-spinning context over its ring pair plus two manager contexts (a ring-side
-router and a NIC-side egress transmitter); nothing blocks and nothing is
-copied, so a packet's audited chain cost is zero. Event mode keeps frames
-parked on a fill/completion ring set, delivers descriptors through wakeup
-channels mediated by the manager, and pays one interrupt plus one context
-switch per hop on the audited path.
+Ingress places each packet into a pool frame, the emulated DMA, and hands
+its descriptor to the chain; egress reads the frame out to the sink, the
+DMA the other way, and recycles the frame. Polling mode allocates a frame
+per packet and frees it after the sink. Event mode keeps frames parked on a
+fill ring, the way a NIC driver keeps receive buffers posted: ingress takes
+a parked frame and sends its descriptor to the router, a TX stage hands it
+to the sink and parks it on the completion ring, and a coordinator moves
+completions back to the fill ring.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-import time
-from collections import Counter
-from dataclasses import dataclass
-from enum import Enum
 
 from .audit import INTERRUPTS, AuditLedger
-from .descriptors import EGRESS, INGRESS_ID, FlowKey, PacketDescriptor
-from .errors import (
-    DuplicateFunction,
-    EndpointClosed,
-    FillRingFull,
-    InboxFull,
-    ModeChangeAfterStart,
-    PlaneFrozen,
-    PlaneUnavailable,
-    PoolExhausted,
-    UnknownDestination,
-    UnknownFunction,
-)
-from .events import BatchPolicy, SocketMap, send_audited
+from .descriptors import INGRESS_ID, FlowKey, PacketDescriptor
+from .errors import FillRingFull, InboxFull, PlaneUnavailable, UnknownDestination
+from .events import BatchPolicy, send_audited
 from .pool import FramePool
-from .rings import DescriptorRing, NicRingSet, RingPair
-from .routing import DENY, FilterTable, RoutingTable
+from .rings import NicRingSet
+from .runtime import ChainRuntime, Mode
 
-ROUTER_ID = "__router__"
 TX_ID = "__tx__"
-
-
-class Mode(str, Enum):
-    POLLING = "polling"
-    EVENT = "event"
-
-
-@dataclass
-class NfRegistration:
-    fn_id: str
-    rings: RingPair
-    handler: object
-    context: object
-    endpoint: object = None  # event mode only
 
 
 def _null_sink(payload: bytes, desc) -> None:
     pass
 
 
-class PacketPlane:
+class PacketPlane(ChainRuntime):
     """One chain of packet functions under a single manager."""
+
+    EDGE_IDS = (TX_ID,)
+    register_nf = ChainRuntime.register
 
     def __init__(self, pool: FramePool, mode: Mode = Mode.POLLING,
                  ledger: AuditLedger | None = None, *, name: str = "pkt",
                  ring_capacity: int = 1024, batch: BatchPolicy | None = None,
-                 fill_depth: int | None = None, burst: int = 64):
-        self.pool = pool
-        self.BURST = burst
-        self.name = name
-        self.ledger = ledger
-        self._mode = Mode(mode)
-        self._ring_capacity = ring_capacity
-        self._batch = batch or BatchPolicy()
-        self._fill_depth = fill_depth
-        self.routes = RoutingTable()
-        self.filters = FilterTable(default=DENY)
-        self._regs: dict[str, NfRegistration] = {}
-        self._entry: str | None = None
+                 burst: int = 64):
+        super().__init__(pool, mode, ledger, name=name,
+                         ring_capacity=ring_capacity, batch=batch, burst=burst)
         self._sink = _null_sink
-        self._trace_ids = itertools.count()
-        self._threads: dict[str, threading.Thread] = {}
-        self._tids: dict[str, int] = {}
-        self._stop = threading.Event()
-        self._started = False
-        self.drops: Counter = Counter()
-        self._drops_lock = threading.Lock()
         self.ingress_count = 0
         self.egress_count = 0
-        # polling egress path
-        self._egress_ring = DescriptorRing(ring_capacity)
-        # event mode machinery, built at start
-        self._sockmap: SocketMap | None = None
-        self._nic_rings: NicRingSet | None = None
+        self._nic_rings: NicRingSet | None = None  # event mode, built at start
         # the fill ring is fed by the coordinator and by every drop path
         self._fill_lock = threading.Lock()
         self._cycle_wakeup = threading.Event()
 
-    # -- topology -----------------------------------------------------------
-
-    @property
-    def mode(self) -> Mode:
-        return self._mode
-
-    def set_mode(self, mode: Mode) -> None:
-        if self._started:
-            raise ModeChangeAfterStart(self.name)
-        self._mode = Mode(mode)
-
-    def register_nf(self, fn_id: str, handler) -> NfRegistration:
-        if self._started:
-            raise PlaneFrozen(self.name)
-        if fn_id in self._regs or fn_id in (ROUTER_ID, TX_ID, INGRESS_ID, EGRESS):
-            raise DuplicateFunction(fn_id)
-        from .handlers import HandlerContext
-        reg = NfRegistration(fn_id, RingPair.new(self._ring_capacity), handler,
-                             HandlerContext(self.pool, fn_id))
-        self._regs[fn_id] = reg
-        return reg
-
-    def set_entry(self, fn_id: str) -> None:
-        if fn_id not in self._regs:
-            raise UnknownFunction(fn_id)
-        self._entry = fn_id
-        self.filters.allow(INGRESS_ID, fn_id)
-
-    def set_route(self, from_fn: str, to: str) -> None:
-        if from_fn not in self._regs:
-            raise UnknownFunction(from_fn)
-        if to != EGRESS and to not in self._regs:
-            raise UnknownFunction(to)
-        self.routes.set_route(from_fn, to)
-        # routing implies authorization unless explicitly denied later
-        self.filters.allow(from_fn, to)
-
-    def set_filter(self, src_fn: str, dst_fn: str, verdict: str) -> None:
-        for fn in (src_fn, dst_fn):
-            if fn not in self._regs and fn not in (EGRESS, INGRESS_ID):
-                raise UnknownFunction(fn)
-        self.filters.set(src_fn, dst_fn, verdict)
-
     def set_sink(self, sink) -> None:
         self._sink = sink
 
-    def chain_length(self) -> int:
-        return len(self._regs)
+    # -- edges ------------------------------------------------------------------
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            return
-        if self._entry is None:
-            raise PlaneUnavailable(f"{self.name}: no entry function")
-        self._stop.clear()
-        self._started = True
+    def _start_edges(self) -> None:
         if self._mode is Mode.POLLING:
-            for reg in self._regs.values():
-                self._spawn(f"nf.{reg.fn_id}", self._nf_loop_polling, reg)
-            self._spawn("router", self._router_loop_polling)
-            self._spawn("egress", self._egress_loop_polling)
-        else:
-            self._sockmap = SocketMap()  # plane recycles frames itself
-            self._sockmap.set_filter(self._event_filter)
-            self._router_ep = self._sockmap.register(ROUTER_ID,
-                                                     capacity=self._ring_capacity)
-            self._tx_ep = self._sockmap.register(TX_ID, capacity=self._ring_capacity)
-            for reg in self._regs.values():
-                reg.endpoint = self._sockmap.register(reg.fn_id,
-                                                      capacity=self._ring_capacity)
-            self._build_nic_rings()
-            for reg in self._regs.values():
-                self._spawn(f"nf.{reg.fn_id}", self._nf_loop_event, reg)
-            self._spawn("router", self._router_loop_event)
-            self._spawn("tx", self._tx_loop_event)
-            self._spawn("coordinator", self._coordinator_loop)
-
-    def stop(self) -> None:
-        if not self._started:
             return
-        self._stop.set()
-        sockmap = self._sockmap
-        endpoints = []
-        if sockmap is not None:
-            for fn_id in (ROUTER_ID, TX_ID, *self._regs):
-                endpoint = sockmap.lookup(fn_id)
-                if endpoint is not None:
-                    endpoints.append(endpoint)
-            sockmap.close_all()
-        self._cycle_wakeup.set()
-        for thread in self._threads.values():
-            thread.join(timeout=5)
-        for endpoint in endpoints:
-            for desc in endpoint.drain_remaining():
-                try:
-                    self.pool.free_frame(desc.frame)
-                except Exception:
-                    pass
-        self._threads.clear()
-        if self._mode is Mode.POLLING:
-            self._drain_polling_rings()
-        if self._nic_rings is not None:
-            self._drain_nic_rings()
-            self._nic_rings = None
-        self._sockmap = None
-        self._started = False
-
-    def _drain_polling_rings(self) -> None:
-        rings = [self._egress_ring]
-        for reg in self._regs.values():
-            rings.extend((reg.rings.rx, reg.rings.tx))
-        for ring in rings:
-            while True:
-                desc = ring.dequeue()
-                if desc is None:
-                    break
-                try:
-                    self.pool.free_frame(desc.frame)
-                except Exception:
-                    pass
-
-    @property
-    def running(self) -> bool:
-        return self._started
-
-    def _spawn(self, label: str, target, *args) -> None:
-        def wrapper():
-            self._tids[label] = threading.get_native_id()
-            target(*args)
-
-        thread = threading.Thread(target=wrapper, name=f"{self.name}.{label}",
-                                  daemon=True)
-        self._threads[label] = thread
-        thread.start()
-
-    def thread_ids(self) -> dict[str, int]:
-        return dict(self._tids)
-
-    def _build_nic_rings(self) -> None:
-        depth = self._fill_depth
-        if depth is None:
-            depth = min(self.pool.config.frame_count // 2, self._ring_capacity)
+        tx_ep = self._register_endpoint(TX_ID)
         self._nic_rings = NicRingSet.new(self._ring_capacity)
-        for _ in range(depth):
+        for _ in range(min(self.pool.config.frame_count // 2, self._ring_capacity)):
             ref = self.pool.alloc_frame()
-            parked = PacketDescriptor(ref, 0, 0, INGRESS_ID, ROUTER_ID, -1)
+            parked = PacketDescriptor(ref, 0, 0, INGRESS_ID, self.ROUTER_ID, -1)
             self._nic_rings.fill.enqueue(parked)
+        self._spawn("tx", self._serve, tx_ep, self._egress_one)
+        self._spawn("coordinator", self._coordinator_loop)
 
-    def _drain_nic_rings(self) -> None:
-        rings = self._nic_rings
-        for ring in (rings.fill, rings.completion, rings.rx, rings.tx):
-            while True:
-                desc = ring.dequeue()
-                if desc is None:
-                    break
-                try:
-                    self.pool.free_frame(desc.frame)
-                except Exception:
-                    pass
+    def _wake_edges(self) -> None:
+        self._cycle_wakeup.set()
 
-    # -- ingress -----------------------------------------------------------------
+    def _close_edges(self) -> None:
+        if self._nic_rings is not None:
+            self._drain(self._nic_rings.fill)
+            self._drain(self._nic_rings.completion)
+            self._nic_rings = None
+
+    # -- ingress ------------------------------------------------------------------
 
     def ingress(self, payload: bytes, flow: FlowKey | None = None) -> bool:
         """Place one packet into shared memory and hand its descriptor to the
@@ -281,10 +96,10 @@ class PacketPlane:
         desc = PacketDescriptor(ref, 0, len(payload), INGRESS_ID, self._entry,
                                 next(self._trace_ids), flow=flow)
         if not self.filters.check(INGRESS_ID, self._entry):
-            self._drop_polling(desc, "filtered")
+            self._drop(desc, "filtered")
             return False
         if not self._regs[self._entry].rings.rx.enqueue(desc):
-            self._drop_polling(desc, "ring_full")
+            self._drop(desc, "ring_full")
             return False
         self.ingress_count += 1
         return True
@@ -302,7 +117,7 @@ class PacketPlane:
         desc.offset = 0
         desc.length = len(payload)
         desc.src_fn = INGRESS_ID
-        desc.dst_fn = ROUTER_ID
+        desc.dst_fn = self.ROUTER_ID
         desc.flow = flow
         desc.trace_id = next(self._trace_ids)
         desc.chain_hops = 0
@@ -314,155 +129,45 @@ class PacketPlane:
         try:
             send_audited(self._sockmap, desc, ledger, step=0)
         except (UnknownDestination, InboxFull):
-            self._drop_event(desc, "inbox_full")
+            self._drop(desc, "inbox_full")
             return False
         self.ingress_count += 1
         return True
 
-    # -- polling mode loops ----------------------------------------------------------
+    # -- egress and drops -------------------------------------------------------------
 
-    def _nf_loop_polling(self, reg: NfRegistration) -> None:
-        # Spin loops yield on empty polls: the thread stays hot (CPU bound,
-        # never sleeping) but hands the interpreter over cooperatively, which
-        # sidesteps lock-convoy stalls between polling contexts.
-        rx, tx = reg.rings.rx, reg.rings.tx
-        stop = self._stop
-        idle = time.sleep
-        while not stop.is_set():
-            batch = rx.burst_dequeue(self.BURST)
-            if not batch:
-                idle(0)
-                continue
-            for desc in batch:
-                try:
-                    out = reg.handler(reg.context, desc)
-                except Exception:
-                    out = None
-                if out is None:
-                    self._drop_polling(desc, "handler")
-                    continue
-                out.src_fn = reg.fn_id
-                if not tx.enqueue(out):
-                    self._drop_polling(out, "ring_full")
-
-    def _router_loop_polling(self) -> None:
-        stop = self._stop
-        idle = time.sleep
-        while not stop.is_set():
-            if not self.route_step():
-                idle(0)
-
-    def route_step(self) -> int:
-        """Drain every function's TX ring once: filter, then forward to the
-        next RX ring or the egress queue. Drops are counted, never raised."""
-        moved = 0
-        for reg in self._regs.values():
-            for desc in reg.rings.tx.burst_dequeue(self.BURST * 2):
-                moved += self._route_one_polling(desc)
-        return moved
-
-    def _route_one_polling(self, desc: PacketDescriptor) -> int:
-        nxt = self.routes.next_hop(desc.src_fn)
-        if nxt is None:
-            self._drop_polling(desc, "no_route")
-            return 0
-        if not self.filters.check(desc.src_fn, nxt):
-            self._drop_polling(desc, "filtered")
-            return 0
-        if nxt == EGRESS:
-            if not self._egress_ring.enqueue(desc):
-                self._drop_polling(desc, "ring_full")
-                return 0
-            return 1
-        desc.dst_fn = nxt
-        if not self._regs[nxt].rings.rx.enqueue(desc):
-            self._drop_polling(desc, "ring_full")
-            return 0
-        return 1
-
-    def _egress_loop_polling(self) -> None:
-        stop = self._stop
-        idle = time.sleep
-        while not stop.is_set():
-            batch = self._egress_ring.burst_dequeue(self.BURST * 2)
-            if not batch:
-                idle(0)
-                continue
-            for desc in batch:
-                self._egress_one(desc)
-
-    # -- event mode loops ---------------------------------------------------------------
-
-    def _nf_loop_event(self, reg: NfRegistration) -> None:
-        endpoint = reg.endpoint
-        while True:
-            try:
-                batch = endpoint.recv_batch(self._batch)
-            except EndpointClosed:
-                return
-            for desc in batch:
-                try:
-                    out = reg.handler(reg.context, desc)
-                except Exception:
-                    out = None
-                if out is None:
-                    self._drop_event(desc, "handler")
-                    continue
-                out.src_fn = reg.fn_id
-                out.dst_fn = ROUTER_ID
-                self._send_chain_hop(out)
-
-    def _router_loop_event(self) -> None:
-        endpoint = self._router_ep
-        while True:
-            try:
-                batch = endpoint.recv_batch(self._batch)
-            except EndpointClosed:
-                return
-            for desc in batch:
-                self._route_one_event(desc)
-
-    def _route_one_event(self, desc: PacketDescriptor) -> None:
-        cur = desc.src_fn
-        nxt = self._entry if cur == INGRESS_ID else self.routes.next_hop(cur)
-        if nxt is None:
-            self._drop_event(desc, "no_route")
-            return
-        desc.dst_fn = TX_ID if nxt == EGRESS else nxt
+    def _egress_event(self, desc: PacketDescriptor) -> None:
+        desc.dst_fn = TX_ID
         self._send_chain_hop(desc)
 
-    def _event_filter(self, src_fn: str, dst_fn: str) -> bool:
-        """Send-site filtering over logical pairs.
-
-        Hops back to the manager are plumbing within a single logical move;
-        the manager's forwarding send carries the (src, next) pair the rules
-        are written against, with the TX endpoint standing in for EGRESS.
-        """
-        if dst_fn == ROUTER_ID:
-            return True
-        if dst_fn == TX_ID:
-            return self.filters.check(src_fn, EGRESS)
-        return self.filters.check(src_fn, dst_fn)
-
-    def _send_chain_hop(self, desc: PacketDescriptor) -> None:
-        # the receiver owns the descriptor once it is sent
-        desc.chain_hops += 1
+    def _egress_one(self, desc: PacketDescriptor) -> None:
+        # reading the frame out for the wire is the DMA analog: not a copy
+        payload = self.pool.read_frame(desc.frame, desc.offset, desc.length)
         try:
-            send_audited(self._sockmap, desc, self.ledger, desc.chain_hops)
-        except UnknownDestination:
-            self._drop_event(desc, "shutdown" if self._stop.is_set() else "filtered")
-        except InboxFull:
-            self._drop_event(desc, "inbox_full")
-
-    def _tx_loop_event(self) -> None:
-        endpoint = self._tx_ep
-        while True:
-            try:
-                batch = endpoint.recv_batch(self._batch)
-            except EndpointClosed:
+            self._sink(payload, desc)
+        except Exception:
+            if desc.requeued:
+                self._drop(desc, "sink_unavailable")
                 return
-            for desc in batch:
-                self._egress_one(desc)
+            desc.requeued = True
+            if self._mode is Mode.POLLING and self._egress_ring.enqueue(desc):
+                return  # retried on a later egress pass
+            try:
+                self._sink(payload, desc)
+            except Exception:
+                self._drop(desc, "sink_unavailable")
+                return
+        # count and close the trace first: in event mode the recycled
+        # descriptor is refilled with the next packet's trace id
+        self.egress_count += 1
+        if self.ledger is not None:
+            self.ledger.complete(desc.trace_id, "egress")
+        if self._mode is Mode.POLLING:
+            self.pool.free_frame(desc.frame)
+        elif self._nic_rings.completion.enqueue(desc):
+            self._cycle_wakeup.set()
+        else:
+            self.pool.free_frame(desc.frame)
 
     def _coordinator_loop(self) -> None:
         # blocked unless the TX side parked something on the completion ring
@@ -477,67 +182,22 @@ class PacketPlane:
             except FillRingFull:
                 pass
 
-    # -- egress and drops ------------------------------------------------------------------
-
-    def _egress_one(self, desc: PacketDescriptor) -> None:
-        # reading the frame out for the wire is the DMA analog: not a copy
-        payload = self.pool.read_frame(desc.frame, desc.offset, desc.length)
-        delivered = False
-        try:
-            self._sink(payload, desc)
-            delivered = True
-        except Exception:
-            if not desc.requeued:
-                desc.requeued = True
-                if (self._mode is Mode.POLLING
-                        and self._egress_ring.enqueue(desc)):
-                    return  # retried on a later egress pass
-                try:
-                    self._sink(payload, desc)
-                    delivered = True
-                except Exception:
-                    pass
-        # count and close the trace first: in event mode the recycled
-        # descriptor is refilled with the next packet's trace id
-        if delivered:
-            self.egress_count += 1
-            if self.ledger is not None:
-                self.ledger.complete(desc.trace_id, "egress")
-        else:
-            self._count_drop(desc, "sink_unavailable")
-        self._finish_frame(desc)
-
-    def _finish_frame(self, desc: PacketDescriptor) -> None:
-        if self._mode is Mode.POLLING:
-            self.pool.free_frame(desc.frame)
-        else:
-            # recycle through completion -> fill
-            if not self._nic_rings.completion.enqueue(desc):
-                self.pool.free_frame(desc.frame)
-                return
-            self._cycle_wakeup.set()
-
     def _recycle(self, desc: PacketDescriptor) -> None:
         with self._fill_lock:
             parked = self._nic_rings.fill.enqueue(desc)
         if not parked:
             self.pool.free_frame(desc.frame)
 
-    def _count_drop(self, desc: PacketDescriptor, reason: str) -> None:
-        with self._drops_lock:
-            self.drops[reason] += 1
-        if self.ledger is not None:
-            self.ledger.complete(desc.trace_id, "drop")
-
-    def _drop_polling(self, desc: PacketDescriptor, reason: str) -> None:
+    def _drop(self, desc: PacketDescriptor, reason: str) -> None:
+        """Count the drop and close its trace, then free the frame (polling)
+        or park it back on the fill ring (event)."""
         self._count_drop(desc, reason)
-        self.pool.free_frame(desc.frame)
+        if self._mode is Mode.POLLING:
+            self.pool.free_frame(desc.frame)
+        else:
+            self._recycle(desc)
 
-    def _drop_event(self, desc: PacketDescriptor, reason: str) -> None:
-        self._count_drop(desc, reason)
-        self._recycle(desc)
-
-    # -- stats -------------------------------------------------------------------------------
+    # -- stats -------------------------------------------------------------------------
 
     def stats(self) -> dict:
         return {

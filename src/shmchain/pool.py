@@ -152,13 +152,6 @@ class FramePool:
     def in_flight_count(self) -> int:
         return self.config.frame_count - self.free_count
 
-    def ref_is_valid(self, ref: FrameRef) -> bool:
-        try:
-            self._check_ref(ref)
-            return True
-        except (StaleRef, OutOfBounds):
-            return False
-
     def _check_index(self, ref: FrameRef) -> None:
         if not 0 <= ref.index < self.config.frame_count:
             raise OutOfBounds(f"frame index {ref.index}")

@@ -141,14 +141,3 @@ def event_hop_probe(n_samples: int, *, pace_s: float = 2e-4,
             proc.join(timeout=5)
         region.close()
     return stats
-
-
-def transport_latency_ratio(n_samples: int = 600) -> dict:
-    """Run both probes back to back on this host."""
-    ring = ring_hop_probe(n_samples)
-    event = event_hop_probe(n_samples)
-    return {
-        "ring": ring.as_dict(),
-        "event": event.as_dict(),
-        "event_over_ring_median": event.median_us / ring.median_us,
-    }

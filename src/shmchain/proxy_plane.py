@@ -1,13 +1,16 @@
-"""Message-broker plane: terminates real TCP connections, parses HTTP/1.1
-requests, carries each message body through shared memory while middlebox
-functions work on the parsed metadata, and egresses via pooled upstream
-connections.
+"""Proxy plane: the L4/L7 edges of a chain run by :class:`ChainRuntime`.
+
+The broker terminates real TCP connections and parses HTTP/1.1 requests.
+Its ingress edge moves each message body into a pool frame and sends the
+descriptor straight to the entry function, while the middlebox functions
+work on the parsed metadata. Its egress edge serializes the (possibly
+rewritten) request, relays it over a pooled upstream connection, and
+answers the client. Event mode runs that egress on a pair of worker
+threads fed from a queue.
 
 Per message the broker pays exactly two copies at ingest (socket read into
 the broker buffer, buffer into the frame) and two at egress (frame out,
 socket write), plus one protocol pass and one parse/serialize on each side.
-Chain hops between those points move only descriptors: free on the polling
-path, one interrupt plus one context switch per hop on the event path.
 """
 
 from __future__ import annotations
@@ -18,45 +21,32 @@ import selectors
 import socket
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from .audit import AuditLedger, CostVector
-from .descriptors import (
-    EGRESS,
-    INGRESS_ID,
-    FlowKey,
-    HttpExchangeMeta,
-    PacketDescriptor,
-)
+from .descriptors import INGRESS_ID, FlowKey, HttpExchangeMeta, PacketDescriptor
 from .errors import (
-    DuplicateFunction,
-    EndpointClosed,
     InboxFull,
     InvalidConfig,
-    ModeChangeAfterStart,
     ParseError,
-    PlaneFrozen,
     PlaneUnavailable,
     PoolExhausted,
     UnknownDestination,
-    UnknownFunction,
     UpstreamUnavailable,
 )
-from .events import BatchPolicy, SocketMap, send_audited
-from .handlers import HandlerContext
+from .events import BatchPolicy, send_audited
 from .http11 import (
     read_response,
     serialize_request,
     simple_response,
     try_parse_request,
 )
-from .packet_plane import Mode
 from .pool import FramePool
-from .rings import DescriptorRing, RingPair
-from .routing import DENY, FilterTable, RoutingTable
+from .runtime import ChainRuntime, Mode
 
 RELAY_ID = "__relay__"
+EGRESS_WORKERS = 2
 
 INGEST_COST = CostVector(copies=2, interrupts=2, context_switches=1,
                          protocol_tasks=1, serde_tasks=1)
@@ -73,24 +63,11 @@ class BrokerConfig:
     mode: Mode = Mode.EVENT
     batch: BatchPolicy = field(default_factory=BatchPolicy)
     ring_capacity: int = 1024
-    egress_workers: int = 2
     upstream_timeout: float = 5.0
-    burst: int = 64
 
     def validate(self) -> None:
         if not self.upstreams:
             raise InvalidConfig("broker needs at least one upstream")
-        if self.egress_workers < 1:
-            raise InvalidConfig("egress_workers must be >= 1")
-
-
-@dataclass
-class MfRegistration:
-    fn_id: str
-    handler: object
-    context: HandlerContext
-    rings: RingPair | None = None
-    endpoint: object = None
 
 
 class _ClientConn:
@@ -159,29 +136,21 @@ class UpstreamPool:
             sock.close()
 
 
-class ProxyPlane:
+class ProxyPlane(ChainRuntime):
     """One middlebox chain behind a listening broker."""
+
+    ROUTER_ID = RELAY_ID
+    ROUTER_LABEL = "relay"
+    STAGE_LABEL = "mf"
+    register_mf = ChainRuntime.register
 
     def __init__(self, pool: FramePool, config: BrokerConfig,
                  ledger: AuditLedger | None = None, *, name: str = "proxy"):
         config.validate()
-        self.pool = pool
-        self.BURST = config.burst
+        super().__init__(pool, config.mode, ledger, name=name,
+                         ring_capacity=config.ring_capacity, batch=config.batch)
         self.config = config
-        self.ledger = ledger
-        self.name = name
-        self.routes = RoutingTable()
-        self.filters = FilterTable(default=DENY)
-        self._regs: dict[str, MfRegistration] = {}
-        self._entry: str | None = None
-        self._trace_ids = itertools.count()
         self._conn_ids = itertools.count()
-        self._threads: dict[str, threading.Thread] = {}
-        self._tids: dict[str, int] = {}
-        self._stop = threading.Event()
-        self._started = False
-        self.drops: Counter = Counter()
-        self._count_lock = threading.Lock()  # counters egress workers share
         self.ingest_count = 0
         self.egress_count = 0
         self.parse_errors = 0
@@ -192,108 +161,38 @@ class ProxyPlane:
         self._conns: dict[int, _ClientConn] = {}
         self._parked: deque = deque()
         self._recheck: deque = deque()
-        self._sockmap: SocketMap | None = None
         self._upstreams = UpstreamPool(config.upstreams, config.upstream_timeout)
-        self._egress_ring = DescriptorRing(config.ring_capacity)
-        self._egress_q: queue.Queue = queue.Queue()
+        self._egress_q: queue.Queue = queue.Queue()  # event mode egress stage
         self._listener: socket.socket | None = None
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_w.setblocking(False)
 
-    # -- topology ----------------------------------------------------------
+    # -- edges ---------------------------------------------------------------
 
-    @property
-    def mode(self) -> Mode:
-        return self.config.mode
-
-    def set_mode(self, mode: Mode) -> None:
-        if self._started:
-            raise ModeChangeAfterStart(self.name)
-        self.config.mode = Mode(mode)
-
-    def register_mf(self, fn_id: str, handler) -> MfRegistration:
-        if self._started:
-            raise PlaneFrozen(self.name)
-        if fn_id in self._regs or fn_id in (RELAY_ID, INGRESS_ID, EGRESS):
-            raise DuplicateFunction(fn_id)
-        reg = MfRegistration(fn_id, handler, HandlerContext(self.pool, fn_id))
-        self._regs[fn_id] = reg
-        return reg
-
-    def set_entry(self, fn_id: str) -> None:
-        if fn_id not in self._regs:
-            raise UnknownFunction(fn_id)
-        self._entry = fn_id
-        self.filters.allow(INGRESS_ID, fn_id)
-
-    def set_route(self, from_fn: str, to: str) -> None:
-        if from_fn not in self._regs:
-            raise UnknownFunction(from_fn)
-        if to != EGRESS and to not in self._regs:
-            raise UnknownFunction(to)
-        self.routes.set_route(from_fn, to)
-        self.filters.allow(from_fn, to)
-
-    def set_filter(self, src_fn: str, dst_fn: str, verdict: str) -> None:
-        for fn in (src_fn, dst_fn):
-            if fn not in self._regs and fn not in (EGRESS, INGRESS_ID):
-                raise UnknownFunction(fn)
-        self.filters.set(src_fn, dst_fn, verdict)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            return
-        if self._entry is None:
-            raise PlaneUnavailable(f"{self.name}: no entry function")
-        self._stop.clear()
-        self._started = True
+    def _start_edges(self) -> None:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind(self.config.listen)
         self._listener.listen(256)
         self._listener.setblocking(False)
-        if self.mode is Mode.POLLING:
-            for reg in self._regs.values():
-                reg.rings = RingPair.new(self.config.ring_capacity)
-                self._spawn(f"mf.{reg.fn_id}", self._mf_loop_polling, reg)
-            self._spawn("router", self._router_loop_polling)
-            self._spawn("egress", self._egress_loop_polling)
-        else:
-            self._sockmap = SocketMap(pool=self.pool)
-            self._sockmap.set_filter(self._event_filter)
-            self._relay_ep = self._sockmap.register(RELAY_ID,
-                                                    capacity=self.config.ring_capacity)
-            for reg in self._regs.values():
-                reg.endpoint = self._sockmap.register(
-                    reg.fn_id, capacity=self.config.ring_capacity)
-            for reg in self._regs.values():
-                self._spawn(f"mf.{reg.fn_id}", self._mf_loop_event, reg)
-            self._spawn("relay", self._relay_loop)
-            for i in range(self.config.egress_workers):
+        if self._mode is Mode.EVENT:
+            for i in range(EGRESS_WORKERS):
                 self._spawn(f"egress.{i}", self._egress_worker)
         self._spawn("io", self._io_loop)
 
-    def stop(self) -> None:
-        if not self._started:
-            return
-        self._stop.set()
+    def _wake_edges(self) -> None:
         self._wake()
-        if self._sockmap is not None:
-            endpoints = [self._relay_ep] + [r.endpoint for r in self._regs.values()]
-            self._sockmap.close_all()
-        else:
-            endpoints = []
-        for _ in range(self.config.egress_workers):
+        for _ in range(EGRESS_WORKERS):
             self._egress_q.put(_STOP)
-        for thread in self._threads.values():
-            thread.join(timeout=5)
-        self._threads.clear()
-        for endpoint in endpoints:
-            for desc in endpoint.drain_remaining():
-                self._release_frame(desc)
-        self._drain_rings()
+
+    def _close_edges(self) -> None:
+        while True:
+            try:
+                desc = self._egress_q.get_nowait()
+            except queue.Empty:
+                break
+            if desc is not _STOP:
+                self._release(desc)
         if self._listener is not None:
             self._listener.close()
             self._listener = None
@@ -301,61 +200,17 @@ class ProxyPlane:
             conn.sock.close()
         self._conns.clear()
         self._upstreams.close_all()
-        self._sockmap = None
-        self._started = False
 
     def close(self) -> None:
         self.stop()
         self._wake_r.close()
         self._wake_w.close()
 
-    def _drain_rings(self) -> None:
-        rings = [self._egress_ring]
-        for reg in self._regs.values():
-            if reg.rings is not None:
-                rings.extend((reg.rings.rx, reg.rings.tx))
-        for ring in rings:
-            while True:
-                desc = ring.dequeue()
-                if desc is None:
-                    break
-                self._release_frame(desc)
-        while True:
-            try:
-                desc = self._egress_q.get_nowait()
-            except queue.Empty:
-                break
-            if desc is not _STOP:
-                self._release_frame(desc)
-
-    def _release_frame(self, desc) -> None:
-        try:
-            self.pool.free_frame(desc.frame)
-        except Exception:
-            pass
-
-    @property
-    def running(self) -> bool:
-        return self._started
-
     @property
     def listen_address(self) -> tuple[str, int]:
         if self._listener is None:
             raise PlaneUnavailable(self.name)
         return self._listener.getsockname()
-
-    def _spawn(self, label: str, target, *args) -> None:
-        def wrapper():
-            self._tids[label] = threading.get_native_id()
-            target(*args)
-
-        thread = threading.Thread(target=wrapper, name=f"{self.name}.{label}",
-                                  daemon=True)
-        self._threads[label] = thread
-        thread.start()
-
-    def thread_ids(self) -> dict[str, int]:
-        return dict(self._tids)
 
     def _wake(self) -> None:
         try:
@@ -491,177 +346,36 @@ class ProxyPlane:
         with self._latency_lock:
             self._t_ingress[trace_id] = time.monotonic_ns()
         self.ingest_count += 1
-        if self.mode is Mode.POLLING:
-            desc.chain_hops = 1
+        desc.chain_hops = 1  # set before the send hands the descriptor on
+        if self._mode is Mode.POLLING:
             if not self._regs[self._entry].rings.rx.enqueue(desc):
-                self._fail_request(desc, conn, 503, "Service Unavailable", "ring_full")
+                self._drop(desc, "ring_full", respond=True)
         else:
-            desc.chain_hops = 1  # set before the send hands the descriptor on
             try:
                 send_audited(self._sockmap, desc, ledger, step=1)
             except (UnknownDestination, InboxFull):
-                # socket map already freed the frame
-                self._finish_drop(desc, "inbox_full", respond=(conn, 503))
+                self._drop(desc, "inbox_full", respond=True)
 
-    def _fail_request(self, desc, conn, status, reason, drop_reason) -> None:
-        self._release_frame(desc)
-        self._finish_drop(desc, drop_reason, respond=(conn, status, reason))
-
-    def _finish_drop(self, desc, reason, respond=None) -> None:
-        with self._count_lock:
-            self.drops[reason] += 1
-        if self.ledger is not None:
-            self.ledger.complete(desc.trace_id, "drop")
+    def _drop(self, desc, reason, respond=False) -> None:
+        """Count the drop and close its trace, free the frame, and let the
+        client connection go on; ``respond`` also answers the client 503."""
+        self._count_drop(desc, reason)
+        self.pool.free_frame(desc.frame)
         with self._latency_lock:
             self._t_ingress.pop(desc.trace_id, None)
         conn = self._conns.get(desc.meta.connection_id) if desc.meta else None
-        if respond is not None and conn is not None:
-            status = respond[1]
-            reason_text = respond[2] if len(respond) > 2 else "Service Unavailable"
-            self._send_raw(conn, simple_response(status, reason_text))
-        if conn is not None:
-            conn.in_flight = False
-            self._recheck.append(conn)
-            self._wake()
-
-    # -- chain movement --------------------------------------------------------------
-
-    def _mf_loop_polling(self, reg: MfRegistration) -> None:
-        # hot spin with cooperative handoff on empty polls (see packet plane)
-        rx, tx = reg.rings.rx, reg.rings.tx
-        stop = self._stop
-        idle = time.sleep
-        while not stop.is_set():
-            batch = rx.burst_dequeue(self.BURST)
-            if not batch:
-                idle(0)
-                continue
-            for desc in batch:
-                out = self._run_handler(reg, desc)
-                if out is None:
-                    continue
-                out.chain_hops += 1
-                if not tx.enqueue(out):
-                    self._release_frame(out)
-                    self._finish_drop(out, "ring_full")
-
-    def _router_loop_polling(self) -> None:
-        stop = self._stop
-        idle = time.sleep
-        while not stop.is_set():
-            if not self.route_step():
-                idle(0)
-
-    def route_step(self) -> int:
-        moved = 0
-        for reg in self._regs.values():
-            for desc in reg.rings.tx.burst_dequeue(self.BURST * 2):
-                moved += self._route_one_polling(desc)
-        return moved
-
-    def _route_one_polling(self, desc) -> int:
-        nxt = self.routes.next_hop(desc.src_fn)
-        if nxt is None:
-            self._release_frame(desc)
-            self._finish_drop(desc, "no_route")
-            return 0
-        if not self.filters.check(desc.src_fn, nxt):
-            self._release_frame(desc)
-            self._finish_drop(desc, "filtered")
-            return 0
-        if nxt == EGRESS:
-            if not self._egress_ring.enqueue(desc):
-                self._release_frame(desc)
-                self._finish_drop(desc, "ring_full")
-                return 0
-            return 1
-        desc.chain_hops += 1
-        desc.dst_fn = nxt
-        if not self._regs[nxt].rings.rx.enqueue(desc):
-            self._release_frame(desc)
-            self._finish_drop(desc, "ring_full")
-            return 0
-        return 1
-
-    def _run_handler(self, reg, desc):
-        try:
-            out = reg.handler(reg.context, desc)
-        except Exception:
-            out = None
-        if out is None:
-            self._release_frame(desc)
-            self._finish_drop(desc, "handler")
-            return None
-        out.src_fn = reg.fn_id
-        return out
-
-    def _mf_loop_event(self, reg: MfRegistration) -> None:
-        endpoint = reg.endpoint
-        while True:
-            try:
-                batch = endpoint.recv_batch(self.config.batch)
-            except EndpointClosed:
-                return
-            for desc in batch:
-                out = self._run_handler(reg, desc)
-                if out is None:
-                    continue
-                out.dst_fn = RELAY_ID
-                self._send_chain_hop(out)
-
-    def _relay_loop(self) -> None:
-        endpoint = self._relay_ep
-        while True:
-            try:
-                batch = endpoint.recv_batch(self.config.batch)
-            except EndpointClosed:
-                return
-            for desc in batch:
-                self._route_one_event(desc)
-
-    def _route_one_event(self, desc) -> None:
-        nxt = self.routes.next_hop(desc.src_fn)
-        if nxt is None:
-            self._release_frame(desc)
-            self._finish_drop(desc, "no_route")
+        if conn is None:
             return
-        if nxt == EGRESS:
-            if not self.filters.check(desc.src_fn, EGRESS):
-                self._release_frame(desc)
-                self._finish_drop(desc, "filtered")
-                return
-            self._egress_q.put(desc)
-            return
-        desc.dst_fn = nxt
-        self._send_chain_hop(desc)
-
-    def _event_filter(self, src_fn: str, dst_fn: str) -> bool:
-        if dst_fn == RELAY_ID:
-            return True
-        return self.filters.check(src_fn, dst_fn)
-
-    def _send_chain_hop(self, desc) -> None:
-        # the receiver owns the descriptor once it is sent
-        desc.chain_hops += 1
-        try:
-            send_audited(self._sockmap, desc, self.ledger, desc.chain_hops)
-        except UnknownDestination:
-            self._finish_drop(desc, "shutdown" if self._stop.is_set() else "filtered")
-        except InboxFull:
-            self._finish_drop(desc, "inbox_full")
+        if respond:
+            self._send_raw(conn, simple_response(503, "Service Unavailable"))
+        conn.in_flight = False
+        self._recheck.append(conn)
+        self._wake()
 
     # -- broker egress ------------------------------------------------------------------
 
-    def _egress_loop_polling(self) -> None:
-        stop = self._stop
-        idle = time.sleep
-        while not stop.is_set():
-            batch = self._egress_ring.burst_dequeue(self.BURST)
-            if not batch:
-                idle(0)
-                continue
-            for desc in batch:
-                self._egress_one(desc)
+    def _egress_event(self, desc) -> None:
+        self._egress_q.put(desc)
 
     def _egress_worker(self) -> None:
         while True:

@@ -87,20 +87,18 @@ class RingPair:
 
 @dataclass
 class NicRingSet:
-    """Ring quartet for event-driven ingress emulation.
+    """Ring pair for event-driven ingress emulation.
 
     ``fill`` holds descriptors of frames parked for the next incoming packet;
     ``completion`` holds descriptors of transmitted frames awaiting recycling.
     """
 
-    rx: DescriptorRing
-    tx: DescriptorRing
     completion: DescriptorRing
     fill: DescriptorRing
 
     @classmethod
     def new(cls, capacity: int = DEFAULT_RING_CAPACITY) -> "NicRingSet":
-        return cls(*(DescriptorRing(capacity) for _ in range(4)))
+        return cls(DescriptorRing(capacity), DescriptorRing(capacity))
 
     def cycle(self) -> int:
         """Move every completed descriptor back to the fill ring.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 
 from .descriptors import EGRESS
-from .errors import CycleDetected, UnknownFunction
+from .errors import CycleDetected
 
 ALLOW = "allow"
 DENY = "deny"
@@ -39,15 +39,6 @@ class RoutingTable:
     def next_hop(self, fn_id: str) -> str | None:
         return self._entries.get(fn_id)
 
-    def entries(self) -> dict[str, str]:
-        return dict(self._entries)
-
-    def require(self, fn_id: str) -> str:
-        nxt = self._entries.get(fn_id)
-        if nxt is None:
-            raise UnknownFunction(f"no route from {fn_id}")
-        return nxt
-
 
 class FilterTable:
     """(src_fn, dst_fn) -> allow/deny with a deny default.
@@ -80,6 +71,3 @@ class FilterTable:
 
     def check(self, src_fn: str, dst_fn: str) -> bool:
         return self._rules.get((src_fn, dst_fn), self._default) == ALLOW
-
-    def rules(self) -> dict[tuple[str, str], str]:
-        return dict(self._rules)

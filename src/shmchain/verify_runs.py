@@ -17,9 +17,10 @@ from .descriptors import EGRESS
 from .errors import ShmChainError
 from .events import BatchPolicy
 from .handlers import make_l2_forwarder, make_l3_router, make_url_rewriter, make_reverse_proxy
-from .packet_plane import Mode, PacketPlane
+from .packet_plane import PacketPlane
 from .pool import PoolConfig, PoolRegistry
 from .proxy_plane import BrokerConfig, ProxyPlane
+from .runtime import Mode
 
 RUNNABLE_MODELS = ("alpha", "beta", "gamma", "delta", "unified_hw")
 

@@ -65,4 +65,5 @@ def test_bench_l4l7_short(tmp_path, capsys):
                  "--concurrency", "2", "--duration", "0.6"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["delivered"] > 0
+    assert report["extras"]["cpu_total_cores"] > 0  # sampled under load
     assert (tmp_path / "l4l7_latency.jsonl").exists()

@@ -27,7 +27,7 @@ def test_register_and_duplicate():
 
 
 def test_send_appends_and_wakes(pool):
-    sockmap = SocketMap(pool)
+    sockmap = SocketMap()
     endpoint = sockmap.register("b")
     sockmap.send(make_desc(pool))
     assert endpoint.pending() == 1
@@ -35,29 +35,33 @@ def test_send_appends_and_wakes(pool):
     assert len(batch) == 1
 
 
-def test_send_unknown_destination_frees_frame(pool):
-    sockmap = SocketMap(pool)
+def test_send_unknown_destination_leaves_frame_with_sender(pool):
+    sockmap = SocketMap()
     desc = make_desc(pool, dst="nobody")
     free_before = pool.free_count
     with pytest.raises(UnknownDestination):
         sockmap.send(desc)
-    assert pool.free_count == free_before + 1
     assert sockmap.dropped == 1
+    assert pool.free_count == free_before
+    pool.free_frame(desc.frame)  # still allocated to the caller
 
 
 def test_send_filtered_is_undeliverable(pool):
-    sockmap = SocketMap(pool)
-    sockmap.register("b")
+    sockmap = SocketMap()
+    endpoint = sockmap.register("b")
     sockmap.set_filter(lambda src, dst: False)
     desc = make_desc(pool)
     free_before = pool.free_count
     with pytest.raises(UnknownDestination):
         sockmap.send(desc)
-    assert pool.free_count == free_before + 1
+    assert sockmap.dropped == 1
+    assert endpoint.pending() == 0
+    assert pool.free_count == free_before
+    pool.free_frame(desc.frame)  # still allocated to the caller
 
 
 def test_inbox_full(pool):
-    sockmap = SocketMap(pool)
+    sockmap = SocketMap()
     sockmap.register("b", capacity=2)
     sockmap.send(make_desc(pool))
     sockmap.send(make_desc(pool))
@@ -66,7 +70,7 @@ def test_inbox_full(pool):
 
 
 def test_batch_bound_and_no_sleep_between(pool):
-    sockmap = SocketMap(pool)
+    sockmap = SocketMap()
     endpoint = sockmap.register("b")
     for i in range(10):
         sockmap.send(make_desc(pool, trace=i))
@@ -81,7 +85,7 @@ def test_batch_bound_and_no_sleep_between(pool):
 
 
 def test_recv_blocks_until_send(pool):
-    sockmap = SocketMap(pool)
+    sockmap = SocketMap()
     endpoint = sockmap.register("b")
     got = []
 
@@ -100,7 +104,7 @@ def test_recv_blocks_until_send(pool):
 
 def test_wakeup_coalescing_bound(big_pool):
     pool = big_pool
-    sockmap = SocketMap(pool)
+    sockmap = SocketMap()
     endpoint = sockmap.register("b")
     n = 1000  # well past what a byte-per-notification socket buffer holds
     for i in range(n):
@@ -124,7 +128,7 @@ def test_wakeup_coalescing_bound(big_pool):
 
 def test_fifo_per_sender(big_pool):
     pool = big_pool
-    sockmap = SocketMap(pool)
+    sockmap = SocketMap()
     endpoint = sockmap.register("b")
     n = 200
     sent = {name: [] for name in ("s1", "s2")}
@@ -171,7 +175,7 @@ def test_fifo_per_sender(big_pool):
 
 
 def test_close_drains_then_raises(pool):
-    sockmap = SocketMap(pool)
+    sockmap = SocketMap()
     endpoint = sockmap.register("b")
     for i in range(3):
         sockmap.send(make_desc(pool, trace=i))
@@ -183,7 +187,7 @@ def test_close_drains_then_raises(pool):
 
 
 def test_blocked_receiver_woken_by_close(pool):
-    sockmap = SocketMap(pool)
+    sockmap = SocketMap()
     endpoint = sockmap.register("b")
     result = []
 
@@ -203,7 +207,7 @@ def test_blocked_receiver_woken_by_close(pool):
 
 def test_send_audited_records_hop(pool):
     ledger = AuditLedger()
-    sockmap = SocketMap(pool)
+    sockmap = SocketMap()
     sockmap.register("b")
     desc = make_desc(pool, trace=7)
     send_audited(sockmap, desc, ledger, step=3)
@@ -213,7 +217,7 @@ def test_send_audited_records_hop(pool):
 
 def test_send_audited_failure_records_nothing(pool):
     ledger = AuditLedger()
-    sockmap = SocketMap(pool)
+    sockmap = SocketMap()
     desc = make_desc(pool, dst="nobody", trace=7)
     with pytest.raises(UnknownDestination):
         send_audited(sockmap, desc, ledger, step=3)

@@ -151,7 +151,7 @@ def test_pool_exhaustion_counts_drop(registry):
     from shmchain.pool import PoolConfig
 
     pool = registry.create(PoolConfig("tiny", 4, 2048))
-    plane = PacketPlane(pool, Mode.POLLING, name="tiny", fill_depth=2)
+    plane = PacketPlane(pool, Mode.POLLING, name="tiny")
     plane.register_nf("a", make_l2_forwarder())
     plane.set_entry("a")
     plane.set_route("a", EGRESS)
