@@ -15,11 +15,11 @@ from .packet_plane import PacketPlane
 from .pool import FrameRef, FramePool, PoolConfig, attach_pool, create_pool, release_pool
 from .proxy_plane import BrokerConfig, ProxyPlane
 from .rings import DescriptorRing, NicRingSet, RingPair
-from .runtime import ChainRuntime, Mode
+from .runtime import Mode
 
 __all__ = [
     "AuditLedger", "BatchPolicy", "BifurcationRule", "BrokerConfig",
-    "ChainRuntime", "CostVector", "DescriptorRing", "Dispatcher", "EGRESS", "EventEndpoint",
+    "CostVector", "DescriptorRing", "Dispatcher", "EGRESS", "EventEndpoint",
     "FlowKey", "FramePool", "FrameRef", "HandoffAdapter", "HttpExchangeMeta",
     "Mode", "NicRingSet", "PacketDescriptor", "PacketPlane", "PlaneTarget",
     "PoolConfig", "ProxyPlane", "RingPair", "RuleTable", "SocketMap",

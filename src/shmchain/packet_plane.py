@@ -4,7 +4,7 @@ Ingress places each packet into a pool frame, the emulated DMA, and hands
 its descriptor to the chain; egress reads the frame out to the sink, the
 DMA the other way, and recycles the frame. Polling mode allocates a frame
 per packet and frees it after the sink. Event mode keeps frames parked on a
-fill ring, the way a NIC driver keeps receive buffers posted: ingress takes
+fill ring, the way receive buffers stay posted to a NIC: ingress takes
 a parked frame and sends its descriptor to the router, a TX stage hands it
 to the sink and parks it on the completion ring, and a coordinator moves
 completions back to the fill ring.
