@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pool import FrameRef
 
@@ -66,4 +66,3 @@ class PacketDescriptor:
     flow: FlowKey | None = None
     meta: HttpExchangeMeta | None = None
     chain_hops: int = 0
-    requeued: bool = field(default=False, repr=False)

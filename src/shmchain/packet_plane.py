@@ -5,9 +5,11 @@ its descriptor to the chain; egress reads the frame out to the sink, the
 DMA the other way, and recycles the frame. Polling mode allocates a frame
 per packet and frees it after the sink. Event mode keeps frames parked on a
 fill ring, the way receive buffers stay posted to a NIC: ingress takes
-a parked frame and sends its descriptor to the router, a TX stage hands it
-to the sink and parks it on the completion ring, and a coordinator moves
-completions back to the fill ring.
+a parked frame and sends its descriptor to the router, and a TX stage hands
+it to the sink and parks it on the completion ring. Ingress reaps that ring
+itself: when the fill ring runs dry it moves every completion back before
+it takes a frame, as a NIC driver reaps its completion ring before it
+refills its receive ring, so no thread exists only to recycle frames.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import threading
 
 from .audit import INTERRUPTS, AuditLedger
 from .descriptors import INGRESS_ID, FlowKey, PacketDescriptor
-from .errors import FillRingFull, InboxFull, PlaneUnavailable, UnknownDestination
+from .errors import InboxFull, PlaneUnavailable, UnknownDestination
 from .events import BatchPolicy, send_audited
 from .pool import FramePool
 from .rings import NicRingSet
@@ -45,9 +47,8 @@ class PacketPlane(ChainRuntime):
         self.ingress_count = 0
         self.egress_count = 0
         self._nic_rings: NicRingSet | None = None  # event mode, built at start
-        # the fill ring is fed by the coordinator and by every drop path
+        # the fill ring is fed by the ingress reap and by every drop path
         self._fill_lock = threading.Lock()
-        self._cycle_wakeup = threading.Event()
 
     def set_sink(self, sink) -> None:
         self._sink = sink
@@ -64,10 +65,6 @@ class PacketPlane(ChainRuntime):
             parked = PacketDescriptor(ref, 0, 0, INGRESS_ID, self.ROUTER_ID, -1)
             self._nic_rings.fill.enqueue(parked)
         self._spawn("tx", self._serve, tx_ep, self._egress_one)
-        self._spawn("coordinator", self._coordinator_loop)
-
-    def _wake_edges(self) -> None:
-        self._cycle_wakeup.set()
 
     def _close_edges(self) -> None:
         if self._nic_rings is not None:
@@ -83,15 +80,22 @@ class PacketPlane(ChainRuntime):
         Returns False when the packet had to be dropped (backpressure)."""
         if not self._started:
             raise PlaneUnavailable(self.name)
+        if len(payload) > self.pool.config.frame_size:
+            return self._refuse("oversize")
         if self._mode is Mode.POLLING:
             return self._ingress_polling(payload, flow)
         return self._ingress_event(payload, flow)
 
+    def _refuse(self, reason: str) -> bool:
+        """Count a packet refused before it was given a frame."""
+        with self._count_lock:
+            self.drops[reason] += 1
+        return False
+
     def _ingress_polling(self, payload: bytes, flow) -> bool:
         ref = self.pool.try_alloc_frame()
         if ref is None:
-            self.drops["pool_exhausted"] += 1
-            return False
+            return self._refuse("pool_exhausted")
         self.pool.write_frame(ref, 0, payload)
         desc = PacketDescriptor(ref, 0, len(payload), INGRESS_ID, self._entry,
                                 next(self._trace_ids), flow=flow)
@@ -105,14 +109,15 @@ class PacketPlane(ChainRuntime):
         return True
 
     def _ingress_event(self, payload: bytes, flow) -> bool:
-        desc = self._nic_rings.fill.dequeue()
+        fill = self._nic_rings.fill
+        desc = fill.dequeue()
         if desc is None:
-            self.drops["pool_exhausted"] += 1
-            return False
-        if len(payload) > self.pool.config.frame_size:
-            self._recycle(desc)
-            self.drops["oversize"] += 1
-            return False
+            # reap the completion ring, the only way a sent frame comes back
+            with self._fill_lock:
+                self._nic_rings.cycle()
+            desc = fill.dequeue()
+            if desc is None:
+                return self._refuse("fill_empty")
         self.pool.write_frame(desc.frame, 0, payload)
         desc.offset = 0
         desc.length = len(payload)
@@ -121,7 +126,6 @@ class PacketPlane(ChainRuntime):
         desc.flow = flow
         desc.trace_id = next(self._trace_ids)
         desc.chain_hops = 0
-        desc.requeued = False
         ledger = self.ledger
         if ledger is not None:
             # delivery event that kicks the kernel-side redirect
@@ -146,14 +150,8 @@ class PacketPlane(ChainRuntime):
         try:
             self._sink(payload, desc)
         except Exception:
-            if desc.requeued:
-                self._drop(desc, "sink_unavailable")
-                return
-            desc.requeued = True
-            if self._mode is Mode.POLLING and self._egress_ring.enqueue(desc):
-                return  # retried on a later egress pass
             try:
-                self._sink(payload, desc)
+                self._sink(payload, desc)  # one retry, then the packet is lost
             except Exception:
                 self._drop(desc, "sink_unavailable")
                 return
@@ -162,25 +160,9 @@ class PacketPlane(ChainRuntime):
         self.egress_count += 1
         if self.ledger is not None:
             self.ledger.complete(desc.trace_id, "egress")
-        if self._mode is Mode.POLLING:
+        if (self._mode is Mode.POLLING
+                or not self._nic_rings.completion.enqueue(desc)):
             self.pool.free_frame(desc.frame)
-        elif self._nic_rings.completion.enqueue(desc):
-            self._cycle_wakeup.set()
-        else:
-            self.pool.free_frame(desc.frame)
-
-    def _coordinator_loop(self) -> None:
-        # blocked unless the TX side parked something on the completion ring
-        while not self._stop.is_set():
-            self._cycle_wakeup.wait()
-            if self._stop.is_set():
-                return
-            self._cycle_wakeup.clear()
-            try:
-                with self._fill_lock:
-                    self._nic_rings.cycle()
-            except FillRingFull:
-                pass
 
     def _recycle(self, desc: PacketDescriptor) -> None:
         with self._fill_lock:

@@ -347,30 +347,32 @@ class ProxyPlane(ChainRuntime):
             self._t_ingress[trace_id] = time.monotonic_ns()
         self.ingest_count += 1
         desc.chain_hops = 1  # set before the send hands the descriptor on
-        if self._mode is Mode.POLLING:
+        if not self.filters.check(INGRESS_ID, self._entry):
+            self._drop(desc, "filtered")
+        elif self._mode is Mode.POLLING:
             if not self._regs[self._entry].rings.rx.enqueue(desc):
-                self._drop(desc, "ring_full", respond=True)
+                self._drop(desc, "ring_full")
         else:
             try:
                 send_audited(self._sockmap, desc, ledger, step=1)
-            except (UnknownDestination, InboxFull):
-                self._drop(desc, "inbox_full", respond=True)
+            except UnknownDestination:
+                self._drop(desc, "shutdown")
+            except InboxFull:
+                self._drop(desc, "inbox_full")
 
-    def _drop(self, desc, reason, respond=False) -> None:
-        """Count the drop and close its trace, free the frame, and let the
-        client connection go on; ``respond`` also answers the client 503."""
+    def _drop(self, desc, reason) -> None:
+        """Count the drop and close its trace, free the frame, and answer the
+        client 503 so that its connection goes on."""
         self._count_drop(desc, reason)
         self.pool.free_frame(desc.frame)
         with self._latency_lock:
             self._t_ingress.pop(desc.trace_id, None)
         conn = self._conns.get(desc.meta.connection_id) if desc.meta else None
-        if conn is None:
-            return
-        if respond:
+        if conn is not None and not conn.closed:
             self._send_raw(conn, simple_response(503, "Service Unavailable"))
-        conn.in_flight = False
-        self._recheck.append(conn)
-        self._wake()
+            conn.in_flight = False
+            self._recheck.append(conn)
+            self._wake()
 
     # -- broker egress ------------------------------------------------------------------
 

@@ -18,10 +18,12 @@ one context switch on the audited path.
 
 The planes supply only their edges: where traffic enters the chain and
 where it leaves. A subclass implements ``_start_edges`` (run once the
-chain's transport exists, before its stages start), ``_wake_edges`` and
-``_close_edges`` (at stop, before and after the stage threads are joined),
-``_egress_one`` (one descriptor leaving the chain), ``_egress_event``
-(where the event router hands a descriptor routed to EGRESS) and ``_drop``.
+chain's transport exists, before its stages start), ``_close_edges`` (at
+stop, after the stage threads are joined), ``_egress_one`` (one descriptor
+leaving the chain), ``_egress_event`` (where the event router hands a
+descriptor routed to EGRESS) and ``_drop``. An edge with threads of its own
+that block outside the chain's transport also overrides ``_wake_edges``,
+run at stop before the threads are joined.
 
 Ownership rule: a descriptor, and the frame it points to, has exactly one
 owner at a time. A successful enqueue or send moves it to the receiver. A
@@ -201,6 +203,9 @@ class ChainRuntime:
         self._endpoints = []
         self._sockmap = None
         self._started = False
+
+    def _wake_edges(self) -> None:
+        """Unblock the edges' own threads at stop; the default has none."""
 
     @property
     def running(self) -> bool:

@@ -1,3 +1,4 @@
+import sys
 import time
 import zlib
 
@@ -155,7 +156,6 @@ def test_pool_exhaustion_counts_drop(registry):
     plane.register_nf("a", make_l2_forwarder())
     plane.set_entry("a")
     plane.set_route("a", EGRESS)
-    # keep frames captive: sink raises so descriptors requeue and drop
     plane.set_sink(lambda p, d: None)
     refs = [pool.alloc_frame() for _ in range(4)]  # exhaust by hand
     plane.start()
@@ -166,6 +166,37 @@ def test_pool_exhaustion_counts_drop(registry):
         plane.stop()
         for ref in refs:
             pool.free_frame(ref)
+
+
+def test_event_ingress_reaps_completions_when_fill_ring_runs_dry(registry):
+    """A 16-frame pool parks 8 frames on the fill ring, so a flood drains it
+    at once: ingress must reap sent frames from the completion ring itself
+    and count a refusal with both rings empty as ``fill_empty``."""
+    from shmchain.pool import PoolConfig
+
+    pool = registry.create(PoolConfig("reap", 16, 2048))
+    sink = ListSink()
+    plane = two_nf_plane(pool, Mode.EVENT)
+    plane.set_sink(sink)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    plane.start()
+    try:
+        for seq in range(2000):
+            while not plane.ingress(build_packet(64, seq, 5)):
+                time.sleep(0)
+        # refusals are counted as drops, so run_n's wait would end early
+        deadline = time.time() + 15
+        while plane.egress_count < 2000:
+            assert time.time() < deadline, plane.stats()
+            time.sleep(0.005)
+    finally:
+        plane.stop()
+        sys.setswitchinterval(interval)
+    assert plane.ingress_count == plane.egress_count == 2000
+    assert set(plane.drops) == {"fill_empty"}
+    assert sorted(trace for _, trace in sink.items) == list(range(2000))
+    assert pool.free_count == pool.config.frame_count
 
 
 def test_filter_deny_drops_descriptor(big_pool):
@@ -185,14 +216,15 @@ def test_filter_deny_drops_descriptor(big_pool):
     assert not sink.items
 
 
-def test_sink_failure_requeues_once_then_drops(big_pool):
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_sink_failure_requeues_once_then_drops(big_pool, mode):
     calls = []
 
     def flaky(payload, desc):
         calls.append(desc.trace_id)
         raise OSError("sink down")
 
-    plane = two_nf_plane(big_pool, Mode.POLLING)
+    plane = two_nf_plane(big_pool, mode)
     plane.set_sink(flaky)
     plane.start()
     try:
@@ -203,8 +235,20 @@ def test_sink_failure_requeues_once_then_drops(big_pool):
     finally:
         plane.stop()
     assert plane.drops["sink_unavailable"] == 1
-    assert len(calls) == 2  # first try plus one requeue
+    assert len(calls) == 2  # first try plus one inline retry
     assert big_pool.free_count == big_pool.config.frame_count
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_oversize_payload_refused_without_taking_a_frame(pool, mode):
+    plane = two_nf_plane(pool, mode)
+    plane.start()
+    try:
+        assert plane.ingress(bytes(4000)) is False  # frames hold 2048 B
+    finally:
+        plane.stop()
+    assert dict(plane.drops) == {"oversize": 1}
+    assert pool.free_count == pool.config.frame_count
 
 
 def test_routing_totality(big_pool):

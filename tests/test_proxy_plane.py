@@ -5,7 +5,7 @@ import pytest
 
 from shmchain.audit import AuditLedger, verify
 from shmchain.bench import StaticUpstream
-from shmchain.descriptors import EGRESS
+from shmchain.descriptors import EGRESS, INGRESS_ID
 from shmchain.errors import InvalidConfig, ParseError
 from shmchain.events import BatchPolicy
 from shmchain.handlers import make_reverse_proxy, make_url_rewriter
@@ -201,6 +201,21 @@ def test_pool_pressure_backpressures_not_drops(registry, upstreams):
         assert plane.drops.get("pool_exhausted", 0) == 0
     finally:
         plane.close()
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_ingress_filter_denies_in_both_modes(registry, upstreams, mode):
+    pool = registry.create(PoolConfig(f"ingress-deny-{mode.value}", 16, 4096))
+    plane = make_plane(pool, upstreams, mode)
+    plane.set_filter(INGRESS_ID, "lb", "deny")
+    plane.start()
+    try:
+        status, _body, _raw = plane.http_roundtrip("GET", "/old/x")
+    finally:
+        plane.close()
+    assert status == 503
+    assert dict(plane.drops) == {"filtered": 1}
+    assert pool.free_count == pool.config.frame_count
 
 
 def test_broker_needs_upstreams():

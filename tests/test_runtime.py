@@ -24,7 +24,7 @@ from shmchain.runtime import Mode
 
 K = 20
 # threads beyond one per function: router and egress stages plus the edges
-EDGE_THREADS = {("packet", Mode.POLLING): 2, ("packet", Mode.EVENT): 3,
+EDGE_THREADS = {("packet", Mode.POLLING): 2, ("packet", Mode.EVENT): 2,
                 ("proxy", Mode.POLLING): 3, ("proxy", Mode.EVENT): 4}
 
 
@@ -77,7 +77,7 @@ def test_denied_middle_hop_drops_once_and_frees_all(registry, upstreams, kind,
     plane = build(kind, mode, pool, upstreams)
     socks = []
 
-    def offer(seq, expect_response):
+    def offer(seq, expect_status):
         if kind == "packet":
             assert plane.ingress(build_packet(64, seq, 1))
             return
@@ -85,20 +85,21 @@ def test_denied_middle_hop_drops_once_and_frees_all(registry, upstreams, kind,
         socks.append(sock)
         sock.sendall(serialize_request("GET", f"/old/{seq}", [("Host", "rt")],
                                        b""))
-        if expect_response:
-            _raw, status, _body, _reusable = read_response(sock)
-            assert status == 200
+        _raw, status, _body, _reusable = read_response(sock)
+        assert status == expect_status
 
     plane.start()
     try:
         for seq in range(K):
-            offer(seq, expect_response=True)
+            offer(seq, 200)
         wait_settled(plane, K)
         plane.set_filter("a", "b", "deny")
         for seq in range(K, 2 * K):
-            offer(seq, expect_response=False)
+            offer(seq, 503)  # a request dropped inside the chain is answered
         wait_settled(plane, 2 * K)
-        assert len(plane.thread_ids()) <= 2 + EDGE_THREADS[(kind, mode)]
+        threads = plane.thread_ids()
+        assert len(threads) <= 2 + EDGE_THREADS[(kind, mode)]
+        assert "coordinator" not in threads
     finally:
         for sock in socks:
             sock.close()
