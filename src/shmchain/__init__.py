@@ -10,7 +10,7 @@ CPU trade-offs.
 from .audit import AuditLedger, CostVector, extrapolate, predict, verify
 from .classifier import BifurcationRule, Dispatcher, HandoffAdapter, PlaneTarget, RuleTable
 from .descriptors import EGRESS, FlowKey, HttpExchangeMeta, PacketDescriptor
-from .events import BatchPolicy, EventEndpoint, SocketMap
+from .events import EventEndpoint, SocketMap
 from .packet_plane import PacketPlane
 from .pool import FrameRef, FramePool, PoolConfig, attach_pool, create_pool, release_pool
 from .proxy_plane import BrokerConfig, ProxyPlane
@@ -18,7 +18,7 @@ from .rings import DescriptorRing, NicRingSet, RingPair
 from .runtime import Mode
 
 __all__ = [
-    "AuditLedger", "BatchPolicy", "BifurcationRule", "BrokerConfig",
+    "AuditLedger", "BifurcationRule", "BrokerConfig",
     "CostVector", "DescriptorRing", "Dispatcher", "EGRESS", "EventEndpoint",
     "FlowKey", "FramePool", "FrameRef", "HandoffAdapter", "HttpExchangeMeta",
     "Mode", "NicRingSet", "PacketDescriptor", "PacketPlane", "PlaneTarget",

@@ -67,7 +67,6 @@ class PlaneSpec:
     filters: tuple[tuple[str, str, str], ...] = ()
     listen: str | None = None
     upstreams: tuple[str, ...] = ()
-    max_batch: int = 32
 
 
 @dataclass
@@ -158,7 +157,6 @@ def _parse_plane(name: str, items) -> PlaneSpec:
     filters: list[tuple[str, str, str]] = []
     listen = None
     upstreams: list[str] = []
-    max_batch = 32
     mode_lines = 0
     for lineno, key, value in items:
         if key == "kind":
@@ -196,8 +194,6 @@ def _parse_plane(name: str, items) -> PlaneSpec:
             listen = value
         elif key == "upstreams":
             upstreams = [u.strip() for u in value.split(",") if u.strip()]
-        elif key == "max_batch":
-            max_batch = _parse_int(value, lineno, key)
         else:
             raise SpecSyntaxError(f"unknown plane key {key!r}", lineno)
     first_line = items[0][0] if items else 1
@@ -208,8 +204,7 @@ def _parse_plane(name: str, items) -> PlaneSpec:
     if entry is None:
         raise SpecSyntaxError(f"plane.{name} needs an entry function", first_line)
     return PlaneSpec(name, kind, pool, mode, tuple(functions), entry,
-                     tuple(routes), tuple(filters), listen, tuple(upstreams),
-                     max_batch)
+                     tuple(routes), tuple(filters), listen, tuple(upstreams))
 
 
 def _parse_rules(items) -> tuple[BifurcationRule, ...]:
@@ -317,8 +312,6 @@ def render_spec(spec: ChainSpec) -> str:
             out.append(f"listen = {plane.listen}")
         if plane.upstreams:
             out.append(f"upstreams = {', '.join(plane.upstreams)}")
-        if plane.max_batch != 32:
-            out.append(f"max_batch = {plane.max_batch}")
         for fn in plane.functions:
             suffix = f":{fn.param}" if fn.param is not None else ""
             out.append(f"function.{fn.name} = {fn.handler}{suffix}")
@@ -344,15 +337,14 @@ def render_spec(spec: ChainSpec) -> str:
     return "\n".join(out)
 
 
-def build_planes(spec: ChainSpec, *, registry=None, ledgers=None,
-                 listen_override=None):
+def build_planes(spec: ChainSpec, *, registry=None, ledgers=None):
     """Instantiate pools and planes from a parsed spec.
 
     ``ledgers`` maps plane name to an AuditLedger. Returns (pools, planes);
-    planes are constructed but not started.
+    planes are constructed but not started. This is the one place a chain is
+    assembled: every other builder writes spec text and calls it.
     """
     from ._util import parse_hostport
-    from .events import BatchPolicy
     from .handlers import build_handler
     from .packet_plane import PacketPlane
     from .pool import PoolConfig, create_pool
@@ -371,21 +363,17 @@ def build_planes(spec: ChainSpec, *, registry=None, ledgers=None,
         ledger = ledgers.get(name)
         if pdecl.kind == "packet":
             plane = PacketPlane(pool, Mode(pdecl.mode), ledger, name=name)
-            register = plane.register_nf
         else:
-            listen = listen_override or pdecl.listen or "127.0.0.1:0"
             config = BrokerConfig(
-                listen=parse_hostport(listen),
+                listen=parse_hostport(pdecl.listen or "127.0.0.1:0"),
                 upstreams=[parse_hostport(u) for u in pdecl.upstreams],
                 mode=Mode(pdecl.mode),
-                batch=BatchPolicy(pdecl.max_batch),
             )
             plane = ProxyPlane(pool, config, ledger, name=name)
-            register = plane.register_mf
         for fn in pdecl.functions:
             handler = build_handler(fn.handler, fn.param,
                                     backend_count=len(pdecl.upstreams) or None)
-            register(fn.name, handler)
+            plane.register(fn.name, handler)
         plane.set_entry(pdecl.entry)
         for frm, to in pdecl.routes:
             plane.set_route(frm, to)

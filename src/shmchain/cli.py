@@ -126,10 +126,6 @@ def cmd_validate_spec(args) -> int:
 def cmd_run_chain(args) -> int:
     registry = PoolRegistry()
     spec = _load_spec(args)
-    upstreams = []
-    for plane_spec in spec.planes.values():
-        if plane_spec.kind == "proxy" and not plane_spec.upstreams:
-            raise ShmChainError(f"plane.{plane_spec.name} has no upstreams")
     pools, planes = build_planes(spec, registry=registry)
     sinks = {}
     for name, plane in planes.items():

@@ -19,7 +19,6 @@ import os
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import (
     DuplicateFunction,
@@ -31,17 +30,6 @@ from .errors import (
 
 DEFAULT_INBOX_CAPACITY = 4096
 MAX_INBOX_CAPACITY = 32768  # bounds the memory one inbox may pin
-
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """Upper bound on descriptors drained per wakeup."""
-
-    max_batch: int = 32
-
-    def __post_init__(self):
-        if self.max_batch < 1:
-            raise InvalidConfig("max_batch must be >= 1")
 
 
 class EventEndpoint:
@@ -88,11 +76,10 @@ class EventEndpoint:
             self.delivered += 1
         os.eventfd_write(self._efd, 1)
 
-    def recv_batch(self, policy: BatchPolicy | int = 32) -> list:
-        """Block until at least one descriptor is queued, then drain up to the
-        batch limit in arrival order. After :meth:`close`, the remaining inbox
-        is drained first, then ``EndpointClosed`` is raised."""
-        max_batch = policy.max_batch if isinstance(policy, BatchPolicy) else int(policy)
+    def recv_batch(self, max_batch: int) -> list:
+        """Block until at least one descriptor is queued, then drain up to
+        ``max_batch`` in arrival order. After :meth:`close`, the remaining
+        inbox is drained first, then ``EndpointClosed`` is raised."""
         if max_batch < 1:
             raise InvalidConfig("max_batch must be >= 1")
         with self._lock:

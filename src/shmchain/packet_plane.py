@@ -19,9 +19,9 @@ import threading
 from .audit import INTERRUPTS, AuditLedger
 from .descriptors import INGRESS_ID, FlowKey, PacketDescriptor
 from .errors import InboxFull, PlaneUnavailable, UnknownDestination
-from .events import BatchPolicy, send_audited
+from .events import send_audited
 from .pool import FramePool
-from .rings import NicRingSet
+from .rings import DEFAULT_RING_CAPACITY, NicRingSet
 from .runtime import ChainRuntime, Mode
 
 TX_ID = "__tx__"
@@ -35,15 +35,13 @@ class PacketPlane(ChainRuntime):
     """One chain of packet functions under a single manager."""
 
     EDGE_IDS = (TX_ID,)
-    register_nf = ChainRuntime.register
 
     def __init__(self, pool: FramePool, mode: Mode = Mode.POLLING,
-                 ledger: AuditLedger | None = None, *, name: str = "pkt",
-                 ring_capacity: int = 1024, batch: BatchPolicy | None = None,
-                 burst: int = 64):
-        super().__init__(pool, mode, ledger, name=name,
-                         ring_capacity=ring_capacity, batch=batch, burst=burst)
+                 ledger: AuditLedger | None = None, *, name: str = "pkt"):
+        super().__init__(pool, mode, ledger, name=name)
         self._sink = _null_sink
+        # every offered packet, refused ones included, so that
+        # ingress = egress + drops + in flight
         self.ingress_count = 0
         self.egress_count = 0
         self._nic_rings: NicRingSet | None = None  # event mode, built at start
@@ -59,8 +57,8 @@ class PacketPlane(ChainRuntime):
         if self._mode is Mode.POLLING:
             return
         tx_ep = self._register_endpoint(TX_ID)
-        self._nic_rings = NicRingSet.new(self._ring_capacity)
-        for _ in range(min(self.pool.config.frame_count // 2, self._ring_capacity)):
+        self._nic_rings = NicRingSet.new()
+        for _ in range(min(self.pool.config.frame_count // 2, DEFAULT_RING_CAPACITY)):
             ref = self.pool.alloc_frame()
             parked = PacketDescriptor(ref, 0, 0, INGRESS_ID, self.ROUTER_ID, -1)
             self._nic_rings.fill.enqueue(parked)
@@ -80,6 +78,7 @@ class PacketPlane(ChainRuntime):
         Returns False when the packet had to be dropped (backpressure)."""
         if not self._started:
             raise PlaneUnavailable(self.name)
+        self.ingress_count += 1
         if len(payload) > self.pool.config.frame_size:
             return self._refuse("oversize")
         if self._mode is Mode.POLLING:
@@ -105,7 +104,6 @@ class PacketPlane(ChainRuntime):
         if not self._regs[self._entry].rings.rx.enqueue(desc):
             self._drop(desc, "ring_full")
             return False
-        self.ingress_count += 1
         return True
 
     def _ingress_event(self, payload: bytes, flow) -> bool:
@@ -135,7 +133,6 @@ class PacketPlane(ChainRuntime):
         except (UnknownDestination, InboxFull):
             self._drop(desc, "inbox_full")
             return False
-        self.ingress_count += 1
         return True
 
     # -- egress and drops -------------------------------------------------------------

@@ -36,16 +36,9 @@ def _now_ns() -> int:
     return time.clock_gettime_ns(time.CLOCK_MONOTONIC)
 
 
-def _pin_to_cpu(cpu: int) -> None:
-    try:
+def _ring_consumer(region, n: int, cpu: int | None) -> None:
+    if cpu is not None:
         os.sched_setaffinity(0, {cpu})
-    except (AttributeError, OSError):
-        pass
-
-
-def _ring_consumer(region, n: int) -> None:
-    if (os.cpu_count() or 1) >= 2:
-        _pin_to_cpu(1)
     got = 0
     while got < n:
         published = struct.unpack_from("<Q", region, 0)[0]
@@ -93,7 +86,12 @@ def ring_hop_probe(n_samples: int, *, pace_s: float = 2e-4,
         raise InvalidSampleCount(str(n_samples))
     warmup = min(warmup, max(0, n_samples - 1))
     region = mmap.mmap(-1, _CURSOR_BYTES + 8 * n_samples)
-    proc = _CTX.Process(target=_ring_consumer, args=(region, n_samples),
+    # both sides spin, so each gets a CPU of its own: sharing one, every hop
+    # would wait out the other side's time slice
+    cpus = os.sched_getaffinity(0)  # the calling thread's, restored below
+    pinned = len(cpus) >= 2
+    proc = _CTX.Process(target=_ring_consumer,
+                        args=(region, n_samples, max(cpus) if pinned else None),
                         daemon=True)
     proc.start()
     time.sleep(0.05)
@@ -102,7 +100,12 @@ def ring_hop_probe(n_samples: int, *, pace_s: float = 2e-4,
         struct.pack_into("<Q", region, 0, i + 1)
 
     try:
-        send_ts = _paced_send_loop(n_samples, pace_s, send_one)
+        if pinned:
+            os.sched_setaffinity(0, {min(cpus)})
+        try:
+            send_ts = _paced_send_loop(n_samples, pace_s, send_one)
+        finally:
+            os.sched_setaffinity(0, cpus)
         proc.join(timeout=30)
         stats = _collect(region, _CURSOR_BYTES, send_ts, warmup)
     finally:

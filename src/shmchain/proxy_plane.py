@@ -35,7 +35,7 @@ from .errors import (
     UnknownDestination,
     UpstreamUnavailable,
 )
-from .events import BatchPolicy, send_audited
+from .events import send_audited
 from .http11 import (
     read_response,
     serialize_request,
@@ -61,8 +61,6 @@ class BrokerConfig:
     listen: tuple[str, int] = ("127.0.0.1", 0)
     upstreams: list[tuple[str, int]] = field(default_factory=list)
     mode: Mode = Mode.EVENT
-    batch: BatchPolicy = field(default_factory=BatchPolicy)
-    ring_capacity: int = 1024
     upstream_timeout: float = 5.0
 
     def validate(self) -> None:
@@ -142,13 +140,11 @@ class ProxyPlane(ChainRuntime):
     ROUTER_ID = RELAY_ID
     ROUTER_LABEL = "relay"
     STAGE_LABEL = "mf"
-    register_mf = ChainRuntime.register
 
     def __init__(self, pool: FramePool, config: BrokerConfig,
                  ledger: AuditLedger | None = None, *, name: str = "proxy"):
         config.validate()
-        super().__init__(pool, config.mode, ledger, name=name,
-                         ring_capacity=config.ring_capacity, batch=config.batch)
+        super().__init__(pool, config.mode, ledger, name=name)
         self.config = config
         self._conn_ids = itertools.count()
         self.ingest_count = 0

@@ -16,6 +16,12 @@ stage an event endpoint and blocks it until a delivery arrives. Every move
 passes through the router's endpoint, and each send pays one interrupt plus
 one context switch on the audited path.
 
+The sizes are constants, the same for every chain: each ring and each event
+inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling function
+stage takes up to ``BURST`` (64) per pass and the router and egress stages
+twice that, and an event stage takes up to ``BATCH`` (32) per wakeup. Chains
+are assembled from spec text by ``chainspec.build_planes``.
+
 The planes supply only their edges: where traffic enters the chain and
 where it leaves. A subclass implements ``_start_edges`` (run once the
 chain's transport exists, before its stages start), ``_close_edges`` (at
@@ -55,11 +61,14 @@ from .errors import (
     UnknownDestination,
     UnknownFunction,
 )
-from .events import BatchPolicy, EventEndpoint, SocketMap, send_audited
+from .events import EventEndpoint, SocketMap, send_audited
 from .handlers import HandlerContext
 from .pool import FramePool
-from .rings import DescriptorRing, RingPair
+from .rings import DEFAULT_RING_CAPACITY, DescriptorRing, RingPair
 from .routing import DENY, FilterTable, RoutingTable
+
+BURST = 64  # descriptors a polling function stage takes per pass
+BATCH = 32  # descriptors an event stage takes per wakeup
 
 
 class Mode(str, Enum):
@@ -86,15 +95,11 @@ class ChainRuntime:
     EDGE_IDS: tuple[str, ...] = ()
 
     def __init__(self, pool: FramePool, mode: Mode, ledger: AuditLedger | None,
-                 *, name: str, ring_capacity: int = 1024,
-                 batch: BatchPolicy | None = None, burst: int = 64):
+                 *, name: str):
         self.pool = pool
-        self.BURST = burst
         self.name = name
         self.ledger = ledger
         self._mode = Mode(mode)
-        self._ring_capacity = ring_capacity
-        self._batch = batch or BatchPolicy()
         self.routes = RoutingTable()
         self.filters = FilterTable(default=DENY)
         self._regs: dict[str, Registration] = {}
@@ -106,7 +111,7 @@ class ChainRuntime:
         self._started = False
         self.drops: Counter = Counter()
         self._count_lock = threading.Lock()
-        self._egress_ring = DescriptorRing(ring_capacity)  # polling mode
+        self._egress_ring = DescriptorRing()  # polling mode
         self._sockmap: SocketMap | None = None  # event mode, built at start
         self._endpoints: list[EventEndpoint] = []
 
@@ -127,7 +132,7 @@ class ChainRuntime:
         if fn_id in self._regs or fn_id in (*self._unfiltered, INGRESS_ID, EGRESS):
             raise DuplicateFunction(fn_id)
         reg = Registration(fn_id, handler, HandlerContext(self.pool, fn_id),
-                           RingPair.new(self._ring_capacity))
+                           RingPair.new())
         self._regs[fn_id] = reg
         return reg
 
@@ -221,7 +226,8 @@ class ChainRuntime:
         return {label: thread.native_id for label, thread in self._threads.items()}
 
     def _register_endpoint(self, fn_id: str) -> EventEndpoint:
-        endpoint = self._sockmap.register(fn_id, capacity=self._ring_capacity)
+        # an inbox holds as many descriptors as a ring
+        endpoint = self._sockmap.register(fn_id, capacity=DEFAULT_RING_CAPACITY)
         self._endpoints.append(endpoint)
         return endpoint
 
@@ -264,7 +270,7 @@ class ChainRuntime:
         stop = self._stop
         idle = time.sleep
         while not stop.is_set():
-            batch = rx.burst_dequeue(self.BURST)
+            batch = rx.burst_dequeue(BURST)
             if not batch:
                 idle(0)
                 continue
@@ -288,7 +294,7 @@ class ChainRuntime:
         next RX ring or the egress ring. Drops are counted, never raised."""
         moved = 0
         for reg in self._regs.values():
-            for desc in reg.rings.tx.burst_dequeue(self.BURST * 2):
+            for desc in reg.rings.tx.burst_dequeue(BURST * 2):
                 moved += self._route_one_polling(desc)
         return moved
 
@@ -316,7 +322,7 @@ class ChainRuntime:
         stop = self._stop
         idle = time.sleep
         while not stop.is_set():
-            batch = self._egress_ring.burst_dequeue(self.BURST * 2)
+            batch = self._egress_ring.burst_dequeue(BURST * 2)
             if not batch:
                 idle(0)
                 continue
@@ -330,7 +336,7 @@ class ChainRuntime:
         per wakeup, until the endpoint is closed and its inbox is empty."""
         while True:
             try:
-                batch = endpoint.recv_batch(self._batch)
+                batch = endpoint.recv_batch(BATCH)
             except EndpointClosed:
                 return
             for desc in batch:

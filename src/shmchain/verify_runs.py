@@ -12,55 +12,56 @@ import time
 
 from .audit import AuditLedger, get_model
 from .bench import StaticUpstream, build_packet
+from .chainspec import build_planes, parse_spec
 from .classifier import HandoffAdapter
 from .descriptors import EGRESS
 from .errors import ShmChainError
-from .events import BatchPolicy
-from .handlers import make_l2_forwarder, make_l3_router, make_url_rewriter, make_reverse_proxy
 from .packet_plane import PacketPlane
-from .pool import PoolConfig, PoolRegistry
-from .proxy_plane import BrokerConfig, ProxyPlane
+from .pool import PoolRegistry
+from .proxy_plane import ProxyPlane
 from .runtime import Mode
 
 RUNNABLE_MODELS = ("alpha", "beta", "gamma", "delta", "unified_hw")
 
+# per kind: function name stem, pool frames, entry function, every later one
+_REFERENCE = {
+    "packet": ("fn", 4096, "l3route:10.0.0.5=10.0.1.5", "l2fwd"),
+    "proxy": ("mf", 1024, "revproxy", "urlrewrite:/old=/new"),
+}
 
-def _packet_chain(registry, ledger, mode: Mode, chain_len: int, prefix: str):
-    pool = registry.create(PoolConfig(prefix, 4096, 2048))
-    plane = PacketPlane(pool, mode, ledger, name=f"verify-{prefix}",
-                        ring_capacity=4096, burst=512)
-    names = []
-    for i in range(chain_len):
-        name = f"fn{i}"
-        handler = (make_l3_router({"10.0.0.5": "10.0.1.5"}) if i == 0
-                   else make_l2_forwarder())
-        plane.register_nf(name, handler)
-        names.append(name)
-    plane.set_entry(names[0])
-    for a, b in zip(names, names[1:]):
-        plane.set_route(a, b)
-    plane.set_route(names[-1], EGRESS)
-    return pool, plane
+_SPEC_HEAD = """\
+[pool.{name}]
+prefix = {name}
+frame_count = {frames}
+frame_size = 2048
+
+[plane.{name}]
+kind = {kind}
+pool = {name}
+mode = {mode}
+"""
 
 
-def _proxy_chain(registry, ledger, mode: Mode, chain_len: int, prefix: str,
-                 upstreams):
-    pool = registry.create(PoolConfig(prefix, 1024, 2048))
-    config = BrokerConfig(upstreams=list(upstreams), mode=mode,
-                          batch=BatchPolicy(32))
-    plane = ProxyPlane(pool, config, ledger, name=f"verify-{prefix}")
-    names = []
-    for i in range(chain_len):
-        name = f"mf{i}"
-        handler = (make_reverse_proxy(len(upstreams)) if i == 0
-                   else make_url_rewriter({"/old": "/new"}))
-        plane.register_mf(name, handler)
-        names.append(name)
-    plane.set_entry(names[0])
-    for a, b in zip(names, names[1:]):
-        plane.set_route(a, b)
-    plane.set_route(names[-1], EGRESS)
-    return pool, plane
+def reference_chain(registry: PoolRegistry, kind: str, mode: Mode,
+                    chain_len: int, name: str, *, ledger: AuditLedger | None = None,
+                    upstreams=()):
+    """Build the reference chain from spec text: ``chain_len`` functions in a
+    line, an L3 router then L2 forwarders for ``packet``, a reverse proxy then
+    URL rewriters over ``upstreams`` for ``proxy``. Pool and plane are both
+    called ``name``. Returns (pool, plane), the plane not yet started."""
+    stem, frames, first, rest = _REFERENCE[kind]
+    fns = [f"{stem}{i}" for i in range(chain_len)]
+    lines = _SPEC_HEAD.format(name=name, frames=frames, kind=kind,
+                              mode=Mode(mode).value).splitlines()
+    if upstreams:
+        lines.append("upstreams = " + ", ".join(f"{host}:{port}"
+                                                for host, port in upstreams))
+    lines += [f"function.{fn} = {rest if i else first}" for i, fn in enumerate(fns)]
+    lines.append(f"entry = {fns[0]}")
+    lines += [f"route.{a} = {b}" for a, b in zip(fns, [*fns[1:], EGRESS])]
+    pools, planes = build_planes(parse_spec("\n".join(lines)), registry=registry,
+                                 ledgers={name: ledger})
+    return pools[name], planes[name]
 
 
 def run_packet_traffic(plane: PacketPlane, packets: int,
@@ -68,28 +69,19 @@ def run_packet_traffic(plane: PacketPlane, packets: int,
     """Offer ``packets`` packets, waiting out backpressure, and block until
     the chain drains. Returns the egress count; raises ``ShmChainError`` when
     the chain has not drained by the deadline."""
-    def settled() -> int:
-        return plane.egress_count + sum(plane.drops.values())
-
-    # every refused offer is counted as one drop, so the chain has drained
-    # once settled() has grown by sent + refused
-    target = settled()
-    sent = 0
     deadline = time.time() + timeout
     for seq in range(packets):
         pkt = build_packet(payload_size, seq, 3)
         while not plane.ingress(pkt):
-            target += 1
             if time.time() > deadline:
                 raise ShmChainError(
                     f"packet plane not absorbing traffic: {plane.stats()}")
             time.sleep(0.001)
-        sent += 1
-    target += sent
-    while settled() < target:
+    # every offer, refused ones included, ends as one egress or one drop
+    while plane.egress_count + sum(plane.drops.values()) < plane.ingress_count:
         if time.time() > deadline:
             raise ShmChainError(
-                f"packet plane did not drain {sent} packets: {plane.stats()}")
+                f"packet plane did not drain {packets} packets: {plane.stats()}")
         time.sleep(0.005)
     return plane.egress_count
 
@@ -130,8 +122,9 @@ def run_audit_traffic(model_id: str, packets: int = 300,
     try:
         if model.model_id in ("alpha", "beta"):
             mode = Mode.POLLING if model.model_id == "alpha" else Mode.EVENT
-            _pool, plane = _packet_chain(registry, ledger, mode, chain_len,
-                                         f"audit-{model.model_id}")
+            _pool, plane = reference_chain(registry, "packet", mode, chain_len,
+                                           f"audit-{model.model_id}",
+                                           ledger=ledger)
             plane.set_sink(lambda payload, desc: None)
             plane.start()
             try:
@@ -142,9 +135,10 @@ def run_audit_traffic(model_id: str, packets: int = 300,
             mode = Mode.POLLING if model.model_id == "gamma" else Mode.EVENT
             stub = StaticUpstream(b"verify\n")
             try:
-                _pool, plane = _proxy_chain(registry, ledger, mode, chain_len,
-                                            f"audit-{model.model_id}",
-                                            [stub.address])
+                _pool, plane = reference_chain(registry, "proxy", mode,
+                                               chain_len, f"audit-{model.model_id}",
+                                               ledger=ledger,
+                                               upstreams=[stub.address])
                 plane.start()
                 try:
                     run_proxy_traffic(plane, packets)
@@ -153,9 +147,8 @@ def run_audit_traffic(model_id: str, packets: int = 300,
             finally:
                 stub.stop()
         else:  # unified_hw: packet plane egress bridged toward the proxy side
-            _pool, plane = _packet_chain(registry, ledger=None, mode=Mode.POLLING,
-                                         chain_len=chain_len,
-                                         prefix="audit-handoff")
+            _pool, plane = reference_chain(registry, "packet", Mode.POLLING,
+                                           chain_len, "audit-handoff")
             adapter = HandoffAdapter(ledger, deliver=lambda payload: None)
             plane.set_sink(adapter)
             plane.start()

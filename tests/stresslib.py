@@ -12,7 +12,7 @@ import time
 
 from shmchain.descriptors import PacketDescriptor
 from shmchain.errors import InboxFull, PoolExhausted
-from shmchain.events import BatchPolicy, SocketMap
+from shmchain.events import SocketMap
 from shmchain.pool import FrameRef, PoolConfig, PoolRegistry
 from shmchain.rings import DescriptorRing
 
@@ -68,7 +68,7 @@ def stress_event_channel(n_per_sender: int, senders: int = 2,
 
     def receiver():
         while len(received) < total:
-            batch = endpoint.recv_batch(BatchPolicy(32))
+            batch = endpoint.recv_batch(32)
             received.extend(d.trace_id for d in batch)
 
     threads = [threading.Thread(target=sender, args=(sid,), daemon=True)

@@ -40,19 +40,11 @@ from shmchain.bench import (
 )
 from shmchain.classifier import BifurcationRule, Dispatcher, PlaneTarget, RuleTable
 from shmchain.descriptors import EGRESS, FlowKey
-from shmchain.events import BatchPolicy, SocketMap
-from shmchain.handlers import (
-    atkin_prime_count,
-    atkin_sieve,
-    make_l2_forwarder,
-    make_l3_router,
-    make_reverse_proxy,
-    make_url_rewriter,
-)
+from shmchain.events import SocketMap
+from shmchain.handlers import atkin_prime_count, atkin_sieve, make_l2_forwarder
 from shmchain.packet_plane import Mode, PacketPlane
 from shmchain.pool import PoolConfig, PoolRegistry
-from shmchain.proxy_plane import BrokerConfig, ProxyPlane
-from shmchain.verify_runs import run_audit_traffic, run_packet_traffic
+from shmchain.verify_runs import reference_chain, run_audit_traffic, run_packet_traffic
 
 # pinned tolerances and bounds
 GOLDEN_RUNTIME_S = 1.0
@@ -79,43 +71,15 @@ def fresh_prefix(tag: str) -> str:
     return f"acc-{tag}-{next(_uid)}"
 
 
-def build_packet_plane(registry, mode, ledger=None, chain=2, frames=4096,
-                       name="accpkt"):
-    pool = registry.create(PoolConfig(fresh_prefix(name), frames, 2048))
-    plane = PacketPlane(pool, mode, ledger, name=name, ring_capacity=4096,
-                        burst=512)
-    names = []
-    for i in range(chain):
-        fn = f"fn{i}"
-        handler = (make_l3_router({"10.0.0.5": "10.0.1.5"}) if i == 0
-                   else make_l2_forwarder())
-        plane.register_nf(fn, handler)
-        names.append(fn)
-    plane.set_entry(names[0])
-    for a, b in zip(names, names[1:]):
-        plane.set_route(a, b)
-    plane.set_route(names[-1], EGRESS)
-    return pool, plane
+def build_packet_plane(registry, mode, ledger=None, name="accpkt"):
+    return reference_chain(registry, "packet", mode, 2, fresh_prefix(name),
+                           ledger=ledger)
 
 
 def build_proxy_plane(registry, mode, upstream_addrs, ledger=None, chain=2,
-                      frames=1024, name="accpxy", **cfg):
-    pool = registry.create(PoolConfig(fresh_prefix(name), frames, 4096))
-    config = BrokerConfig(upstreams=list(upstream_addrs), mode=mode,
-                          batch=BatchPolicy(32), **cfg)
-    plane = ProxyPlane(pool, config, ledger, name=name)
-    names = []
-    for i in range(chain):
-        fn = f"mf{i}"
-        handler = (make_reverse_proxy(len(upstream_addrs)) if i == 0
-                   else make_url_rewriter({"/old": "/new"}))
-        plane.register_mf(fn, handler)
-        names.append(fn)
-    plane.set_entry(names[0])
-    for a, b in zip(names, names[1:]):
-        plane.set_route(a, b)
-    plane.set_route(names[-1], EGRESS)
-    return pool, plane
+                      name="accpxy"):
+    return reference_chain(registry, "proxy", mode, chain, fresh_prefix(name),
+                           ledger=ledger, upstreams=upstream_addrs)
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +156,7 @@ def _integrity_run(registry, mode, iterations, rng_seed):
     def sink(payload, desc):
         lock_free_sink_items.append(bytes(payload))
 
-    pool, plane = build_packet_plane(registry, mode, frames=4096,
-                                     name=f"integ-{mode.value}")
+    pool, plane = build_packet_plane(registry, mode, name=f"integ-{mode.value}")
     plane.set_sink(sink)
     plane.start()
     sent = {}
@@ -284,7 +247,7 @@ def _mlfr_for_mode(mode: Mode, ceiling: float) -> float:
     def run(rate, duration):
         registry = PoolRegistry()
         try:
-            pool, plane = build_packet_plane(registry, mode, frames=4096,
+            pool, plane = build_packet_plane(registry, mode,
                                              name=f"mlfr-{mode.value}")
             collector = CollectorSink()
             plane.set_sink(collector)
@@ -357,7 +320,7 @@ def test_criterion_5d_adaptive_batching():
 
     def receiver():
         while drained[0] < total:
-            drained[0] += len(endpoint.recv_batch(BatchPolicy(32)))
+            drained[0] += len(endpoint.recv_batch(32))
 
     thread = threading.Thread(target=receiver, daemon=True)
     thread.start()
@@ -408,7 +371,7 @@ def test_criterion_7_filter_grid_packet_plane(registry):
     plane = PacketPlane(pool, Mode.POLLING, name="grid")
     regs = {}
     for fn in ("A", "B", "C"):
-        regs[fn] = plane.register_nf(fn, make_l2_forwarder())
+        regs[fn] = plane.register(fn, make_l2_forwarder())
     plane.set_entry("A")
     plane.set_route("A", "B")
     plane.set_route("B", "C")
@@ -454,7 +417,7 @@ def test_criterion_7_filter_grid_packet_plane(registry):
 def test_criterion_7_filter_grid_proxy_event_site(registry, upstreams):
     addrs = [s.address for s in upstreams]
     pool, plane = build_proxy_plane(registry, Mode.EVENT, addrs, chain=3,
-                                    frames=512, name="grid-pxy")
+                                    name="grid-pxy")
     regs = plane._regs
     names = list(regs)
     edges = [(names[0], names[1]), (names[1], names[2]), (names[2], EGRESS)]
@@ -522,7 +485,7 @@ def test_criterion_8_unified_coexistence(registry, upstreams):
     pkt_ledger = AuditLedger("polling")
     pxy_ledger = AuditLedger("event")
     _pool_pkt, packet = build_packet_plane(registry, Mode.POLLING, pkt_ledger,
-                                           frames=4096, name="uni-pkt")
+                                           name="uni-pkt")
     pool_pxy, proxy = build_proxy_plane(registry, Mode.EVENT, addrs,
                                         pxy_ledger, name="uni-pxy")
     rules = RuleTable()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from shmchain.cli import DEFAULT_PACKET_SPEC, main
+from shmchain.verify_runs import RUNNABLE_MODELS
 
 
 def test_audit_predict_matches_golden(capsys):
@@ -38,9 +39,10 @@ def test_validate_spec_rejects_bad(tmp_path, capsys):
     assert main(["--spec", str(spec_file), "validate-spec"]) == 2
 
 
-def test_audit_verify_alpha(tmp_path, capsys):
+@pytest.mark.parametrize("model", RUNNABLE_MODELS)
+def test_audit_verify(model, tmp_path, capsys):
     ledger_csv = tmp_path / "ledger.csv"
-    code = main(["audit", "verify", "alpha", "--packets", "100",
+    code = main(["audit", "verify", model, "--packets", "100",
                  "--ledger-csv", str(ledger_csv)])
     out = capsys.readouterr().out
     assert code == 0, out

@@ -11,7 +11,7 @@ from shmchain.errors import (
     InboxFull,
     UnknownDestination,
 )
-from shmchain.events import BatchPolicy, SocketMap, send_audited
+from shmchain.events import SocketMap, send_audited
 
 
 def make_desc(pool, dst="b", src="a", trace=0):
@@ -74,11 +74,11 @@ def test_batch_bound_and_no_sleep_between(pool):
     endpoint = sockmap.register("b")
     for i in range(10):
         sockmap.send(make_desc(pool, trace=i))
-    first = endpoint.recv_batch(BatchPolicy(8))
+    first = endpoint.recv_batch(8)
     assert [d.trace_id for d in first] == list(range(8))
     # latch still set: the second call returns immediately
     t0 = time.monotonic()
-    second = endpoint.recv_batch(BatchPolicy(8))
+    second = endpoint.recv_batch(8)
     assert time.monotonic() - t0 < 0.1
     assert [d.trace_id for d in second] == [8, 9]
     assert endpoint.wakeups <= 2
@@ -113,7 +113,7 @@ def test_wakeup_coalescing_bound(big_pool):
 
     def receiver():
         while len(drained) < n:
-            drained.extend(endpoint.recv_batch(BatchPolicy(32)))
+            drained.extend(endpoint.recv_batch(32))
 
     thread = threading.Thread(target=receiver, daemon=True)
     thread.start()
@@ -151,7 +151,7 @@ def test_fifo_per_sender(big_pool):
     def receiver():
         while len(received) < n * len(sent):
             try:
-                received.extend(endpoint.recv_batch(BatchPolicy(16)))
+                received.extend(endpoint.recv_batch(16))
             except EndpointClosed:
                 return
 

@@ -28,23 +28,26 @@ class ListSink:
 
 def two_nf_plane(pool, mode, ledger=None):
     plane = PacketPlane(pool, mode, ledger, name="t")
-    plane.register_nf("r1", make_l3_router({"10.0.0.5": "10.0.1.5"}))
-    plane.register_nf("f1", make_l2_forwarder())
+    plane.register("r1", make_l3_router({"10.0.0.5": "10.0.1.5"}))
+    plane.register("f1", make_l2_forwarder())
     plane.set_entry("r1")
     plane.set_route("r1", "f1")
     plane.set_route("f1", EGRESS)
     return plane
 
 
+def settled(plane):
+    """True once every offered packet has egressed or been dropped."""
+    return plane.egress_count + sum(plane.drops.values()) == plane.ingress_count
+
+
 def run_n(plane, n, size=64):
-    sent = 0
     for seq in range(n):
         pkt = build_packet(size, seq, 5)
         while not plane.ingress(pkt):
             time.sleep(0.001)
-        sent += 1
     deadline = time.time() + 15
-    while plane.egress_count + sum(plane.drops.values()) < sent:
+    while not settled(plane):
         assert time.time() < deadline, plane.stats()
         time.sleep(0.005)
 
@@ -57,7 +60,7 @@ def test_route_cycle_detected(big_pool):
 
 def test_route_unknown_function(big_pool):
     plane = PacketPlane(big_pool, Mode.POLLING)
-    plane.register_nf("a", make_l2_forwarder())
+    plane.register("a", make_l2_forwarder())
     with pytest.raises(UnknownFunction):
         plane.set_route("a", "nf9")
     with pytest.raises(UnknownFunction):
@@ -66,9 +69,9 @@ def test_route_unknown_function(big_pool):
 
 def test_duplicate_nf(big_pool):
     plane = PacketPlane(big_pool, Mode.POLLING)
-    plane.register_nf("a", make_l2_forwarder())
+    plane.register("a", make_l2_forwarder())
     with pytest.raises(DuplicateFunction):
-        plane.register_nf("a", make_l2_forwarder())
+        plane.register("a", make_l2_forwarder())
 
 
 def test_frozen_after_start(big_pool):
@@ -77,7 +80,7 @@ def test_frozen_after_start(big_pool):
     plane.start()
     try:
         with pytest.raises(PlaneFrozen):
-            plane.register_nf("x", make_l2_forwarder())
+            plane.register("x", make_l2_forwarder())
         with pytest.raises(ModeChangeAfterStart):
             plane.set_mode(Mode.EVENT)
     finally:
@@ -153,7 +156,7 @@ def test_pool_exhaustion_counts_drop(registry):
 
     pool = registry.create(PoolConfig("tiny", 4, 2048))
     plane = PacketPlane(pool, Mode.POLLING, name="tiny")
-    plane.register_nf("a", make_l2_forwarder())
+    plane.register("a", make_l2_forwarder())
     plane.set_entry("a")
     plane.set_route("a", EGRESS)
     plane.set_sink(lambda p, d: None)
@@ -185,16 +188,17 @@ def test_event_ingress_reaps_completions_when_fill_ring_runs_dry(registry):
         for seq in range(2000):
             while not plane.ingress(build_packet(64, seq, 5)):
                 time.sleep(0)
-        # refusals are counted as drops, so run_n's wait would end early
         deadline = time.time() + 15
-        while plane.egress_count < 2000:
+        while not settled(plane):
             assert time.time() < deadline, plane.stats()
             time.sleep(0.005)
     finally:
         plane.stop()
         sys.setswitchinterval(interval)
-    assert plane.ingress_count == plane.egress_count == 2000
+    # every refusal was offered again, so each one is an extra offer
+    assert plane.egress_count == 2000
     assert set(plane.drops) == {"fill_empty"}
+    assert plane.ingress_count == 2000 + plane.drops["fill_empty"]
     assert sorted(trace for _, trace in sink.items) == list(range(2000))
     assert pool.free_count == pool.config.frame_count
 
@@ -248,6 +252,7 @@ def test_oversize_payload_refused_without_taking_a_frame(pool, mode):
     finally:
         plane.stop()
     assert dict(plane.drops) == {"oversize": 1}
+    assert plane.ingress_count == 1 and plane.egress_count == 0
     assert pool.free_count == pool.config.frame_count
 
 

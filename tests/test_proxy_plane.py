@@ -7,7 +7,6 @@ from shmchain.audit import AuditLedger, verify
 from shmchain.bench import StaticUpstream
 from shmchain.descriptors import EGRESS, INGRESS_ID
 from shmchain.errors import InvalidConfig, ParseError
-from shmchain.events import BatchPolicy
 from shmchain.handlers import make_reverse_proxy, make_url_rewriter
 from shmchain.http11 import (
     read_response,
@@ -29,12 +28,11 @@ def upstreams():
         stub.stop()
 
 
-def make_plane(pool, upstreams, mode, ledger=None, **kw):
-    config = BrokerConfig(upstreams=[s.address for s in upstreams], mode=mode,
-                          batch=BatchPolicy(16), **kw)
+def make_plane(pool, upstreams, mode, ledger=None):
+    config = BrokerConfig(upstreams=[s.address for s in upstreams], mode=mode)
     plane = ProxyPlane(pool, config, ledger, name="px")
-    plane.register_mf("lb", make_reverse_proxy(len(upstreams)))
-    plane.register_mf("rw", make_url_rewriter({"/old": "/new"}))
+    plane.register("lb", make_reverse_proxy(len(upstreams)))
+    plane.register("rw", make_url_rewriter({"/old": "/new"}))
     plane.set_entry("lb")
     plane.set_route("lb", "rw")
     plane.set_route("rw", EGRESS)
@@ -150,7 +148,7 @@ def test_upstream_down_gives_502(registry):
     config = BrokerConfig(upstreams=[dead_addr], mode=Mode.EVENT,
                           upstream_timeout=1.0)
     plane = ProxyPlane(pool, config, name="down")
-    plane.register_mf("lb", make_reverse_proxy(1))
+    plane.register("lb", make_reverse_proxy(1))
     plane.set_entry("lb")
     plane.set_route("lb", EGRESS)
     plane.start()

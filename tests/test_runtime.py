@@ -9,7 +9,6 @@ import pytest
 
 from shmchain.bench import StaticUpstream, build_packet
 from shmchain.descriptors import EGRESS
-from shmchain.events import BatchPolicy
 from shmchain.handlers import (
     make_l2_forwarder,
     make_l3_router,
@@ -39,14 +38,14 @@ def upstreams():
 def build(kind, mode, pool, upstreams):
     if kind == "packet":
         plane = PacketPlane(pool, mode, name="rt")
-        plane.register_nf("a", make_l3_router({"10.0.0.5": "10.0.1.5"}))
-        plane.register_nf("b", make_l2_forwarder())
+        plane.register("a", make_l3_router({"10.0.0.5": "10.0.1.5"}))
+        plane.register("b", make_l2_forwarder())
     else:
         config = BrokerConfig(upstreams=[s.address for s in upstreams],
-                              mode=mode, batch=BatchPolicy(16))
+                              mode=mode)
         plane = ProxyPlane(pool, config, name="rt")
-        plane.register_mf("a", make_reverse_proxy(len(upstreams)))
-        plane.register_mf("b", make_url_rewriter({"/old": "/new"}))
+        plane.register("a", make_reverse_proxy(len(upstreams)))
+        plane.register("b", make_url_rewriter({"/old": "/new"}))
     plane.set_entry("a")
     plane.set_route("a", "b")
     plane.set_route("b", EGRESS)
