@@ -54,7 +54,7 @@ class EventEndpoint:
         self._efd = os.eventfd(0)
         # the fd lives as long as the endpoint, so no in-flight delivery can
         # ever signal a closed (or reused) descriptor number
-        self._release_fd = weakref.finalize(self, os.close, self._efd)
+        weakref.finalize(self, os.close, self._efd)
         self._credit = 0  # notifications read but not yet drained; receiver only
         self._inbox: deque = deque()
         self._lock = threading.Lock()
@@ -129,12 +129,6 @@ class EventEndpoint:
                 return
             self._closed = True
         os.eventfd_write(self._efd, 1)
-
-    def dispose(self) -> None:
-        """Close, then release the counter's fd. Call only once no context
-        can still deliver to or receive from this endpoint."""
-        self.close()
-        self._release_fd()
 
 
 class SocketMap:

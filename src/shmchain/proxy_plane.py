@@ -5,8 +5,9 @@ Its ingress edge moves each message body into a pool frame and sends the
 descriptor straight to the entry function, while the middlebox functions
 work on the parsed metadata. Its egress edge serializes the (possibly
 rewritten) request, relays it over a pooled upstream connection, and
-answers the client. Event mode runs that egress on a pair of worker
-threads fed from a queue.
+answers the client. That egress runs on the thread that routed the
+descriptor out of the chain, the router in polling mode and the relay in
+event mode, so one broker's upstream round trips are serial.
 
 Per message the broker pays exactly two copies at ingest (socket read into
 the broker buffer, buffer into the frame) and two at egress (frame out,
@@ -16,7 +17,7 @@ socket write), plus one protocol pass and one parse/serialize on each side.
 from __future__ import annotations
 
 import itertools
-import queue
+import select
 import selectors
 import socket
 import threading
@@ -46,14 +47,11 @@ from .pool import FramePool
 from .runtime import ChainRuntime, Mode
 
 RELAY_ID = "__relay__"
-EGRESS_WORKERS = 2
 
 INGEST_COST = CostVector(copies=2, interrupts=2, context_switches=1,
                          protocol_tasks=1, serde_tasks=1)
 EGRESS_COST = CostVector(copies=2, interrupts=1, context_switches=1,
                          protocol_tasks=1, serde_tasks=1)
-
-_STOP = object()
 
 
 @dataclass
@@ -158,7 +156,6 @@ class ProxyPlane(ChainRuntime):
         self._parked: deque = deque()
         self._recheck: deque = deque()
         self._upstreams = UpstreamPool(config.upstreams, config.upstream_timeout)
-        self._egress_q: queue.Queue = queue.Queue()  # event mode egress stage
         self._listener: socket.socket | None = None
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_w.setblocking(False)
@@ -171,24 +168,12 @@ class ProxyPlane(ChainRuntime):
         self._listener.bind(self.config.listen)
         self._listener.listen(256)
         self._listener.setblocking(False)
-        if self._mode is Mode.EVENT:
-            for i in range(EGRESS_WORKERS):
-                self._spawn(f"egress.{i}", self._egress_worker)
         self._spawn("io", self._io_loop)
 
     def _wake_edges(self) -> None:
         self._wake()
-        for _ in range(EGRESS_WORKERS):
-            self._egress_q.put(_STOP)
 
     def _close_edges(self) -> None:
-        while True:
-            try:
-                desc = self._egress_q.get_nowait()
-            except queue.Empty:
-                break
-            if desc is not _STOP:
-                self._release(desc)
         if self._listener is not None:
             self._listener.close()
             self._listener = None
@@ -372,16 +357,6 @@ class ProxyPlane(ChainRuntime):
 
     # -- broker egress ------------------------------------------------------------------
 
-    def _egress_event(self, desc) -> None:
-        self._egress_q.put(desc)
-
-    def _egress_worker(self) -> None:
-        while True:
-            desc = self._egress_q.get()
-            if desc is _STOP:
-                return
-            self._egress_one(desc)
-
     def _egress_one(self, desc) -> None:
         """Serialize the (possibly rewritten) message, relay it upstream, and
         answer the client with the upstream's bytes."""
@@ -423,7 +398,6 @@ class ProxyPlane(ChainRuntime):
     def _send_raw(self, conn, data: bytes) -> None:
         # the socket stays non-blocking (the IO thread may be selecting on it);
         # spin on writability with a hard deadline instead
-        import select as _select
         deadline = time.monotonic() + 10.0
         view = memoryview(data)
         offset = 0
@@ -437,7 +411,7 @@ class ProxyPlane(ChainRuntime):
                     if time.monotonic() > deadline:
                         conn.closed = True
                         return
-                    _select.select([], [conn.sock], [], 0.5)
+                    select.select([], [conn.sock], [], 0.5)
                 except OSError:
                     conn.closed = True
                     return

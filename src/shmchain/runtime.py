@@ -4,32 +4,32 @@ stage loops that move descriptors between chain functions.
 A chain is a set of registered functions, an entry function, a routing
 table and a deny-by-default filter table. The runtime runs it as stages,
 and every stage does the same thing: take a burst from my inbox, run it,
-hand it on. A function stage runs its handler, the router stage looks up
-the next hop and checks the filter, and the egress stage gives each
-descriptor to the plane's edge.
+hand it on. A function stage runs its handler, and the router stage looks
+up the next hop, checks the filter and hands each descriptor routed to
+EGRESS to the plane's edge from its own thread.
 
 Polling mode gives every stage a spinning thread over SPSC rings: each
-function has an RX and a TX ring, the router drains every TX ring, and the
-egress stage drains one egress ring. Nothing blocks and nothing is copied,
-so a chain hop costs nothing on the audited path. Event mode gives every
-stage an event endpoint and blocks it until a delivery arrives. Every move
-passes through the router's endpoint, and each send pays one interrupt plus
-one context switch on the audited path.
+function has an RX and a TX ring, and the router drains every TX ring.
+Nothing blocks and nothing is copied, so a chain hop costs nothing on the
+audited path. Event mode gives every stage an event endpoint and blocks it
+until a delivery arrives. Every move passes through the router's endpoint,
+and each send pays one interrupt plus one context switch on the audited
+path.
 
 The sizes are constants, the same for every chain: each ring and each event
 inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling function
-stage takes up to ``BURST`` (64) per pass and the router and egress stages
-twice that, and an event stage takes up to ``BATCH`` (32) per wakeup. Chains
-are assembled from spec text by ``chainspec.build_planes``.
+stage takes up to ``BURST`` (64) per pass and the router stage twice that,
+and an event stage takes up to ``BATCH`` (32) per wakeup. Chains are
+assembled from spec text by ``chainspec.build_planes``.
 
 The planes supply only their edges: where traffic enters the chain and
 where it leaves. A subclass implements ``_start_edges`` (run once the
 chain's transport exists, before its stages start), ``_close_edges`` (at
 stop, after the stage threads are joined), ``_egress_one`` (one descriptor
-leaving the chain), ``_egress_event`` (where the event router hands a
-descriptor routed to EGRESS) and ``_drop``. An edge with threads of its own
-that block outside the chain's transport also overrides ``_wake_edges``,
-run at stop before the threads are joined.
+leaving the chain) and ``_drop``. An edge whose event-mode egress is a hop
+of its own overrides ``_egress_event``, and an edge with threads of its own
+that block outside the chain's transport overrides ``_wake_edges``, run at
+stop before the threads are joined.
 
 Ownership rule: a descriptor, and the frame it points to, has exactly one
 owner at a time. A successful enqueue or send moves it to the receiver. A
@@ -111,7 +111,6 @@ class ChainRuntime:
         self._started = False
         self.drops: Counter = Counter()
         self._count_lock = threading.Lock()
-        self._egress_ring = DescriptorRing()  # polling mode
         self._sockmap: SocketMap | None = None  # event mode, built at start
         self._endpoints: list[EventEndpoint] = []
 
@@ -172,7 +171,6 @@ class ChainRuntime:
                 self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}",
                             self._nf_loop_polling, reg)
             self._spawn("router", self._router_loop_polling)
-            self._spawn("egress", self._egress_loop_polling)
         else:
             self._sockmap = SocketMap()
             self._sockmap.set_filter(self._event_filter)
@@ -200,7 +198,6 @@ class ChainRuntime:
         for endpoint in self._endpoints:
             for desc in endpoint.drain_remaining():
                 self._release(desc)
-        self._drain(self._egress_ring)
         for reg in self._regs.values():
             self._drain(reg.rings.rx)
             self._drain(reg.rings.tx)
@@ -291,7 +288,8 @@ class ChainRuntime:
 
     def route_step(self) -> int:
         """Drain every function's TX ring once: filter, then forward to the
-        next RX ring or the egress ring. Drops are counted, never raised."""
+        next RX ring or out through the plane's egress edge. Drops are
+        counted, never raised."""
         moved = 0
         for reg in self._regs.values():
             for desc in reg.rings.tx.burst_dequeue(BURST * 2):
@@ -307,9 +305,7 @@ class ChainRuntime:
             self._drop(desc, "filtered")
             return 0
         if nxt == EGRESS:
-            if not self._egress_ring.enqueue(desc):
-                self._drop(desc, "ring_full")
-                return 0
+            self._egress_one(desc)
             return 1
         desc.chain_hops += 1
         desc.dst_fn = nxt
@@ -317,17 +313,6 @@ class ChainRuntime:
             self._drop(desc, "ring_full")
             return 0
         return 1
-
-    def _egress_loop_polling(self) -> None:
-        stop = self._stop
-        idle = time.sleep
-        while not stop.is_set():
-            batch = self._egress_ring.burst_dequeue(BURST * 2)
-            if not batch:
-                idle(0)
-                continue
-            for desc in batch:
-                self._egress_one(desc)
 
     # -- event mode stages ----------------------------------------------------------
 
@@ -361,6 +346,9 @@ class ChainRuntime:
         else:
             desc.dst_fn = nxt
             self._send_chain_hop(desc)
+
+    def _egress_event(self, desc) -> None:
+        self._egress_one(desc)
 
     def _event_filter(self, src_fn: str, dst_fn: str) -> bool:
         """Send-site filtering over logical pairs.

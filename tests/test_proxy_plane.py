@@ -1,5 +1,6 @@
 import socket
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,18 +162,25 @@ def test_upstream_down_gives_502(registry):
         plane.close()
 
 
-def test_keepalive_pipeline_order(registry, upstreams):
-    pool = registry.create(PoolConfig("keep", 128, 4096))
-    plane = make_plane(pool, upstreams, Mode.EVENT)
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_keepalive_pipeline_order(registry, upstreams, mode):
+    pool = registry.create(PoolConfig(f"keep-{mode.value}", 128, 4096))
+    plane = make_plane(pool, upstreams, mode)
     plane.start()
     try:
         with socket.create_connection(plane.listen_address, timeout=5) as sock:
             sock.settimeout(5)
-            for i in range(20):
-                sock.sendall(serialize_request("GET", f"/old/{i}",
-                                               [("Host", "t")], b""))
-                raw, status, body, _ = read_response(sock)
-                assert status == 200
+            sock.sendall(b"".join(
+                serialize_request("GET", f"/old/{i}", [("Host", "t")], b"")
+                for i in range(20)))
+            with sock.makefile("rb") as stream:
+                # one byte per recv, so that read_response stops at the end
+                # of its own response and leaves the next one unread
+                reader = SimpleNamespace(recv=lambda _size: stream.read(1))
+                for i in range(20):
+                    raw, status, _body, _ = read_response(reader)
+                    assert status == 200
+                    assert f"\r\nX-Path: /new/{i}\r\n".encode() in raw
     finally:
         plane.close()
 

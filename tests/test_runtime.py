@@ -22,9 +22,14 @@ from shmchain.proxy_plane import BrokerConfig, ProxyPlane
 from shmchain.runtime import Mode
 
 K = 20
-# threads beyond one per function: router and egress stages plus the edges
-EDGE_THREADS = {("packet", Mode.POLLING): 2, ("packet", Mode.EVENT): 2,
-                ("proxy", Mode.POLLING): 3, ("proxy", Mode.EVENT): 4}
+# every thread a two-function plane runs: one per function, the router (the
+# relay in the broker's event mode), event-mode packet TX and the broker's io
+THREADS = {
+    ("packet", Mode.POLLING): {"nf.a", "nf.b", "router"},
+    ("packet", Mode.EVENT): {"nf.a", "nf.b", "router", "tx"},
+    ("proxy", Mode.POLLING): {"mf.a", "mf.b", "router", "io"},
+    ("proxy", Mode.EVENT): {"mf.a", "mf.b", "relay", "io"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +101,7 @@ def test_denied_middle_hop_drops_once_and_frees_all(registry, upstreams, kind,
         for seq in range(K, 2 * K):
             offer(seq, 503)  # a request dropped inside the chain is answered
         wait_settled(plane, 2 * K)
-        threads = plane.thread_ids()
-        assert len(threads) <= 2 + EDGE_THREADS[(kind, mode)]
-        assert "coordinator" not in threads
+        assert set(plane.thread_ids()) == THREADS[(kind, mode)]
     finally:
         for sock in socks:
             sock.close()
