@@ -45,6 +45,7 @@ class HttpExchangeMeta:
     headers: list[tuple[str, str]]
     host: str | None
     connection_id: int
+    seq: int = 0  # position of the request on its connection, from 0
     backend_choice: int | None = None
 
 

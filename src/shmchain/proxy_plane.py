@@ -9,6 +9,13 @@ answers the client. That egress runs on the thread that routed the
 descriptor out of the chain, the router in polling mode and the relay in
 event mode, so one broker's upstream round trips are serial.
 
+A client may pipeline: every complete request in a connection's buffer is
+parsed and enters the chain at once, numbered in arrival order. Requests of
+one connection can leave the chain out of order (a function drops one, or
+a later one takes a shorter path), so every answer, the upstream's response
+or the broker's own 400, 413 or 503, goes through the connection's
+sequencer, which holds it until every earlier answer has been written.
+
 Per message the broker pays exactly two copies at ingest (socket read into
 the broker buffer, buffer into the frame) and two at egress (frame out,
 socket write), plus one protocol pass and one parse/serialize on each side.
@@ -67,16 +74,22 @@ class BrokerConfig:
 
 
 class _ClientConn:
-    __slots__ = ("sock", "conn_id", "buffer", "in_flight", "lock", "closed", "flow")
+    __slots__ = ("sock", "conn_id", "buffer", "lock", "closed", "flow",
+                 "next_seq", "sent_seq", "ready", "parked")
 
     def __init__(self, sock, conn_id, flow):
         self.sock = sock
         self.conn_id = conn_id
         self.buffer = bytearray()
-        self.in_flight = False
-        self.lock = threading.Lock()
+        self.lock = threading.Lock()  # guards sent_seq, ready and the writes
         self.closed = False
         self.flow = flow
+        self.next_seq = 0  # number of the next request parsed (io thread)
+        self.sent_seq = 0  # number of the next answer to write
+        self.ready: dict[int, tuple[bytes, bool]] = {}  # seq -> (answer, last)
+        # set while parsing waits: a request waits for a frame, or (for
+        # good) a bad request ended the stream
+        self.parked = False
 
 
 class UpstreamPool:
@@ -154,7 +167,6 @@ class ProxyPlane(ChainRuntime):
         self._t_ingress: dict[int, int] = {}
         self._conns: dict[int, _ClientConn] = {}
         self._parked: deque = deque()
-        self._recheck: deque = deque()
         self._upstreams = UpstreamPool(config.upstreams, config.upstream_timeout)
         self._listener: socket.socket | None = None
         self._wake_r, self._wake_w = socket.socketpair()
@@ -206,6 +218,7 @@ class ProxyPlane(ChainRuntime):
         sel.register(self._listener, selectors.EVENT_READ, ("accept", None))
         sel.register(self._wake_r, selectors.EVENT_READ, ("wake", None))
         while not self._stop.is_set():
+            # the timeout covers a frame freed just before a request parked
             timeout = 0.005 if self._parked else None
             events = sel.select(timeout)
             for key, _mask in events:
@@ -217,7 +230,6 @@ class ProxyPlane(ChainRuntime):
                         self._wake_r.recv(4096)
                     except OSError:
                         pass
-                    self._process_rechecks(sel)
                 else:
                     self._on_readable(sel, conn)
             if self._parked:
@@ -255,69 +267,66 @@ class ProxyPlane(ChainRuntime):
         except OSError:
             self._close_conn(sel, conn)
             return
-        if not data:
+        if not data or conn.closed:  # closed: it takes no more answers
             self._close_conn(sel, conn)
             return
         conn.buffer += data
-        self._pump(sel, conn)
+        self._pump(conn)
 
-    def _pump(self, sel, conn) -> None:
-        # one request in flight per connection keeps responses ordered
-        while not conn.in_flight and not conn.closed:
+    def _pump(self, conn) -> None:
+        """Ingest every complete request in the buffer; the sequencer keeps
+        their answers in order."""
+        while not conn.parked and not conn.closed:
+            seq = conn.next_seq
             try:
                 request, consumed = try_parse_request(conn.buffer)
             except ParseError:
                 self.parse_errors += 1
-                self._send_raw(conn, simple_response(400, "Bad Request"))
-                self._close_conn(sel, conn)
+                conn.parked = True
+                self._respond(conn, seq, simple_response(400, "Bad Request"),
+                              last=True)
                 return
             if request is None:
                 return
             del conn.buffer[:consumed]
-            conn.in_flight = True
-            self._ingest(conn, request)
-
-    def _process_rechecks(self, sel) -> None:
-        while True:
-            try:
-                conn = self._recheck.popleft()
-            except IndexError:
-                return
-            if not conn.closed:
-                self._pump(sel, conn)
+            conn.next_seq = seq + 1
+            self._ingest(conn, seq, request)
 
     def _retry_parked(self) -> None:
         for _ in range(len(self._parked)):
-            conn, request = self._parked.popleft()
+            conn, seq, request = self._parked.popleft()
             if conn.closed:
                 continue
-            self._ingest(conn, request)
+            conn.parked = False
+            self._ingest(conn, seq, request)
+            # the requests behind it may already sit in the buffer
+            self._pump(conn)
 
     # -- broker ingest ------------------------------------------------------------
 
-    def _ingest(self, conn, request) -> None:
+    def _ingest(self, conn, seq, request) -> None:
         """Move one parsed message into shared memory and start its trace.
 
         Socket read into the broker buffer and buffer into the frame are the
-        two audited ingest copies; pool pressure parks the request instead of
-        dropping it (stream semantics).
+        two audited ingest copies; pool pressure parks the request, and stops
+        parsing its connection, instead of dropping it (stream semantics).
         """
         body = request.body
         if len(body) > self.pool.config.frame_size:
-            self._send_raw(conn, simple_response(413, "Payload Too Large"))
-            conn.in_flight = False
+            self._respond(conn, seq, simple_response(413, "Payload Too Large"))
             return
         try:
             ref = self.pool.alloc_frame()
         except PoolExhausted:
-            self._parked.append((conn, request))
+            conn.parked = True
+            self._parked.append((conn, seq, request))
             return
         self.pool.write_frame(ref, 0, body)
         trace_id = next(self._trace_ids)
         meta = HttpExchangeMeta(
             method=request.method, path=request.target, version=request.version,
             headers=request.headers, host=request.header("host"),
-            connection_id=conn.conn_id,
+            connection_id=conn.conn_id, seq=seq,
         )
         desc = PacketDescriptor(ref, 0, len(body), INGRESS_ID, self._entry,
                                 trace_id, flow=conn.flow, meta=meta)
@@ -345,15 +354,13 @@ class ProxyPlane(ChainRuntime):
         """Count the drop and close its trace, free the frame, and answer the
         client 503 so that its connection goes on."""
         self._count_drop(desc, reason)
-        self.pool.free_frame(desc.frame)
+        self._free_frame(desc)
         with self._latency_lock:
             self._t_ingress.pop(desc.trace_id, None)
         conn = self._conns.get(desc.meta.connection_id) if desc.meta else None
-        if conn is not None and not conn.closed:
-            self._send_raw(conn, simple_response(503, "Service Unavailable"))
-            conn.in_flight = False
-            self._recheck.append(conn)
-            self._wake()
+        if conn is not None:
+            self._respond(conn, desc.meta.seq,
+                          simple_response(503, "Service Unavailable"))
 
     # -- broker egress ------------------------------------------------------------------
 
@@ -372,7 +379,7 @@ class ProxyPlane(ChainRuntime):
             response = simple_response(502, "Bad Gateway")
         if self.ledger is not None:
             self.ledger.record_vector(desc.trace_id, desc.chain_hops + 1, EGRESS_COST)
-        self.pool.free_frame(desc.frame)
+        self._free_frame(desc)
         t_egress = time.monotonic_ns()
         # account for the request before the client can see its response
         with self._count_lock:
@@ -389,32 +396,52 @@ class ProxyPlane(ChainRuntime):
                     "mode": self.mode.value,
                 })
         conn = self._conns.get(meta.connection_id)
-        if conn is not None and not conn.closed:
-            self._send_raw(conn, response)
-            conn.in_flight = False
-            self._recheck.append(conn)
+        if conn is not None:
+            self._respond(conn, meta.seq, response)
+
+    def _free_frame(self, desc) -> None:
+        self.pool.free_frame(desc.frame)
+        if self._parked:  # let the io thread hand a parked request this frame
             self._wake()
 
-    def _send_raw(self, conn, data: bytes) -> None:
-        # the socket stays non-blocking (the IO thread may be selecting on it);
-        # spin on writability with a hard deadline instead
-        deadline = time.monotonic() + 10.0
-        view = memoryview(data)
-        offset = 0
+    def _respond(self, conn, seq, data: bytes, *, last=False) -> None:
+        """Answer request ``seq`` of ``conn``: hold the answer until every
+        earlier one is written, then write each ready answer in order. After
+        the ``last`` answer the write side shuts down; the io thread closes
+        the socket once the client hangs up."""
         with conn.lock:
             if conn.closed:
                 return
-            while offset < len(view):
-                try:
-                    offset += conn.sock.send(view[offset:])
-                except BlockingIOError:
-                    if time.monotonic() > deadline:
-                        conn.closed = True
-                        return
-                    select.select([], [conn.sock], [], 0.5)
-                except OSError:
+            conn.ready[seq] = (data, last)
+            while not conn.closed and conn.sent_seq in conn.ready:
+                data, last = conn.ready.pop(conn.sent_seq)
+                conn.sent_seq += 1
+                self._send_raw(conn, data)
+                if last:
+                    conn.closed = True
+                    try:
+                        conn.sock.shutdown(socket.SHUT_WR)
+                    except OSError:
+                        pass
+
+    def _send_raw(self, conn, data: bytes) -> None:
+        # called under conn.lock; the socket stays non-blocking (the IO
+        # thread may be selecting on it), so spin on writability with a hard
+        # deadline instead
+        deadline = time.monotonic() + 10.0
+        view = memoryview(data)
+        offset = 0
+        while offset < len(view):
+            try:
+                offset += conn.sock.send(view[offset:])
+            except BlockingIOError:
+                if time.monotonic() > deadline:
                     conn.closed = True
                     return
+                select.select([], [conn.sock], [], 0.5)
+            except OSError:
+                conn.closed = True
+                return
 
     # -- client helper --------------------------------------------------------------------
 

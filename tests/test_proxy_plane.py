@@ -40,6 +40,28 @@ def make_plane(pool, upstreams, mode, ledger=None):
     return plane
 
 
+def read_responses(sock, count):
+    """Read ``count`` pipelined responses off ``sock``: (status, raw) each."""
+    with sock.makefile("rb") as stream:
+        # one byte per recv, so that read_response stops at the end of its
+        # own response and leaves the next one unread
+        reader = SimpleNamespace(recv=lambda _size: stream.read(1))
+        responses = []
+        for _ in range(count):
+            raw, status, _body, _ = read_response(reader)
+            responses.append((status, raw))
+        return responses
+
+
+def pipeline(sock, paths):
+    sock.sendall(b"".join(serialize_request("GET", path, [("Host", "t")], b"")
+                          for path in paths))
+
+
+def x_path(raw):
+    return raw.split(b"\r\nX-Path: ", 1)[1].split(b"\r\n", 1)[0].decode()
+
+
 class TestHttpWire:
     def test_parse_request_roundtrip(self):
         raw = b"GET /x HTTP/1.1\r\nHost: h\r\nContent-Length: 3\r\n\r\nabc"
@@ -169,20 +191,77 @@ def test_keepalive_pipeline_order(registry, upstreams, mode):
     plane.start()
     try:
         with socket.create_connection(plane.listen_address, timeout=5) as sock:
-            sock.settimeout(5)
-            sock.sendall(b"".join(
-                serialize_request("GET", f"/old/{i}", [("Host", "t")], b"")
-                for i in range(20)))
-            with sock.makefile("rb") as stream:
-                # one byte per recv, so that read_response stops at the end
-                # of its own response and leaves the next one unread
-                reader = SimpleNamespace(recv=lambda _size: stream.read(1))
-                for i in range(20):
-                    raw, status, _body, _ = read_response(reader)
-                    assert status == 200
-                    assert f"\r\nX-Path: /new/{i}\r\n".encode() in raw
+            pipeline(sock, [f"/old/{i}" for i in range(20)])
+            responses = read_responses(sock, 20)
     finally:
         plane.close()
+    assert [(s, x_path(raw)) for s, raw in responses] == [
+        (200, f"/new/{i}") for i in range(20)]
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_pipelined_drop_answers_in_order(registry, upstreams, mode):
+    pool = registry.create(PoolConfig(f"pipe-drop-{mode.value}", 16, 4096))
+    config = BrokerConfig(upstreams=[s.address for s in upstreams], mode=mode)
+    plane = ProxyPlane(pool, config, name="px")
+    plane.register("lb", make_reverse_proxy(len(upstreams)))
+    plane.register("gate", lambda _ctx, desc:
+                   None if "/drop/" in desc.meta.path else desc)
+    plane.set_entry("lb")
+    plane.set_route("lb", "gate")
+    plane.set_route("gate", EGRESS)
+    plane.start()
+    try:
+        with socket.create_connection(plane.listen_address, timeout=5) as sock:
+            pipeline(sock, ["/keep/0", "/drop/1", "/keep/2"])
+            responses = read_responses(sock, 3)
+    finally:
+        plane.close()
+    assert [s for s, _raw in responses] == [200, 503, 200]
+    assert x_path(responses[0][1]) == "/keep/0"
+    assert x_path(responses[2][1]) == "/keep/2"
+    assert dict(plane.drops) == {"handler": 1}
+    assert plane.ingest_count == plane.egress_count + sum(plane.drops.values())
+    assert pool.free_count == pool.config.frame_count
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_parse_error_after_pipelined_requests(registry, upstreams, mode):
+    pool = registry.create(PoolConfig(f"pipe-bad-{mode.value}", 16, 4096))
+    plane = make_plane(pool, upstreams, mode)
+    plane.start()
+    try:
+        with socket.create_connection(plane.listen_address, timeout=5) as sock:
+            sock.sendall(serialize_request("GET", "/old/0", [("Host", "t")], b"")
+                         + serialize_request("GET", "/old/1", [("Host", "t")], b"")
+                         + b"BADLINE\r\n\r\n")
+            responses = read_responses(sock, 3)
+            assert sock.recv(1024) == b""  # the 400 ends the stream
+    finally:
+        plane.close()
+    assert [s for s, _raw in responses] == [200, 200, 400]
+    assert [x_path(raw) for _s, raw in responses[:2]] == ["/new/0", "/new/1"]
+    assert plane.parse_errors == 1
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_pipeline_deeper_than_pool_resumes_after_parking(registry, upstreams,
+                                                         mode):
+    pool = registry.create(PoolConfig(f"pipe-park-{mode.value}", 2, 4096))
+    plane = make_plane(pool, upstreams, mode)
+    plane.start()
+    try:
+        with socket.create_connection(plane.listen_address, timeout=5) as sock:
+            # all ten arrive at once, so after a parked request the rest are
+            # already buffered and no new bytes wake the io thread
+            pipeline(sock, [f"/old/{i}" for i in range(10)])
+            responses = read_responses(sock, 10)
+    finally:
+        plane.close()
+    assert [(s, x_path(raw)) for s, raw in responses] == [
+        (200, f"/new/{i}") for i in range(10)]
+    assert "pool_exhausted" not in plane.drops
+    assert pool.free_count == pool.config.frame_count
 
 
 def test_pool_pressure_backpressures_not_drops(registry, upstreams):
