@@ -1,4 +1,6 @@
 import socket
+import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -37,6 +39,19 @@ def make_plane(pool, upstreams, mode, ledger=None):
     plane.set_entry("lb")
     plane.set_route("lb", "rw")
     plane.set_route("rw", EGRESS)
+    return plane
+
+
+def make_gate_plane(pool, upstreams, mode):
+    """A chain whose ``gate`` function drops every path containing /drop/."""
+    config = BrokerConfig(upstreams=[s.address for s in upstreams], mode=mode)
+    plane = ProxyPlane(pool, config, name="px")
+    plane.register("lb", make_reverse_proxy(len(upstreams)))
+    plane.register("gate", lambda _ctx, desc:
+                   None if "/drop/" in desc.meta.path else desc)
+    plane.set_entry("lb")
+    plane.set_route("lb", "gate")
+    plane.set_route("gate", EGRESS)
     return plane
 
 
@@ -202,14 +217,7 @@ def test_keepalive_pipeline_order(registry, upstreams, mode):
 @pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
 def test_pipelined_drop_answers_in_order(registry, upstreams, mode):
     pool = registry.create(PoolConfig(f"pipe-drop-{mode.value}", 16, 4096))
-    config = BrokerConfig(upstreams=[s.address for s in upstreams], mode=mode)
-    plane = ProxyPlane(pool, config, name="px")
-    plane.register("lb", make_reverse_proxy(len(upstreams)))
-    plane.register("gate", lambda _ctx, desc:
-                   None if "/drop/" in desc.meta.path else desc)
-    plane.set_entry("lb")
-    plane.set_route("lb", "gate")
-    plane.set_route("gate", EGRESS)
+    plane = make_gate_plane(pool, upstreams, mode)
     plane.start()
     try:
         with socket.create_connection(plane.listen_address, timeout=5) as sock:
@@ -222,6 +230,47 @@ def test_pipelined_drop_answers_in_order(registry, upstreams, mode):
     assert x_path(responses[2][1]) == "/keep/2"
     assert dict(plane.drops) == {"handler": 1}
     assert plane.ingest_count == plane.egress_count + sum(plane.drops.values())
+    assert pool.free_count == pool.config.frame_count
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_pipelined_connections_stress_answer_in_order(registry, upstreams, mode):
+    """Four clients pipeline at once into a 4-frame pool, with one request in
+    three dropped mid-chain and a short switch interval. Egress answers on
+    one thread and the dropping stage on another, yet each connection gets
+    all of its own answers in request order, and no frame or request is
+    lost."""
+    pool = registry.create(PoolConfig(f"pipe-stress-{mode.value}", 4, 4096))
+    plane = make_gate_plane(pool, upstreams, mode)
+    paths = [[f"/{'drop' if i % 3 == 1 else 'keep'}/{c}-{i}" for i in range(90)]
+             for c in range(4)]
+    results = {}
+
+    def client(c):
+        with socket.create_connection(plane.listen_address, timeout=10) as sock:
+            pipeline(sock, paths[c])
+            results[c] = read_responses(sock, len(paths[c]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    plane.start()
+    try:
+        clients = [threading.Thread(target=client, args=(c,), daemon=True)
+                   for c in range(len(paths))]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in clients)
+    finally:
+        plane.close()
+        sys.setswitchinterval(interval)
+    for c, sent in enumerate(paths):
+        assert [(s, None if s == 503 else x_path(raw)) for s, raw in results[c]] \
+            == [(503, None) if "/drop/" in p else (200, p) for p in sent]
+    dropped = sum("/drop/" in p for sent in paths for p in sent)
+    assert dict(plane.drops) == {"handler": dropped}
+    assert plane.ingest_count == plane.egress_count + dropped
     assert pool.free_count == pool.config.frame_count
 
 
