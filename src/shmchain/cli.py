@@ -224,7 +224,6 @@ def cmd_bench_l4l7(args) -> int:
                       for name, vals in series.items()}
         report.extras["cpu_total_cores"] = cpu_total(series)
         report.write_json(out / "bench_l4l7.json")
-        plane.write_latency_jsonl(out / "l4l7_latency.jsonl")
         print(json.dumps(report.as_dict(), indent=2) if args.json else
               f"rps {report.extras['rps']:.1f} delivered {report.delivered} "
               f"median latency {report.latency.median_us if report.latency else 0:.0f}us "

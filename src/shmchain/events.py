@@ -132,17 +132,18 @@ class EventEndpoint:
 
 
 class SocketMap:
-    """Function-id routing for event deliveries, with send-site filtering.
+    """Function-id routing for event deliveries.
 
-    An undeliverable descriptor (unknown or filtered destination, inbox
-    full) is counted in ``dropped`` and stays with the sender, which owns its
-    frame when the error propagates.
+    It delivers wherever a descriptor's ``dst_fn`` names and checks no
+    filter: the chain runtime checks each move once, before it sends. An
+    undeliverable descriptor (unknown or closed destination, inbox full) is
+    counted in ``dropped`` and stays with the sender, which owns its frame
+    when the error propagates.
     """
 
     def __init__(self):
         self._entries: dict[str, EventEndpoint] = {}
         self._lock = threading.Lock()
-        self._filter = None
         self.dropped = 0
 
     def register(self, fn_id: str,
@@ -158,10 +159,6 @@ class SocketMap:
         with self._lock:
             return self._entries.get(fn_id)
 
-    def set_filter(self, hook) -> None:
-        """hook(src_fn, dst_fn) -> bool; False blocks the delivery."""
-        self._filter = hook
-
     def send(self, desc) -> None:
         """Deliver ``desc`` to its destination's inbox and set its wakeup.
 
@@ -172,12 +169,6 @@ class SocketMap:
         if endpoint is None:
             self.dropped += 1
             raise UnknownDestination(desc.dst_fn)
-        hook = self._filter
-        if hook is not None and not hook(desc.src_fn, desc.dst_fn):
-            self.dropped += 1
-            raise UnknownDestination(
-                f"{desc.src_fn}->{desc.dst_fn}: denied by filter"
-            )
         try:
             endpoint.deliver(desc)
         except (InboxFull, UnknownDestination):

@@ -3,13 +3,16 @@
 Ingress places each packet into a pool frame, the emulated DMA, and hands
 its descriptor to the chain; egress reads the frame out to the sink, the
 DMA the other way, and recycles the frame. Polling mode allocates a frame
-per packet and frees it after the sink. Event mode keeps frames parked on a
-fill ring, the way receive buffers stay posted to a NIC: ingress takes
-a parked frame and sends its descriptor to the router, and a TX stage hands
-it to the sink and parks it on the completion ring. Ingress reaps that ring
-itself: when the fill ring runs dry it moves every completion back before
-it takes a frame, as a NIC driver reaps its completion ring before it
-refills its receive ring, so no thread exists only to recycle frames.
+per packet, routes it onto the entry function's RX ring, and runs egress
+on the router thread, which frees the frame after the sink. Event mode
+keeps frames parked on a fill ring, the way receive buffers stay posted to
+a NIC: ingress takes a parked frame and sends its descriptor to the router,
+which routes it like any other hop, and a packet routed to EGRESS is sent
+on to a TX stage that hands it to the sink and parks it on the completion
+ring. Ingress reaps that ring itself: when the fill ring runs dry it moves
+every completion back before it takes a frame, as a NIC driver reaps its
+completion ring before it refills its receive ring, so no thread exists
+only to recycle frames.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ import threading
 
 from .audit import INTERRUPTS, AuditLedger
 from .descriptors import INGRESS_ID, FlowKey, PacketDescriptor
-from .errors import InboxFull, PlaneUnavailable, UnknownDestination
-from .events import send_audited
+from .errors import PlaneUnavailable
 from .pool import FramePool
 from .rings import DEFAULT_RING_CAPACITY, NicRingSet
-from .runtime import ChainRuntime, Mode
+from .runtime import POLLING, ChainRuntime, Mode
 
 TX_ID = "__tx__"
 
@@ -65,9 +67,11 @@ class PacketPlane(ChainRuntime):
         self._spawn("tx", self._serve, tx_ep, self._egress_one)
 
     def _close_edges(self) -> None:
+        # parked frames are not in flight: they are freed, not dropped
         if self._nic_rings is not None:
-            self._drain(self._nic_rings.fill)
-            self._drain(self._nic_rings.completion)
+            for ring in (self._nic_rings.fill, self._nic_rings.completion):
+                for desc in self._drain(ring):
+                    self.pool.free_frame(desc.frame)
             self._nic_rings = None
 
     # -- ingress ------------------------------------------------------------------
@@ -80,31 +84,21 @@ class PacketPlane(ChainRuntime):
             raise PlaneUnavailable(self.name)
         self.ingress_count += 1
         if len(payload) > self.pool.config.frame_size:
-            return self._refuse("oversize")
+            self._count_drop("oversize")
+            return False
         if self._mode is Mode.POLLING:
             return self._ingress_polling(payload, flow)
         return self._ingress_event(payload, flow)
 
-    def _refuse(self, reason: str) -> bool:
-        """Count a packet refused before it was given a frame."""
-        with self._count_lock:
-            self.drops[reason] += 1
-        return False
-
     def _ingress_polling(self, payload: bytes, flow) -> bool:
         ref = self.pool.try_alloc_frame()
         if ref is None:
-            return self._refuse("pool_exhausted")
+            self._count_drop("pool_exhausted")
+            return False
         self.pool.write_frame(ref, 0, payload)
-        desc = PacketDescriptor(ref, 0, len(payload), INGRESS_ID, self._entry,
-                                next(self._trace_ids), flow=flow)
-        if not self.filters.check(INGRESS_ID, self._entry):
-            self._drop(desc, "filtered")
-            return False
-        if not self._regs[self._entry].rings.rx.enqueue(desc):
-            self._drop(desc, "ring_full")
-            return False
-        return True
+        return self._route(PacketDescriptor(ref, 0, len(payload), INGRESS_ID,
+                                            self._entry, next(self._trace_ids),
+                                            flow=flow))
 
     def _ingress_event(self, payload: bytes, flow) -> bool:
         fill = self._nic_rings.fill
@@ -115,31 +109,28 @@ class PacketPlane(ChainRuntime):
                 self._nic_rings.cycle()
             desc = fill.dequeue()
             if desc is None:
-                return self._refuse("fill_empty")
+                self._count_drop("fill_empty")
+                return False
         self.pool.write_frame(desc.frame, 0, payload)
         desc.offset = 0
         desc.length = len(payload)
         desc.src_fn = INGRESS_ID
-        desc.dst_fn = self.ROUTER_ID
         desc.flow = flow
         desc.trace_id = next(self._trace_ids)
         desc.chain_hops = 0
-        ledger = self.ledger
-        if ledger is not None:
+        if self.ledger is not None:
             # delivery event that kicks the kernel-side redirect
-            ledger.record(desc.trace_id, 0, INTERRUPTS, 1)
-        try:
-            send_audited(self._sockmap, desc, ledger, step=0)
-        except (UnknownDestination, InboxFull):
-            self._drop(desc, "inbox_full")
-            return False
-        return True
+            self.ledger.record(desc.trace_id, 0, INTERRUPTS, 1)
+        # the router, not this thread, routes it to the entry function
+        return self._send(desc, self.ROUTER_ID)
 
     # -- egress and drops -------------------------------------------------------------
 
-    def _egress_event(self, desc: PacketDescriptor) -> None:
-        desc.dst_fn = TX_ID
-        self._send_chain_hop(desc)
+    def _egress_hop(self, desc: PacketDescriptor) -> None:
+        if self._mode is POLLING:
+            self._egress_one(desc)
+        else:
+            self._send(desc, TX_ID)
 
     def _egress_one(self, desc: PacketDescriptor) -> None:
         # reading the frame out for the wire is the DMA analog: not a copy
@@ -170,7 +161,7 @@ class PacketPlane(ChainRuntime):
     def _drop(self, desc: PacketDescriptor, reason: str) -> None:
         """Count the drop and close its trace, then free the frame (polling)
         or park it back on the fill ring (event)."""
-        self._count_drop(desc, reason)
+        self._count_drop(reason, desc)
         if self._mode is Mode.POLLING:
             self.pool.free_frame(desc.frame)
         else:

@@ -1,13 +1,14 @@
 """Proxy plane: the L4/L7 edges of a chain run by :class:`ChainRuntime`.
 
 The broker terminates real TCP connections and parses HTTP/1.1 requests.
-Its ingress edge moves each message body into a pool frame and sends the
-descriptor straight to the entry function, while the middlebox functions
-work on the parsed metadata. Its egress edge serializes the (possibly
-rewritten) request, relays it over a pooled upstream connection, and
-answers the client. That egress runs on the thread that routed the
-descriptor out of the chain, the router in polling mode and the relay in
-event mode, so one broker's upstream round trips are serial.
+Its ingress edge moves each message body into a pool frame and routes the
+descriptor straight to the entry function (onto its RX ring, or one event
+hop into its inbox), while the middlebox functions work on the parsed
+metadata. Its egress edge serializes the (possibly rewritten) request,
+relays it over a pooled upstream connection, and answers the client. That
+egress runs on the thread that routed the descriptor out of the chain, the
+router in polling mode and the relay in event mode, so one broker's
+upstream round trips are serial.
 
 A client may pipeline: every complete request in a connection's buffer is
 parsed and enters the chain at once, numbered in arrival order. Requests of
@@ -35,15 +36,12 @@ from dataclasses import dataclass, field
 from .audit import AuditLedger, CostVector
 from .descriptors import INGRESS_ID, FlowKey, HttpExchangeMeta, PacketDescriptor
 from .errors import (
-    InboxFull,
     InvalidConfig,
     ParseError,
     PlaneUnavailable,
     PoolExhausted,
-    UnknownDestination,
     UpstreamUnavailable,
 )
-from .events import send_audited
 from .http11 import (
     read_response,
     serialize_request,
@@ -162,9 +160,6 @@ class ProxyPlane(ChainRuntime):
         self.egress_count = 0
         self.parse_errors = 0
         self.upstream_errors = 0
-        self.latency_records: list[dict] = []
-        self._latency_lock = threading.Lock()
-        self._t_ingress: dict[int, int] = {}
         self._conns: dict[int, _ClientConn] = {}
         self._parked: deque = deque()
         self._upstreams = UpstreamPool(config.upstreams, config.upstream_timeout)
@@ -328,35 +323,17 @@ class ProxyPlane(ChainRuntime):
             headers=request.headers, host=request.header("host"),
             connection_id=conn.conn_id, seq=seq,
         )
-        desc = PacketDescriptor(ref, 0, len(body), INGRESS_ID, self._entry,
-                                trace_id, flow=conn.flow, meta=meta)
-        ledger = self.ledger
-        if ledger is not None:
-            ledger.record_vector(trace_id, 0, INGEST_COST)
-        with self._latency_lock:
-            self._t_ingress[trace_id] = time.monotonic_ns()
+        if self.ledger is not None:
+            self.ledger.record_vector(trace_id, 0, INGEST_COST)
         self.ingest_count += 1
-        desc.chain_hops = 1  # set before the send hands the descriptor on
-        if not self.filters.check(INGRESS_ID, self._entry):
-            self._drop(desc, "filtered")
-        elif self._mode is Mode.POLLING:
-            if not self._regs[self._entry].rings.rx.enqueue(desc):
-                self._drop(desc, "ring_full")
-        else:
-            try:
-                send_audited(self._sockmap, desc, ledger, step=1)
-            except UnknownDestination:
-                self._drop(desc, "shutdown")
-            except InboxFull:
-                self._drop(desc, "inbox_full")
+        self._route(PacketDescriptor(ref, 0, len(body), INGRESS_ID, self._entry,
+                                     trace_id, flow=conn.flow, meta=meta))
 
     def _drop(self, desc, reason) -> None:
         """Count the drop and close its trace, free the frame, and answer the
         client 503 so that its connection goes on."""
-        self._count_drop(desc, reason)
+        self._count_drop(reason, desc)
         self._free_frame(desc)
-        with self._latency_lock:
-            self._t_ingress.pop(desc.trace_id, None)
         conn = self._conns.get(desc.meta.connection_id) if desc.meta else None
         if conn is not None:
             self._respond(conn, desc.meta.seq,
@@ -364,7 +341,7 @@ class ProxyPlane(ChainRuntime):
 
     # -- broker egress ------------------------------------------------------------------
 
-    def _egress_one(self, desc) -> None:
+    def _egress_hop(self, desc) -> None:
         """Serialize the (possibly rewritten) message, relay it upstream, and
         answer the client with the upstream's bytes."""
         meta = desc.meta
@@ -380,21 +357,11 @@ class ProxyPlane(ChainRuntime):
         if self.ledger is not None:
             self.ledger.record_vector(desc.trace_id, desc.chain_hops + 1, EGRESS_COST)
         self._free_frame(desc)
-        t_egress = time.monotonic_ns()
         # account for the request before the client can see its response
         with self._count_lock:
             self.egress_count += 1
         if self.ledger is not None:
             self.ledger.complete(desc.trace_id, "egress")
-        with self._latency_lock:
-            t_ingress = self._t_ingress.pop(desc.trace_id, None)
-            if t_ingress is not None:
-                self.latency_records.append({
-                    "trace_id": desc.trace_id,
-                    "t_ingress": t_ingress,
-                    "t_egress": t_egress,
-                    "mode": self.mode.value,
-                })
         conn = self._conns.get(meta.connection_id)
         if conn is not None:
             self._respond(conn, meta.seq, response)
@@ -453,14 +420,6 @@ class ProxyPlane(ChainRuntime):
             sock.sendall(request)
             raw, status, resp_body, _ = read_response(sock)
         return status, resp_body, raw
-
-    def write_latency_jsonl(self, path) -> None:
-        import json
-        with self._latency_lock:
-            records = list(self.latency_records)
-        with open(path, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
 
     def stats(self) -> dict:
         return {

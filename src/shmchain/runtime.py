@@ -4,17 +4,23 @@ stage loops that move descriptors between chain functions.
 A chain is a set of registered functions, an entry function, a routing
 table and a deny-by-default filter table. The runtime runs it as stages,
 and every stage does the same thing: take a burst from my inbox, run it,
-hand it on. A function stage runs its handler, and the router stage looks
-up the next hop, checks the filter and hands each descriptor routed to
-EGRESS to the plane's edge from its own thread.
+hand it on. A function stage runs its handler, and the router stage routes.
+
+One route step, ``_route``, decides every move in both modes: a descriptor
+from ingress goes to the entry function, any other to its routing-table
+next hop. It drops ``no_route`` when there is none, makes the chain's one
+filter check (dropping ``filtered``), hands a descriptor routed to EGRESS to
+the plane's ``_egress_hop``, and puts any other onto the next function's RX
+ring (polling) or sends it there (event). The planes' ingress edges call it
+too, for the hop into the entry function.
 
 Polling mode gives every stage a spinning thread over SPSC rings: each
 function has an RX and a TX ring, and the router drains every TX ring.
 Nothing blocks and nothing is copied, so a chain hop costs nothing on the
 audited path. Event mode gives every stage an event endpoint and blocks it
-until a delivery arrives. Every move passes through the router's endpoint,
-and each send pays one interrupt plus one context switch on the audited
-path.
+until a delivery arrives. Every move between functions passes through the
+router's endpoint, and each send, made by the one ``_send``, pays one
+interrupt plus one context switch on the audited path.
 
 The sizes are constants, the same for every chain: each ring and each event
 inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling function
@@ -25,18 +31,19 @@ assembled from spec text by ``chainspec.build_planes``.
 The planes supply only their edges: where traffic enters the chain and
 where it leaves. A subclass implements ``_start_edges`` (run once the
 chain's transport exists, before its stages start), ``_close_edges`` (at
-stop, after the stage threads are joined), ``_egress_one`` (one descriptor
-leaving the chain) and ``_drop``. An edge whose event-mode egress is a hop
-of its own overrides ``_egress_event``, and an edge with threads of its own
-that block outside the chain's transport overrides ``_wake_edges``, run at
-stop before the threads are joined.
+stop, after the stage threads are joined), ``_egress_hop`` (a descriptor
+routed to EGRESS, on the thread that routed it) and ``_drop``. An edge with
+threads of its own that block outside the chain's transport overrides
+``_wake_edges``, run at stop before the threads are joined.
 
 Ownership rule: a descriptor, and the frame it points to, has exactly one
 owner at a time. A successful enqueue or send moves it to the receiver. A
 failed one leaves it with the sender, as ``DescriptorRing.enqueue`` and
 ``SocketMap.send`` both do, and the sender hands it to its plane's one
 ``_drop(desc, reason)``, which counts the drop under its reason, closes the
-descriptor's trace and releases the frame.
+descriptor's trace and releases the frame. At stop, every descriptor still
+on a ring or in an inbox is counted as a ``shutdown`` drop and freed, so
+ingress = egress + drops once the chain has stopped.
 """
 
 from __future__ import annotations
@@ -76,6 +83,11 @@ class Mode(str, Enum):
     EVENT = "event"
 
 
+# the hot paths test these plain names: in CPython 3.11 every ``Mode.X``
+# lookup goes through the enum metaclass and costs about 170 ns
+POLLING, EVENT = Mode.POLLING, Mode.EVENT
+
+
 @dataclass
 class Registration:
     fn_id: str
@@ -91,7 +103,7 @@ class ChainRuntime:
     ROUTER_ID = "__router__"
     ROUTER_LABEL = "router"
     STAGE_LABEL = "nf"
-    #: endpoints the edges register; sends to them are plumbing, not filtered
+    #: endpoints the edges register; no function may take their names
     EDGE_IDS: tuple[str, ...] = ()
 
     def __init__(self, pool: FramePool, mode: Mode, ledger: AuditLedger | None,
@@ -104,7 +116,6 @@ class ChainRuntime:
         self.filters = FilterTable(default=DENY)
         self._regs: dict[str, Registration] = {}
         self._entry: str | None = None
-        self._unfiltered = (self.ROUTER_ID, *self.EDGE_IDS)
         self._trace_ids = itertools.count()
         self._threads: dict[str, threading.Thread] = {}
         self._stop = threading.Event()
@@ -128,7 +139,8 @@ class ChainRuntime:
     def register(self, fn_id: str, handler) -> Registration:
         if self._started:
             raise PlaneFrozen(self.name)
-        if fn_id in self._regs or fn_id in (*self._unfiltered, INGRESS_ID, EGRESS):
+        if fn_id in self._regs or fn_id in (self.ROUTER_ID, *self.EDGE_IDS,
+                                            INGRESS_ID, EGRESS):
             raise DuplicateFunction(fn_id)
         reg = Registration(fn_id, handler, HandlerContext(self.pool, fn_id),
                            RingPair.new())
@@ -173,7 +185,6 @@ class ChainRuntime:
             self._spawn("router", self._router_loop_polling)
         else:
             self._sockmap = SocketMap()
-            self._sockmap.set_filter(self._event_filter)
             router_ep = self._register_endpoint(self.ROUTER_ID)
             for reg in self._regs.values():
                 reg.endpoint = self._register_endpoint(reg.fn_id)
@@ -181,11 +192,10 @@ class ChainRuntime:
             for reg in self._regs.values():
                 self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}", self._serve,
                             reg.endpoint, functools.partial(self._nf_step_event, reg))
-            self._spawn(self.ROUTER_LABEL, self._serve, router_ep,
-                        self._route_one_event)
+            self._spawn(self.ROUTER_LABEL, self._serve, router_ep, self._route)
 
     def stop(self) -> None:
-        """Stop every stage, then free every frame still in flight."""
+        """Stop every stage, then drop every descriptor still in flight."""
         if not self._started:
             return
         self._stop.set()
@@ -199,8 +209,9 @@ class ChainRuntime:
             for desc in endpoint.drain_remaining():
                 self._release(desc)
         for reg in self._regs.values():
-            self._drain(reg.rings.rx)
-            self._drain(reg.rings.tx)
+            for ring in (reg.rings.rx, reg.rings.tx):
+                for desc in self._drain(ring):
+                    self._release(desc)
         self._close_edges()
         self._endpoints = []
         self._sockmap = None
@@ -229,18 +240,20 @@ class ChainRuntime:
         return endpoint
 
     def _release(self, desc) -> None:
-        """Free the frame of a descriptor found in flight at stop."""
+        """Drop a descriptor found in flight at stop: count it as
+        ``shutdown``, close its trace and free its frame. Nobody is
+        answered, as the stages have stopped."""
+        self._count_drop("shutdown", desc)
         try:
             self.pool.free_frame(desc.frame)
         except Exception:
             pass
 
-    def _drain(self, ring: DescriptorRing) -> None:
-        while True:
-            desc = ring.dequeue()
-            if desc is None:
-                return
-            self._release(desc)
+    @staticmethod
+    def _drain(ring: DescriptorRing):
+        """Take every descriptor off a ring whose stages have stopped."""
+        while (desc := ring.dequeue()) is not None:
+            yield desc
 
     # -- function stage ---------------------------------------------------------
 
@@ -260,9 +273,11 @@ class ChainRuntime:
     # -- polling mode stages ------------------------------------------------------
 
     def _nf_loop_polling(self, reg: Registration) -> None:
-        # Spin loops yield on empty polls: the thread stays hot (CPU bound,
-        # never sleeping) but hands the interpreter over cooperatively, which
-        # sidesteps lock-convoy stalls between polling contexts.
+        # Empty polls idle with time.sleep(0). It releases the interpreter,
+        # but on Linux it is a timed sleep of the thread's timer slack (50 us
+        # by default), not a bare yield, so an idle loop mostly sleeps rather
+        # than spins. os.sched_yield would spin; ROADMAP item 1 has what that
+        # costs the process's other threads.
         rx, tx = reg.rings.rx, reg.rings.tx
         stop = self._stop
         idle = time.sleep
@@ -287,32 +302,53 @@ class ChainRuntime:
                 idle(0)
 
     def route_step(self) -> int:
-        """Drain every function's TX ring once: filter, then forward to the
-        next RX ring or out through the plane's egress edge. Drops are
-        counted, never raised."""
+        """Route every descriptor on every function's TX ring once. Returns
+        how many moved; drops are counted, never raised."""
         moved = 0
         for reg in self._regs.values():
             for desc in reg.rings.tx.burst_dequeue(BURST * 2):
-                moved += self._route_one_polling(desc)
+                moved += self._route(desc)
         return moved
 
-    def _route_one_polling(self, desc) -> int:
-        nxt = self.routes.next_hop(desc.src_fn)
+    # -- routing ----------------------------------------------------------------------
+
+    def _route(self, desc) -> bool:
+        """Move one descriptor to its next hop, in either mode. Returns
+        whether it moved on; a refused descriptor is dropped here."""
+        src = desc.src_fn
+        nxt = self._entry if src == INGRESS_ID else self.routes.next_hop(src)
         if nxt is None:
             self._drop(desc, "no_route")
-            return 0
-        if not self.filters.check(desc.src_fn, nxt):
+            return False
+        if not self.filters.check(src, nxt):
             self._drop(desc, "filtered")
-            return 0
+            return False
         if nxt == EGRESS:
-            self._egress_one(desc)
-            return 1
+            self._egress_hop(desc)
+            return True
+        if self._mode is EVENT:
+            return self._send(desc, nxt)
         desc.chain_hops += 1
         desc.dst_fn = nxt
         if not self._regs[nxt].rings.rx.enqueue(desc):
             self._drop(desc, "ring_full")
-            return 0
-        return 1
+            return False
+        return True
+
+    def _send(self, desc, dst: str) -> bool:
+        """One audited event hop into ``dst``'s inbox. The receiver owns the
+        descriptor once it is sent; a failed send drops it here."""
+        desc.dst_fn = dst
+        desc.chain_hops += 1
+        try:
+            send_audited(self._sockmap, desc, self.ledger, desc.chain_hops)
+        except UnknownDestination:  # its endpoint closed at stop
+            self._drop(desc, "shutdown")
+            return False
+        except InboxFull:
+            self._drop(desc, "inbox_full")
+            return False
+        return True
 
     # -- event mode stages ----------------------------------------------------------
 
@@ -330,50 +366,14 @@ class ChainRuntime:
     def _nf_step_event(self, reg: Registration, desc) -> None:
         out = self._run_handler(reg, desc)
         if out is not None:
-            out.dst_fn = self.ROUTER_ID
-            self._send_chain_hop(out)
-
-    def _route_one_event(self, desc) -> None:
-        cur = desc.src_fn
-        nxt = self._entry if cur == INGRESS_ID else self.routes.next_hop(cur)
-        if nxt is None:
-            self._drop(desc, "no_route")
-        elif nxt == EGRESS:
-            if self.filters.check(cur, EGRESS):
-                self._egress_event(desc)
-            else:
-                self._drop(desc, "filtered")
-        else:
-            desc.dst_fn = nxt
-            self._send_chain_hop(desc)
-
-    def _egress_event(self, desc) -> None:
-        self._egress_one(desc)
-
-    def _event_filter(self, src_fn: str, dst_fn: str) -> bool:
-        """Send-site filtering over logical pairs.
-
-        Hops to the router and to the edges are plumbing within a single
-        logical move; the router's forwarding send carries the (src, next)
-        pair the rules are written against, and the router checks the pair
-        for EGRESS itself.
-        """
-        return dst_fn in self._unfiltered or self.filters.check(src_fn, dst_fn)
-
-    def _send_chain_hop(self, desc) -> None:
-        # the receiver owns the descriptor once it is sent
-        desc.chain_hops += 1
-        try:
-            send_audited(self._sockmap, desc, self.ledger, desc.chain_hops)
-        except UnknownDestination:
-            self._drop(desc, "shutdown" if self._stop.is_set() else "filtered")
-        except InboxFull:
-            self._drop(desc, "inbox_full")
+            self._send(out, self.ROUTER_ID)
 
     # -- drops ----------------------------------------------------------------------
 
-    def _count_drop(self, desc, reason: str) -> None:
+    def _count_drop(self, reason: str, desc=None) -> None:
+        """Count one drop and close the trace of its descriptor, if it got
+        one before it was refused."""
         with self._count_lock:
             self.drops[reason] += 1
-        if self.ledger is not None:
+        if desc is not None and self.ledger is not None:
             self.ledger.complete(desc.trace_id, "drop")

@@ -460,8 +460,8 @@ def test_criterion_7_filter_grid_proxy_event_site(registry, upstreams):
         plane.close()
     assert pool.free_count == pool.config.frame_count
     announce("criterion 7 filter grid (proxy event site)",
-             f"8 rule configurations x {k} requests filtered identically at "
-             "the event-channel send site")
+             f"8 rule configurations x {k} requests filtered identically by "
+             "the event-mode route step")
 
 
 # -- criterion 8 -------------------------------------------------------------

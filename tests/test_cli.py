@@ -68,4 +68,3 @@ def test_bench_l4l7_short(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["delivered"] > 0
     assert report["extras"]["cpu_total_cores"] > 0  # sampled under load
-    assert (tmp_path / "l4l7_latency.jsonl").exists()

@@ -46,20 +46,6 @@ def test_send_unknown_destination_leaves_frame_with_sender(pool):
     pool.free_frame(desc.frame)  # still allocated to the caller
 
 
-def test_send_filtered_is_undeliverable(pool):
-    sockmap = SocketMap()
-    endpoint = sockmap.register("b")
-    sockmap.set_filter(lambda src, dst: False)
-    desc = make_desc(pool)
-    free_before = pool.free_count
-    with pytest.raises(UnknownDestination):
-        sockmap.send(desc)
-    assert sockmap.dropped == 1
-    assert endpoint.pending() == 0
-    assert pool.free_count == free_before
-    pool.free_frame(desc.frame)  # still allocated to the caller
-
-
 def test_inbox_full(pool):
     sockmap = SocketMap()
     sockmap.register("b", capacity=2)

@@ -1,6 +1,8 @@
-"""The chain runtime under both planes and both modes: a denied hop drops
-each descriptor exactly once, every frame comes back to the pool at stop,
-and no plane runs more threads than its stages need."""
+"""The chain runtime under both planes and both modes: a refused hop drops
+each descriptor exactly once, wherever the chain refuses it, a descriptor
+still in flight at stop is counted as a shutdown drop, every frame comes
+back to the pool at stop, and no plane runs more threads than its stages
+need."""
 
 import socket
 import time
@@ -8,7 +10,7 @@ import time
 import pytest
 
 from shmchain.bench import StaticUpstream, build_packet
-from shmchain.descriptors import EGRESS
+from shmchain.descriptors import EGRESS, INGRESS_ID
 from shmchain.handlers import (
     make_l2_forwarder,
     make_l3_router,
@@ -19,6 +21,7 @@ from shmchain.http11 import read_response, serialize_request
 from shmchain.packet_plane import PacketPlane
 from shmchain.pool import PoolConfig
 from shmchain.proxy_plane import BrokerConfig, ProxyPlane
+from shmchain.routing import RoutingTable
 from shmchain.runtime import Mode
 
 K = 20
@@ -40,17 +43,26 @@ def upstreams():
         stub.stop()
 
 
-def build(kind, mode, pool, upstreams):
+def slowed(handler, delay):
+    def slow(ctx, desc):
+        time.sleep(delay)
+        return handler(ctx, desc)
+    return slow
+
+
+def build(kind, mode, pool, upstreams, entry_delay=0.0):
     if kind == "packet":
         plane = PacketPlane(pool, mode, name="rt")
-        plane.register("a", make_l3_router({"10.0.0.5": "10.0.1.5"}))
-        plane.register("b", make_l2_forwarder())
+        entry = make_l3_router({"10.0.0.5": "10.0.1.5"})
+        later = make_l2_forwarder()
     else:
         config = BrokerConfig(upstreams=[s.address for s in upstreams],
                               mode=mode)
         plane = ProxyPlane(pool, config, name="rt")
-        plane.register("a", make_reverse_proxy(len(upstreams)))
-        plane.register("b", make_url_rewriter({"/old": "/new"}))
+        entry = make_reverse_proxy(len(upstreams))
+        later = make_url_rewriter({"/old": "/new"})
+    plane.register("a", slowed(entry, entry_delay) if entry_delay else entry)
+    plane.register("b", later)
     plane.set_entry("a")
     plane.set_route("a", "b")
     plane.set_route("b", EGRESS)
@@ -73,33 +85,52 @@ def wait_settled(plane, offered):
         time.sleep(0.005)
 
 
-@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
-@pytest.mark.parametrize("kind", ["packet", "proxy"])
-def test_denied_middle_hop_drops_once_and_frees_all(registry, upstreams, kind,
-                                                    mode):
-    pool = registry.create(PoolConfig(f"rt-{kind}-{mode.value}", 256, 2048))
+def unroute_b(plane):
+    routes = RoutingTable()
+    routes.set_route("a", "b")
+    plane.routes = routes  # b keeps its filter rule but has no next hop
+
+
+# where the chain refuses: the change made once the first K offers have gone
+# through, and the reason each later offer is then dropped under
+REFUSALS = {
+    "ingress": (lambda plane: plane.set_filter(INGRESS_ID, "a", "deny"),
+                "filtered"),
+    "middle": (lambda plane: plane.set_filter("a", "b", "deny"), "filtered"),
+    "egress": (lambda plane: plane.set_filter("b", EGRESS, "deny"), "filtered"),
+    "no_route": (unroute_b, "no_route"),
+}
+
+
+def check_refusal(registry, upstreams, kind, mode, where):
+    pool = registry.create(PoolConfig(f"rt-{where}-{kind}-{mode.value}", 256,
+                                      2048))
     plane = build(kind, mode, pool, upstreams)
+    refuse, reason = REFUSALS[where]
     socks = []
 
-    def offer(seq, expect_status):
+    def offer(seq, refused):
         if kind == "packet":
-            assert plane.ingress(build_packet(64, seq, 1))
+            # only polling ingress routes, so only it sees its own refusal
+            early = refused and where == "ingress" and mode is Mode.POLLING
+            assert plane.ingress(build_packet(64, seq, 1)) is not early
             return
         sock = socket.create_connection(plane.listen_address, timeout=5)
         socks.append(sock)
         sock.sendall(serialize_request("GET", f"/old/{seq}", [("Host", "rt")],
                                        b""))
         _raw, status, _body, _reusable = read_response(sock)
-        assert status == expect_status
+        # a request dropped inside the chain is answered
+        assert status == (503 if refused else 200)
 
     plane.start()
     try:
         for seq in range(K):
-            offer(seq, 200)
+            offer(seq, False)
         wait_settled(plane, K)
-        plane.set_filter("a", "b", "deny")
+        refuse(plane)
         for seq in range(K, 2 * K):
-            offer(seq, 503)  # a request dropped inside the chain is answered
+            offer(seq, True)
         wait_settled(plane, 2 * K)
         assert set(plane.thread_ids()) == THREADS[(kind, mode)]
     finally:
@@ -110,5 +141,54 @@ def test_denied_middle_hop_drops_once_and_frees_all(registry, upstreams, kind,
         else:
             plane.close()
     ingress, egress, drops = counts(plane)
-    assert (ingress, egress, drops) == (2 * K, K, {"filtered": K})
+    assert (ingress, egress, drops) == (2 * K, K, {reason: K})
+    assert pool.free_count == pool.config.frame_count
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+@pytest.mark.parametrize("kind", ["packet", "proxy"])
+def test_denied_middle_hop_drops_once_and_frees_all(registry, upstreams, kind,
+                                                    mode):
+    check_refusal(registry, upstreams, kind, mode, "middle")
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+@pytest.mark.parametrize("kind", ["packet", "proxy"])
+@pytest.mark.parametrize("where", ["ingress", "egress", "no_route"])
+def test_refused_at_chain_edge_drops_once_and_frees_all(registry, upstreams,
+                                                         where, kind, mode):
+    check_refusal(registry, upstreams, kind, mode, where)
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+@pytest.mark.parametrize("kind", ["packet", "proxy"])
+def test_stop_counts_in_flight_as_shutdown(registry, upstreams, kind, mode):
+    """A 5 ms entry function leaves most offers in flight at stop; each one
+    is counted once, and every frame comes back."""
+    pool = registry.create(PoolConfig(f"rt-stop-{kind}-{mode.value}", 256, 2048))
+    plane = build(kind, mode, pool, upstreams, entry_delay=0.005)
+    plane.start()
+    if kind == "packet":
+        offered = 200
+        for seq in range(offered):
+            plane.ingress(build_packet(64, seq, 1))
+        plane.stop()
+    else:
+        offered = 100
+        sock = socket.create_connection(plane.listen_address, timeout=5)
+        try:
+            sock.sendall(b"".join(
+                serialize_request("GET", f"/old/{seq}", [("Host", "rt")], b"")
+                for seq in range(offered)))
+            deadline = time.time() + 10
+            while plane.ingest_count < offered:
+                assert time.time() < deadline, plane.stats()
+                time.sleep(0.001)
+        finally:
+            plane.close()
+            sock.close()
+    ingress, egress, drops = counts(plane)
+    assert ingress == offered
+    assert egress + sum(drops.values()) == offered
+    assert drops.get("shutdown", 0) > 0
     assert pool.free_count == pool.config.frame_count
