@@ -49,7 +49,7 @@ class HttpExchangeMeta:
     backend_choice: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketDescriptor:
     """Unit of zero-copy handoff: a pointer into the pool plus routing state.
 

@@ -136,15 +136,14 @@ class SocketMap:
 
     It delivers wherever a descriptor's ``dst_fn`` names and checks no
     filter: the chain runtime checks each move once, before it sends. An
-    undeliverable descriptor (unknown or closed destination, inbox full) is
-    counted in ``dropped`` and stays with the sender, which owns its frame
-    when the error propagates.
+    undeliverable descriptor (unknown or closed destination, inbox full)
+    raises and stays with the sender, which owns its frame and counts the
+    drop.
     """
 
     def __init__(self):
         self._entries: dict[str, EventEndpoint] = {}
         self._lock = threading.Lock()
-        self.dropped = 0
 
     def register(self, fn_id: str,
                  capacity: int = DEFAULT_INBOX_CAPACITY) -> EventEndpoint:
@@ -163,17 +162,12 @@ class SocketMap:
         """Deliver ``desc`` to its destination's inbox and set its wakeup.
 
         Frame ownership transfers on success; on failure it stays with the
-        caller and the drop is counted.
+        caller.
         """
         endpoint = self.lookup(desc.dst_fn)
         if endpoint is None:
-            self.dropped += 1
             raise UnknownDestination(desc.dst_fn)
-        try:
-            endpoint.deliver(desc)
-        except (InboxFull, UnknownDestination):
-            self.dropped += 1
-            raise
+        endpoint.deliver(desc)
 
     def close_all(self) -> None:
         with self._lock:

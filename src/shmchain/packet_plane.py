@@ -56,7 +56,7 @@ class PacketPlane(ChainRuntime):
     # -- edges ------------------------------------------------------------------
 
     def _start_edges(self) -> None:
-        if self._mode is Mode.POLLING:
+        if self._mode is POLLING:
             return
         tx_ep = self._register_endpoint(TX_ID)
         self._nic_rings = NicRingSet.new()
@@ -86,7 +86,7 @@ class PacketPlane(ChainRuntime):
         if len(payload) > self.pool.config.frame_size:
             self._count_drop("oversize")
             return False
-        if self._mode is Mode.POLLING:
+        if self._mode is POLLING:
             return self._ingress_polling(payload, flow)
         return self._ingress_event(payload, flow)
 
@@ -148,7 +148,7 @@ class PacketPlane(ChainRuntime):
         self.egress_count += 1
         if self.ledger is not None:
             self.ledger.complete(desc.trace_id, "egress")
-        if (self._mode is Mode.POLLING
+        if (self._mode is POLLING
                 or not self._nic_rings.completion.enqueue(desc)):
             self.pool.free_frame(desc.frame)
 
@@ -162,7 +162,7 @@ class PacketPlane(ChainRuntime):
         """Count the drop and close its trace, then free the frame (polling)
         or park it back on the fill ring (event)."""
         self._count_drop(reason, desc)
-        if self._mode is Mode.POLLING:
+        if self._mode is POLLING:
             self.pool.free_frame(desc.frame)
         else:
             self._recycle(desc)

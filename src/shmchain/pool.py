@@ -10,6 +10,15 @@ either on the free list or reachable through exactly one live ref, and the
 descriptor transports preserve that ownership as descriptors move through a
 chain. Generation counters turn violations of the discipline into immediate
 ``StaleRef``/``DoubleFree`` errors instead of silent corruption.
+
+Every packet calls into this module four times or more, so its hot
+path is kept lean. A ref is a plain tuple, ``FrameRef(index, generation)``.
+A pool keeps one ``memoryview`` of its region for its whole life, and every
+frame access makes its index, ownership and bounds checks once, in
+``_base``, then slices that view: ``write_frame``, ``read_frame`` and
+``frame_view`` each do so directly. Only the allocator state, the free
+stack and the generation counters, is under the pool lock, because
+ingress allocates and the router frees on different threads.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import threading
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
+from typing import NamedTuple
 
 from ._util import is_power_of_two
 from .errors import (
@@ -56,12 +66,14 @@ class PoolConfig:
             )
 
 
-@dataclass(frozen=True)
-class FrameRef:
+class FrameRef(NamedTuple):
     """Handle to one frame; dies when the frame is freed or reallocated."""
 
     index: int
     generation: int
+
+
+_new_tuple = tuple.__new__
 
 
 class FramePool:
@@ -75,9 +87,12 @@ class FramePool:
     def __init__(self, config: PoolConfig, region, *, owner: bool = True,
                  segment=None):
         self.config = config
-        self._region = region
         self._segment = segment  # SharedMemory keeping the mmap alive
         self._owner = owner
+        self._frame_count = config.frame_count
+        self._frame_size = config.frame_size
+        # one view for the pool's life; every frame access slices it
+        self._view = memoryview(region)
         self._lock = threading.Lock()
         self._gen = [0] * config.frame_count
         # LIFO free stack; index 0 is handed out first.
@@ -99,47 +114,76 @@ class FramePool:
                 f"pool {self.config.domain_prefix!r} attached read/write only; "
                 "allocation belongs to the creating process"
             )
-        with self._lock:
+        # acquire/release costs half of a ``with`` block
+        lock = self._lock
+        lock.acquire()
+        try:
             if not self._free:
                 return None
             idx = self._free.pop()
-            self._gen[idx] += 1  # now odd: allocated
-            return FrameRef(idx, self._gen[idx])
+            gen = self._gen[idx] + 1  # now odd: allocated
+            self._gen[idx] = gen
+        finally:
+            lock.release()
+        # FrameRef(idx, gen) without the Python frame of its generated __new__
+        return _new_tuple(FrameRef, (idx, gen))
 
     def free_frame(self, ref: FrameRef) -> None:
         if not self._owner:
             raise NotPoolOwner(self.config.domain_prefix)
-        with self._lock:
-            self._check_index(ref)
-            current = self._gen[ref.index]
-            if ref.generation == current and current % 2 == 1:
-                self._gen[ref.index] += 1  # now even: free
-                self._free.append(ref.index)
+        index, generation = ref
+        if not 0 <= index < self._frame_count:
+            raise OutOfBounds(f"frame index {index}")
+        lock = self._lock
+        lock.acquire()
+        try:
+            current = self._gen[index]
+            if generation == current and current % 2 == 1:
+                self._gen[index] = current + 1  # now even: free
+                self._free.append(index)
                 return
-            if ref.generation == current - 1 and current % 2 == 0:
-                # this very ref already performed the free
-                raise DoubleFree(f"frame {ref.index} gen {ref.generation}")
-            raise StaleRef(f"frame {ref.index} gen {ref.generation} vs {current}")
+        finally:
+            lock.release()
+        if generation == current - 1 and current % 2 == 0:
+            # this very ref already performed the free
+            raise DoubleFree(f"frame {index} gen {generation}")
+        raise StaleRef(f"frame {index} gen {generation} vs {current}")
 
     # -- frame I/O ----------------------------------------------------------
 
+    def _base(self, ref: FrameRef, offset: int, length: int) -> int:
+        """Region offset of ``length`` bytes at ``offset`` in ``ref``'s frame,
+        after the index, ownership and bounds checks."""
+        index, generation = ref
+        if not 0 <= index < self._frame_count:
+            raise OutOfBounds(f"frame index {index}")
+        if self._owner:
+            # allocator state lives with the creator; a secondary attacher
+            # trusts the descriptors routed to it (admission happened at
+            # attach time, via the prefix)
+            current = self._gen[index]
+            if generation != current or current % 2 == 0:
+                raise StaleRef(f"frame {index} gen {generation} vs {current}")
+        fsz = self._frame_size
+        if offset < 0 or length < 0 or offset + length > fsz:
+            raise OutOfBounds(f"offset {offset} length {length} frame_size {fsz}")
+        return index * fsz + offset
+
     def write_frame(self, ref: FrameRef, offset: int, data) -> None:
-        view = self.frame_view(ref, offset, len(data))
-        view[:] = data
+        length = len(data)
+        base = self._base(ref, offset, length)
+        self._view[base:base + length] = data
 
     def read_frame(self, ref: FrameRef, offset: int, length: int) -> bytes:
-        return bytes(self.frame_view(ref, offset, length))
+        base = self._base(ref, offset, length)
+        return self._view[base:base + length].tobytes()
 
     def frame_view(self, ref: FrameRef, offset: int = 0, length: int | None = None):
         """Writable zero-copy window into the frame; bounds checked."""
-        self._check_ref(ref)
-        fsz = self.config.frame_size
         if length is None:
-            length = fsz - offset
-        if offset < 0 or length < 0 or offset + length > fsz:
-            raise OutOfBounds(f"offset {offset} length {length} frame_size {fsz}")
-        base = ref.index * fsz + offset
-        return memoryview(self._region)[base:base + length]
+            length = self._frame_size - offset
+        base = self._base(ref, offset, length)
+        return self._view[base:base + length]
 
     # -- introspection ------------------------------------------------------
 
@@ -152,25 +196,11 @@ class FramePool:
     def in_flight_count(self) -> int:
         return self.config.frame_count - self.free_count
 
-    def _check_index(self, ref: FrameRef) -> None:
-        if not 0 <= ref.index < self.config.frame_count:
-            raise OutOfBounds(f"frame index {ref.index}")
-
-    def _check_ref(self, ref: FrameRef) -> None:
-        self._check_index(ref)
-        if not self._owner:
-            # allocator state lives with the creator; a secondary attacher
-            # trusts the descriptors routed to it (admission happened at
-            # attach time, via the prefix)
-            return
-        current = self._gen[ref.index]
-        if ref.generation != current or current % 2 == 0:
-            raise StaleRef(f"frame {ref.index} gen {ref.generation} vs {current}")
-
     def close(self) -> None:
         if self.closed:
             return
         self.closed = True
+        self._view.release()
         if self._segment is not None:
             self._segment.close()
 

@@ -124,6 +124,7 @@ class ChainRuntime:
         self._count_lock = threading.Lock()
         self._sockmap: SocketMap | None = None  # event mode, built at start
         self._endpoints: list[EventEndpoint] = []
+        self._rx: dict[str, DescriptorRing] = {}  # polling mode, built at start
 
     # -- topology -------------------------------------------------------------
 
@@ -177,7 +178,8 @@ class ChainRuntime:
             raise PlaneUnavailable(f"{self.name}: no entry function")
         self._stop.clear()
         self._started = True
-        if self._mode is Mode.POLLING:
+        if self._mode is POLLING:
+            self._rx = {fn_id: reg.rings.rx for fn_id, reg in self._regs.items()}
             self._start_edges()
             for reg in self._regs.values():
                 self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}",
@@ -244,10 +246,7 @@ class ChainRuntime:
         ``shutdown``, close its trace and free its frame. Nobody is
         answered, as the stages have stopped."""
         self._count_drop("shutdown", desc)
-        try:
-            self.pool.free_frame(desc.frame)
-        except Exception:
-            pass
+        self.pool.free_frame(desc.frame)
 
     @staticmethod
     def _drain(ring: DescriptorRing):
@@ -330,7 +329,7 @@ class ChainRuntime:
             return self._send(desc, nxt)
         desc.chain_hops += 1
         desc.dst_fn = nxt
-        if not self._regs[nxt].rings.rx.enqueue(desc):
+        if not self._rx[nxt].enqueue(desc):
             self._drop(desc, "ring_full")
             return False
         return True

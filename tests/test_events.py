@@ -41,7 +41,6 @@ def test_send_unknown_destination_leaves_frame_with_sender(pool):
     free_before = pool.free_count
     with pytest.raises(UnknownDestination):
         sockmap.send(desc)
-    assert sockmap.dropped == 1
     assert pool.free_count == free_before
     pool.free_frame(desc.frame)  # still allocated to the caller
 

@@ -1,4 +1,9 @@
 import multiprocessing
+import os
+import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -12,7 +17,14 @@ from shmchain.errors import (
     StaleRef,
     UnknownPrefix,
 )
-from shmchain.pool import PoolConfig, PoolRegistry
+from shmchain.pool import FrameRef, PoolConfig, PoolRegistry
+
+FRAME_OPS = {
+    "frame_view": lambda pool, ref: pool.frame_view(ref, 0, 4),
+    "write_frame": lambda pool, ref: pool.write_frame(ref, 0, b"abcd"),
+    "read_frame": lambda pool, ref: pool.read_frame(ref, 0, 4),
+    "free_frame": lambda pool, ref: pool.free_frame(ref),
+}
 
 
 def test_create_pool_all_frames_free(registry):
@@ -111,6 +123,103 @@ def test_out_of_bounds(pool):
         pool.frame_view(ref, -1, 4)
 
 
+@pytest.mark.parametrize("op", sorted(FRAME_OPS))
+def test_stale_ref_refused_by_every_access(pool, op):
+    ref = pool.alloc_frame()
+    pool.free_frame(ref)
+    again = pool.alloc_frame()  # the slot is live again under a new generation
+    assert again.index == ref.index
+    with pytest.raises(StaleRef):
+        FRAME_OPS[op](pool, ref)
+    pool.write_frame(again, 0, b"live")  # the live ref still works
+    assert pool.read_frame(again, 0, 4) == b"live"
+
+
+@pytest.mark.parametrize("op", sorted(FRAME_OPS))
+@pytest.mark.parametrize("index", [-1, 64, 1 << 20])
+def test_out_of_range_index_refused_by_every_access(pool, op, index):
+    with pytest.raises(OutOfBounds):
+        FRAME_OPS[op](pool, FrameRef(index, 1))
+    assert pool.free_count == 64
+
+
+def test_frame_ref_is_a_hashable_value():
+    ref = FrameRef(3, 7)
+    assert (ref.index, ref.generation) == (3, 7)
+    assert ref == FrameRef(3, 7) and ref != FrameRef(3, 9)
+    assert len({ref, FrameRef(3, 7), FrameRef(4, 7)}) == 2
+
+
+def test_racing_frees_exactly_one_wins(pool):
+    """More threads than cores free the same refs at once, with the
+    interpreter switching threads as often as it can. Each ref is freed by
+    exactly one thread, every other attempt raises DoubleFree, and the
+    allocator comes out whole."""
+    threads = 4 * (os.cpu_count() or 2)
+    frames = pool.config.frame_count
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 1.0
+        rounds = 0
+        while rounds < 3 or time.monotonic() < deadline:
+            rounds += 1
+            refs = [pool.alloc_frame() for _ in range(frames)]
+            freed: list[FrameRef] = []
+            refused: list[FrameRef] = []
+            other: list[BaseException] = []
+            barrier = threading.Barrier(threads)
+
+            def race(seed):
+                order = refs[:]
+                random.Random(seed).shuffle(order)
+                barrier.wait()
+                for ref in order:
+                    try:
+                        pool.free_frame(ref)
+                        freed.append(ref)
+                    except DoubleFree:
+                        refused.append(ref)
+                    except BaseException as exc:  # anything else is a fault
+                        other.append(exc)
+
+            workers = [threading.Thread(target=race, args=(rounds * threads + i,))
+                       for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert other == []
+            assert sorted(freed) == sorted(refs)  # each ref freed exactly once
+            assert len(refused) == (threads - 1) * frames
+            assert pool.free_count == frames
+    finally:
+        sys.setswitchinterval(old_interval)
+    indices = [pool.alloc_frame().index for _ in range(frames)]
+    assert sorted(indices) == list(range(frames))
+    assert pool.free_count == 0
+
+
+def test_shared_pool_releases_after_views_dropped(tmp_path):
+    reg = PoolRegistry(registry_dir=tmp_path)
+    pool = reg.create(PoolConfig("shared-views", 8, 2048), shared=True)
+    refs = [pool.alloc_frame() for _ in range(3)]
+    for n, ref in enumerate(refs):
+        view = pool.frame_view(ref)
+        view[:4] = bytes([n]) * 4
+        pool.write_frame(ref, 4, b"tail")
+        assert pool.read_frame(ref, 0, 8) == bytes([n]) * 4 + b"tail"
+        del view
+    for ref in refs:
+        pool.free_frame(ref)
+    reg.release("shared-views")  # unmaps the segment: no view may still hold it
+    assert pool.closed
+    assert not (tmp_path / "shared-views.pool.json").exists()
+    with pytest.raises(UnknownPrefix):
+        reg.attach("shared-views")
+
+
 def test_isolation_between_prefixes(registry):
     a = registry.create(PoolConfig("pa", 4, 2048))
     b = registry.create(PoolConfig("pb", 4, 2048))
@@ -125,7 +234,6 @@ def test_isolation_between_prefixes(registry):
 def _child_attach(registry_dir, prefix, index, out):
     reg = PoolRegistry(registry_dir=registry_dir)
     handle = reg.attach(prefix)
-    from shmchain.pool import FrameRef
     ref = FrameRef(index, 1)
     data = handle.read_frame(ref, 0, 8)
     handle.write_frame(ref, 8, b"reply!!!")
