@@ -244,7 +244,8 @@ class ChainRuntime:
     def _release(self, desc) -> None:
         """Drop a descriptor found in flight at stop: count it as
         ``shutdown``, close its trace and free its frame. Nobody is
-        answered, as the stages have stopped."""
+        answered, as the stages have stopped. A frame with a second owner
+        raises ``StaleRef`` or ``DoubleFree`` here, as anywhere else."""
         self._count_drop("shutdown", desc)
         self.pool.free_frame(desc.frame)
 
