@@ -252,7 +252,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seconds", type=float, default=0,
                         help="seconds of one traced run per workload and side; 0 for none")
     parser.add_argument("--steal-max", type=float, default=DEFAULT_STEAL_MAX)
-    parser.add_argument("--workdir", type=Path, help="where to check out both sides")
+    parser.add_argument("--workdir", type=Path,
+                        help="where to check out both sides; default a temporary directory")
     args = parser.parse_args(argv)
     benchmark = load_benchmark()
 
@@ -268,13 +269,14 @@ def main(argv=None) -> int:
         parser.error("--pr is required to run pairs")
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     seconds = args.seconds or benchmark["run_seconds"]
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="paired-bench-"))
-    dirs = {"parent": workdir / "parent", "change": workdir / "change"}
-    sides = {side: checkout(rev, dirs[side])
-             for side, rev in (("parent", args.parent), ("change", args.change))}
-
     seeds = list(range(1, args.pairs + 1))
-    paired = run_set(dirs, workloads, seeds, seconds)
+    with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
+        workdir = args.workdir or Path(tmp)
+        dirs = {"parent": workdir / "parent", "change": workdir / "change"}
+        sides = {side: checkout(rev, dirs[side])
+                 for side, rev in (("parent", args.parent), ("change", args.change))}
+        paired = run_set(dirs, workloads, seeds, seconds)
+        traces = run_traces(dirs, workloads, args.trace_seconds) if args.trace_seconds else {}
     summary = {w: summarize_workload(pairs, benchmark, args.steal_max)
                for w, pairs in paired.items()}
 
@@ -288,8 +290,7 @@ def main(argv=None) -> int:
     bench.setdefault("set_notes", {})[args.set_name] = (
         args.note or f"{', then '.join(workloads)}; seeds 1-{args.pairs}; "
         f"parent {sides['parent']}, change {sides['change']}")
-    if args.trace_seconds:
-        bench.setdefault("trace", {}).update(run_traces(dirs, workloads, args.trace_seconds))
+    bench.setdefault("trace", {}).update(traces)
     out_path.write_text(json.dumps(bench, indent=1) + "\n")
 
     for workload, s in summary.items():
