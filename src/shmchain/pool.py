@@ -89,8 +89,6 @@ class FramePool:
         self.config = config
         self._segment = segment  # SharedMemory keeping the mmap alive
         self._owner = owner
-        self._frame_count = config.frame_count
-        self._frame_size = config.frame_size
         # one view for the pool's life; every frame access slices it
         self._view = memoryview(region)
         self._lock = threading.Lock()
@@ -132,7 +130,7 @@ class FramePool:
         if not self._owner:
             raise NotPoolOwner(self.config.domain_prefix)
         index, generation = ref
-        if not 0 <= index < self._frame_count:
+        if not 0 <= index < self.config.frame_count:
             raise OutOfBounds(f"frame index {index}")
         lock = self._lock
         lock.acquire()
@@ -155,7 +153,7 @@ class FramePool:
         """Region offset of ``length`` bytes at ``offset`` in ``ref``'s frame,
         after the index, ownership and bounds checks."""
         index, generation = ref
-        if not 0 <= index < self._frame_count:
+        if not 0 <= index < self.config.frame_count:
             raise OutOfBounds(f"frame index {index}")
         if self._owner:
             # allocator state lives with the creator; a secondary attacher
@@ -164,7 +162,7 @@ class FramePool:
             current = self._gen[index]
             if generation != current or current % 2 == 0:
                 raise StaleRef(f"frame {index} gen {generation} vs {current}")
-        fsz = self._frame_size
+        fsz = self.config.frame_size
         if offset < 0 or length < 0 or offset + length > fsz:
             raise OutOfBounds(f"offset {offset} length {length} frame_size {fsz}")
         return index * fsz + offset
@@ -181,7 +179,7 @@ class FramePool:
     def frame_view(self, ref: FrameRef, offset: int = 0, length: int | None = None):
         """Writable zero-copy window into the frame; bounds checked."""
         if length is None:
-            length = self._frame_size - offset
+            length = self.config.frame_size - offset
         base = self._base(ref, offset, length)
         return self._view[base:base + length]
 

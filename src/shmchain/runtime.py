@@ -59,12 +59,14 @@ from enum import Enum
 from .audit import AuditLedger
 from .descriptors import EGRESS, INGRESS_ID
 from .errors import (
+    DoubleFree,
     DuplicateFunction,
     EndpointClosed,
     InboxFull,
     ModeChangeAfterStart,
     PlaneFrozen,
     PlaneUnavailable,
+    StaleRef,
     UnknownDestination,
     UnknownFunction,
 )
@@ -124,7 +126,6 @@ class ChainRuntime:
         self._count_lock = threading.Lock()
         self._sockmap: SocketMap | None = None  # event mode, built at start
         self._endpoints: list[EventEndpoint] = []
-        self._rx: dict[str, DescriptorRing] = {}  # polling mode, built at start
 
     # -- topology -------------------------------------------------------------
 
@@ -179,7 +180,6 @@ class ChainRuntime:
         self._stop.clear()
         self._started = True
         if self._mode is POLLING:
-            self._rx = {fn_id: reg.rings.rx for fn_id, reg in self._regs.items()}
             self._start_edges()
             for reg in self._regs.values():
                 self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}",
@@ -197,7 +197,12 @@ class ChainRuntime:
             self._spawn(self.ROUTER_LABEL, self._serve, router_ep, self._route)
 
     def stop(self) -> None:
-        """Stop every stage, then drop every descriptor still in flight."""
+        """Stop every stage, then drop every descriptor still in flight.
+
+        A descriptor whose frame has another owner makes ``free_frame``
+        raise ``StaleRef`` or ``DoubleFree``. Stop still releases every
+        other descriptor and closes the edges, then raises the first such
+        fault; the plane is stopped either way."""
         if not self._started:
             return
         self._stop.set()
@@ -207,17 +212,23 @@ class ChainRuntime:
         for thread in self._threads.values():
             thread.join(timeout=5)
         self._threads.clear()
-        for endpoint in self._endpoints:
-            for desc in endpoint.drain_remaining():
-                self._release(desc)
+        in_flight = [desc for endpoint in self._endpoints
+                     for desc in endpoint.drain_remaining()]
         for reg in self._regs.values():
             for ring in (reg.rings.rx, reg.rings.tx):
-                for desc in self._drain(ring):
-                    self._release(desc)
+                in_flight.extend(self._drain(ring))
+        faults = []
+        for desc in in_flight:
+            try:
+                self._release(desc)
+            except (StaleRef, DoubleFree) as fault:
+                faults.append(fault)
         self._close_edges()
         self._endpoints = []
         self._sockmap = None
         self._started = False
+        if faults:
+            raise faults[0]
 
     def _wake_edges(self) -> None:
         """Unblock the edges' own threads at stop; the default has none."""
@@ -244,8 +255,7 @@ class ChainRuntime:
     def _release(self, desc) -> None:
         """Drop a descriptor found in flight at stop: count it as
         ``shutdown``, close its trace and free its frame. Nobody is
-        answered, as the stages have stopped. A frame with a second owner
-        raises ``StaleRef`` or ``DoubleFree`` here, as anywhere else."""
+        answered, as the stages have stopped."""
         self._count_drop("shutdown", desc)
         self.pool.free_frame(desc.frame)
 
@@ -330,7 +340,7 @@ class ChainRuntime:
             return self._send(desc, nxt)
         desc.chain_hops += 1
         desc.dst_fn = nxt
-        if not self._rx[nxt].enqueue(desc):
+        if not self._regs[nxt].rings.rx.enqueue(desc):
             self._drop(desc, "ring_full")
             return False
         return True

@@ -64,7 +64,8 @@ def test_low_steal_keeps_only_calm_pairs(paired_bench):
              {"seed": 3, "parent": run(12.0, 0.02), "change": run(9.0, 0.03)}]
     benchmark = {"end_to_end": [{"name": "cpu_us_per_op", "better": "lower",
                                  "bound": 0.25}]}
-    summary = paired_bench.summarize_workload(pairs, benchmark, steal_max=0.05)
+    assert paired_bench.STEAL_MAX == 0.05
+    summary = paired_bench.summarize_workload(pairs, benchmark)
     assert summary["cpu_us_per_op"]["change_wins"] == "2/3"
     calm = summary["low_steal"]
     assert calm["pairs"] == "2/3"

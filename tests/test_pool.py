@@ -1,5 +1,4 @@
 import multiprocessing
-import os
 import random
 import sys
 import threading
@@ -150,17 +149,29 @@ def test_frame_ref_is_a_hashable_value():
     assert len({ref, FrameRef(3, 7), FrameRef(4, 7)}) == 2
 
 
+class YieldingGenerations(list):
+    """A pool's generation list that gives up the interpreter on every read,
+    so that a thread switch falls between ``free_frame``'s read and write of
+    a generation: without the pool lock, two frees of one ref both win."""
+
+    def __getitem__(self, index):
+        value = list.__getitem__(self, index)
+        time.sleep(0)
+        return value
+
+
 def test_racing_frees_exactly_one_wins(pool):
-    """More threads than cores free the same refs at once, with the
-    interpreter switching threads as often as it can. Each ref is freed by
-    exactly one thread, every other attempt raises DoubleFree, and the
-    allocator comes out whole."""
-    threads = 4 * (os.cpu_count() or 2)
+    """Eight threads free the same refs at once, with the interpreter
+    switching threads as often as it can and inside the free's
+    read-modify-write. Each ref is freed by exactly one thread, every other
+    attempt raises DoubleFree, and the allocator comes out whole."""
+    threads = 8
     frames = pool.config.frame_count
+    pool._gen = YieldingGenerations(pool._gen)
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        deadline = time.monotonic() + 1.0
+        deadline = time.monotonic() + 0.3
         rounds = 0
         while rounds < 3 or time.monotonic() < deadline:
             rounds += 1

@@ -10,7 +10,8 @@ import time
 import pytest
 
 from shmchain.bench import StaticUpstream, build_packet
-from shmchain.descriptors import EGRESS, INGRESS_ID
+from shmchain.descriptors import EGRESS, INGRESS_ID, PacketDescriptor
+from shmchain.errors import DoubleFree
 from shmchain.handlers import (
     make_l2_forwarder,
     make_l3_router,
@@ -191,4 +192,35 @@ def test_stop_counts_in_flight_as_shutdown(registry, upstreams, kind, mode):
     assert ingress == offered
     assert egress + sum(drops.values()) == offered
     assert drops.get("shutdown", 0) > 0
+    assert pool.free_count == pool.config.frame_count
+
+
+def test_stop_raises_ownership_fault_after_full_teardown(registry, upstreams):
+    """A descriptor whose frame was already freed is found in flight at stop:
+    stop releases every other descriptor, stops the plane, then raises
+    DoubleFree instead of hiding it."""
+    pool = registry.create(PoolConfig("rt-stop-fault", 16, 2048))
+    plane = build("packet", Mode.POLLING, pool, upstreams)
+    plane.start()
+    # halt the stages first, so that nothing takes the descriptors off the ring
+    plane._stop.set()
+    for thread in plane._threads.values():
+        thread.join(timeout=5)
+    freed, live = pool.alloc_frame(), pool.alloc_frame()
+    pool.free_frame(freed)
+    rx = plane._regs["b"].rings.rx
+    for seq, ref in enumerate((freed, live)):
+        assert rx.enqueue(PacketDescriptor(ref, 0, 64, "a", "b", seq))
+    with pytest.raises(DoubleFree):
+        plane.stop()
+    assert not plane.running
+    assert plane.stats()["drops"]["shutdown"] == 2
+    assert pool.free_count == pool.config.frame_count
+    plane.start()  # a stopped plane starts again
+    assert plane.ingress(build_packet(64, 0, 1))
+    deadline = time.time() + 10
+    while counts(plane)[1] < 1:
+        assert time.time() < deadline, plane.stats()
+        time.sleep(0.005)
+    plane.stop()
     assert pool.free_count == pool.config.frame_count

@@ -1,24 +1,26 @@
 """Paired before/after runs of the benchmark, summarised per metric.
 
-    python3 tools/paired_bench.py --parent HEAD~1 --pr 12 --pairs 10 --seconds 30
+    python3 tools/paired_bench.py --parent HEAD~1 --pr 12
     python3 tools/paired_bench.py --summarize BENCH_10.json
 
 The first form checks out the parent and the change commits (``--change``,
-default ``HEAD``) with ``git archive`` into a work directory, so each side
-runs only its committed files. For each workload of ``BENCHMARK.json`` it
-runs ``python3 chainbench/run.py`` once per seed on each side, alternating
-which side goes first (the parent on odd seeds), and keeps every run's
-result, failed runs included. It then writes ``BENCH_<pr>.json`` at the
-root of the repo, in the layout of the earlier ``BENCH_*.json`` files:
-``command``, ``host``, ``sides``, ``sets`` (each with its raw ``paired``
-runs and a ``summary``), ``set_notes`` and ``trace``. An existing file gains
-the new set. ``--trace-seconds`` adds one traced run per workload and side.
+default ``HEAD``) with ``git archive`` into a temporary directory (under
+``$TMPDIR`` if set), so each side runs only its committed files. For each
+workload of ``BENCHMARK.json`` it runs ``python3 chainbench/run.py`` for
+``run_seconds`` of ``BENCHMARK.json`` once per seed 1..10 on each side,
+alternating which side goes first (the parent on odd seeds), and keeps every
+run's result, failed runs included. It then writes ``BENCH_<pr>.json`` at
+the root of the repo, in the layout of the earlier ``BENCH_*.json`` files:
+``command``, ``host``, ``sets`` and ``set_notes``. Each set holds the
+``sides`` (the short hashes of its two commits), its raw ``paired`` runs, a
+``summary`` and, with ``--trace-seconds``, one traced run per workload and
+side under ``trace``. An existing file gains the new set.
 
 Per metric the summary gives each side's median, the parent's
 interquartile range, how far the change's median is worse than the
 parent's, and the share of pairs the change won. It does so over all pairs
 and again, under ``low_steal``, over the pairs where both runs saw less
-than ``--steal-max`` of the host's CPU time stolen. No run is ever dropped
+than ``STEAL_MAX`` of the host's CPU time stolen. No run is ever dropped
 from the file.
 
 The second form recomputes and prints the summaries of a ``BENCH_*.json``
@@ -41,7 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_KEYS = ("correct", "attempted", "failed", "host_steal_share", "errors")
-DEFAULT_STEAL_MAX = 0.05
+PAIRS = 10  # seeds 1..PAIRS, one pair each
+STEAL_MAX = 0.05  # host steal share below which a pair counts as calm
 
 
 def load_benchmark(root: Path = ROOT) -> dict:
@@ -99,10 +102,9 @@ def _steal(run: dict) -> float | None:
     return run.get("host_steal_share")
 
 
-def summarize_workload(pairs: list[dict], benchmark: dict,
-                       steal_max: float = DEFAULT_STEAL_MAX) -> dict:
+def summarize_workload(pairs: list[dict], benchmark: dict) -> dict:
     """The summary of one workload's pairs: all pairs, then the pairs in
-    which both sides ran below ``steal_max``."""
+    which both sides ran below ``STEAL_MAX``."""
     summary = summarize_pairs(pairs, benchmark)
     summary["failed_ops"] = {
         side: sum(p[side].get("failed") or 0 for p in pairs)
@@ -110,10 +112,10 @@ def summarize_workload(pairs: list[dict], benchmark: dict,
     summary["all_correct"] = all(p[side].get("correct") for p in pairs
                                  for side in ("parent", "change"))
     calm = [p for p in pairs
-            if all((_steal(p[side]) is not None and _steal(p[side]) < steal_max)
+            if all((_steal(p[side]) is not None and _steal(p[side]) < STEAL_MAX)
                    for side in ("parent", "change"))]
     summary["low_steal"] = {
-        "steal_max": steal_max,
+        "steal_max": STEAL_MAX,
         "pairs": f"{len(calm)}/{len(pairs)}",
         **summarize_pairs(calm, benchmark),
     }
@@ -140,11 +142,10 @@ def format_summary(workload: str, summary: dict) -> list[str]:
     return lines
 
 
-def resummarize(bench: dict, benchmark: dict,
-                steal_max: float = DEFAULT_STEAL_MAX) -> dict:
+def resummarize(bench: dict, benchmark: dict) -> dict:
     """Summaries of every set of a ``BENCH_*.json`` document, from its raw
     ``paired`` runs: set name -> workload -> summary."""
-    return {name: {workload: summarize_workload(pairs, benchmark, steal_max)
+    return {name: {workload: summarize_workload(pairs, benchmark)
                    for workload, pairs in bench_set["paired"].items()}
             for name, bench_set in bench["sets"].items()}
 
@@ -247,19 +248,14 @@ def main(argv=None) -> int:
     parser.add_argument("--note", default="", help="set note to record")
     parser.add_argument("--workloads", nargs="+",
                         help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=10, help="seeds 1..pairs")
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
     parser.add_argument("--trace-seconds", type=float, default=0,
                         help="seconds of one traced run per workload and side; 0 for none")
-    parser.add_argument("--steal-max", type=float, default=DEFAULT_STEAL_MAX)
-    parser.add_argument("--workdir", type=Path,
-                        help="where to check out both sides; default a temporary directory")
     args = parser.parse_args(argv)
     benchmark = load_benchmark()
 
     if args.summarize is not None:
         bench = json.loads(args.summarize.read_text())
-        for set_name, summaries in resummarize(bench, benchmark, args.steal_max).items():
+        for set_name, summaries in resummarize(bench, benchmark).items():
             print(f"set {set_name}")
             for workload, summary in summaries.items():
                 print("\n".join(format_summary(workload, summary)))
@@ -268,29 +264,28 @@ def main(argv=None) -> int:
     if args.pr is None:
         parser.error("--pr is required to run pairs")
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
-    seconds = args.seconds or benchmark["run_seconds"]
-    seeds = list(range(1, args.pairs + 1))
+    seconds = benchmark["run_seconds"]
+    seeds = list(range(1, PAIRS + 1))
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
-        workdir = args.workdir or Path(tmp)
-        dirs = {"parent": workdir / "parent", "change": workdir / "change"}
+        dirs = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         sides = {side: checkout(rev, dirs[side])
                  for side, rev in (("parent", args.parent), ("change", args.change))}
         paired = run_set(dirs, workloads, seeds, seconds)
         traces = run_traces(dirs, workloads, args.trace_seconds) if args.trace_seconds else {}
-    summary = {w: summarize_workload(pairs, benchmark, args.steal_max)
-               for w, pairs in paired.items()}
+    summary = {w: summarize_workload(pairs, benchmark) for w, pairs in paired.items()}
 
     out_path = ROOT / f"BENCH_{args.pr}.json"
     bench = json.loads(out_path.read_text()) if out_path.exists() else {}
     bench.setdefault("command", "python3 chainbench/run.py --workload <w> "
                                 f"--seed <seed> --seconds {seconds:g}")
     bench.setdefault("host", _host())
-    bench.setdefault("sides", sides)
-    bench.setdefault("sets", {})[args.set_name] = {"paired": paired, "summary": summary}
+    bench_set = {"sides": sides, "paired": paired, "summary": summary}
+    if traces:
+        bench_set["trace"] = traces
+    bench.setdefault("sets", {})[args.set_name] = bench_set
     bench.setdefault("set_notes", {})[args.set_name] = (
-        args.note or f"{', then '.join(workloads)}; seeds 1-{args.pairs}; "
+        args.note or f"{', then '.join(workloads)}; seeds 1-{PAIRS}; "
         f"parent {sides['parent']}, change {sides['change']}")
-    bench.setdefault("trace", {}).update(traces)
     out_path.write_text(json.dumps(bench, indent=1) + "\n")
 
     for workload, s in summary.items():
