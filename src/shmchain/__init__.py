@@ -10,7 +10,7 @@ CPU trade-offs.
 from .audit import AuditLedger, CostVector, extrapolate, predict, verify
 from .classifier import BifurcationRule, Dispatcher, HandoffAdapter, PlaneTarget, RuleTable
 from .descriptors import EGRESS, FlowKey, HttpExchangeMeta, PacketDescriptor
-from .events import EventEndpoint, SocketMap
+from .events import EventEndpoint
 from .packet_plane import PacketPlane
 from .pool import FrameRef, FramePool, PoolConfig, attach_pool, create_pool, release_pool
 from .proxy_plane import BrokerConfig, ProxyPlane
@@ -22,7 +22,7 @@ __all__ = [
     "CostVector", "DescriptorRing", "Dispatcher", "EGRESS", "EventEndpoint",
     "FlowKey", "FramePool", "FrameRef", "HandoffAdapter", "HttpExchangeMeta",
     "Mode", "NicRingSet", "PacketDescriptor", "PacketPlane", "PlaneTarget",
-    "PoolConfig", "ProxyPlane", "RingPair", "RuleTable", "SocketMap",
+    "PoolConfig", "ProxyPlane", "RingPair", "RuleTable",
     "attach_pool", "create_pool", "extrapolate", "predict", "release_pool",
     "verify",
 ]

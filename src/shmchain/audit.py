@@ -256,8 +256,7 @@ class AuditLedger:
     arithmetic over the raw records.
     """
 
-    def __init__(self, mode_tag: str | None = None):
-        self.mode_tag = mode_tag
+    def __init__(self):
         self._records: list[LedgerRecord] = []
         self._totals: dict[object, dict[str, int]] = {}
         self._completed: dict[object, str] = {}

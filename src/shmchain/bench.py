@@ -255,6 +255,29 @@ class RateLimitedSink:
 
 _run_seq_base = itertools.count(1)
 
+PACE_TICK_S = 0.002  # a paced offer loop wakes once per tick
+
+
+def _paced(rate: float, duration: float):
+    """Pace an offer loop at ``rate`` items per second for ``duration``
+    seconds: once per tick, yield the seconds elapsed and how many items
+    to offer now.
+
+    Offering a tick's items in one run amortizes interpreter-lock handoffs
+    across the pipeline stages. A late tick catches up at most one missed
+    tick and skips the rest of the gap, so after a host stall the loop
+    resumes at the target rate instead of bursting the backlog."""
+    cap = 1 + 2 * PACE_TICK_S * rate
+    credit = 1.0
+    start = last = time.perf_counter()
+    while (now := time.perf_counter()) < start + duration:
+        credit = min(cap, credit + (now - last) * rate)
+        last = now
+        due = int(credit)
+        credit -= due
+        yield now - start, due
+        time.sleep(PACE_TICK_S)
+
 
 def pktgen_run(config: PktgenConfig, target, *, flow: FlowKey | None = None,
                collector: CollectorSink | None = None,
@@ -278,21 +301,11 @@ def pktgen_run(config: PktgenConfig, target, *, flow: FlowKey | None = None,
     offered = 0
     accepted = 0
     start = time.perf_counter()
-    deadline = start + config.duration
-    # tick pacing with whole-backlog bursts: one long send run per wake
-    # amortizes interpreter-lock handoffs across the pipeline stages
-    while True:
-        now = time.perf_counter()
-        if now >= deadline:
-            break
-        # bounded catch-up: after a stall the generator resumes at the
-        # target rate instead of dumping the missed backlog all at once
-        due = min(int((now - start) * config.offered_rate) + 1, offered + 4096)
-        while offered < due:
+    for _elapsed, due in _paced(config.offered_rate, config.duration):
+        for _ in range(due):
             if target.ingress(factory.make(seq_base + offered), flow):
                 accepted += 1
             offered += 1
-        time.sleep(0.002)
     duration = time.perf_counter() - start
 
     def in_window():
@@ -658,27 +671,18 @@ def unified_run(packet_target, collector: CollectorSink, proxy_address,
 
     factory = PacketFactory(packet_size, 7, dst_ip=dst_ip)
     t0_ns = time.monotonic_ns()
-    start = time.perf_counter()
-    deadline = start + duration
     http_threads = []
     offered = 0
-    http_started = False
     flow = FlowKey("10.0.0.1", dst_ip, 5000, 5001, "UDP")
-    while True:
-        now = time.perf_counter()
-        if now >= deadline:
-            break
-        if not http_started and now - start >= step_at:
-            http_started = True
+    for elapsed, due in _paced(l2l3_rate, duration):
+        if not http_threads and elapsed >= step_at:
             for _ in range(http_concurrency):
                 thread = threading.Thread(target=http_worker, daemon=True)
                 http_threads.append(thread)
                 thread.start()
-        due = min(int((now - start) * l2l3_rate) + 1, offered + 4096)
-        while offered < due:
+        for _ in range(due):
             packet_target.ingress(factory.make(offered), flow)
             offered += 1
-        time.sleep(0.002)
     stop_http.set()
     for thread in http_threads:
         thread.join(timeout=6)

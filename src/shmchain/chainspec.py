@@ -1,8 +1,8 @@
 """Declarative chain configuration: a line-oriented sectioned text format.
 
-Sections declare pools, planes (topology, mode, handlers), classifier rules,
-and bench defaults. The format is diffable and round-trips: parsing the
-rendered form of a spec yields an equal spec.
+Sections declare pools, planes (topology, mode, handlers) and classifier
+rules. The format is diffable and round-trips: parsing the rendered form of
+a spec yields an equal spec.
 
     [pool.packet]
     prefix = mn0
@@ -22,9 +22,6 @@ rendered form of a spec yields an equal spec.
 
     [classifier]
     rule.10 = UDP *:* *:* -> l2l3
-
-    [bench]
-    packet_size = 64
 """
 
 from __future__ import annotations
@@ -74,7 +71,6 @@ class ChainSpec:
     pools: dict[str, PoolSpec] = field(default_factory=dict)
     planes: dict[str, PlaneSpec] = field(default_factory=dict)
     rules: tuple[BifurcationRule, ...] = ()
-    bench: dict[str, str] = field(default_factory=dict)
 
 
 def parse_spec(text: str) -> ChainSpec:
@@ -111,8 +107,6 @@ def parse_spec(text: str) -> ChainSpec:
             spec.planes[name] = _parse_plane(name, items)
         elif section == "classifier":
             spec.rules = _parse_rules(items)
-        elif section == "bench":
-            spec.bench = {key: value for _, key, value in items}
         else:
             lineno = items[0][0] if items else 1
             raise SpecSyntaxError(f"unknown section [{section}]", lineno)
@@ -328,11 +322,6 @@ def render_spec(spec: ChainSpec) -> str:
             dst = f"{rule.dst_ip or '*'}:{rule.dst_port if rule.dst_port is not None else '*'}"
             out.append(f"rule.{rule.priority} = {rule.protocol or '*'} {src} {dst} "
                        f"-> {rule.target.value}")
-        out.append("")
-    if spec.bench:
-        out.append("[bench]")
-        for key in sorted(spec.bench):
-            out.append(f"{key} = {spec.bench[key]}")
         out.append("")
     return "\n".join(out)
 

@@ -150,7 +150,7 @@ def cmd_run_chain(args) -> int:
 
 def cmd_bench_l2l3(args) -> int:
     registry = PoolRegistry()
-    ledger = audit.AuditLedger(args.mode or "polling")
+    ledger = audit.AuditLedger()
     spec = _load_spec(args, DEFAULT_PACKET_SPEC)
     pools, planes, plane = _packet_plane_from_spec(spec, ledger, args.mode,
                                                    registry)
@@ -195,7 +195,7 @@ def cmd_bench_l2l3(args) -> int:
 
 def cmd_bench_l4l7(args) -> int:
     registry = PoolRegistry()
-    ledger = audit.AuditLedger(args.mode or "event")
+    ledger = audit.AuditLedger()
     stubs = []
     if args.spec:
         spec = _load_spec(args)

@@ -62,7 +62,6 @@ class PacketDescriptor:
     offset: int
     length: int
     src_fn: str
-    dst_fn: str
     trace_id: int
     flow: FlowKey | None = None
     meta: HttpExchangeMeta | None = None

@@ -11,6 +11,10 @@ Batching falls out of the counter: one read returns every notification
 pending since the last one and resets the counter, so the receiver drains up
 to the batch limit per call and keeps the rest as credit for its next calls.
 The counter cannot fill up, so no delivery ever goes unsignalled.
+
+Senders hold the endpoint itself. The chain runtime has already picked each
+next hop, and it holds the inbox that hop reads, so a send is one
+``deliver`` on that object and no destination is looked up by name.
 """
 
 from __future__ import annotations
@@ -20,13 +24,7 @@ import threading
 import weakref
 from collections import deque
 
-from .errors import (
-    DuplicateFunction,
-    EndpointClosed,
-    InboxFull,
-    InvalidConfig,
-    UnknownDestination,
-)
+from .errors import EndpointClosed, InboxFull, InvalidConfig, UnknownDestination
 
 DEFAULT_INBOX_CAPACITY = 4096
 MAX_INBOX_CAPACITY = 32768  # bounds the memory one inbox may pin
@@ -65,8 +63,10 @@ class EventEndpoint:
         self.drains = 0    # recv_batch calls that returned descriptors
 
     def deliver(self, desc) -> None:
-        """Append one descriptor and signal the receiver. Senders call this
-        through a :class:`SocketMap`; safe from any context."""
+        """Append one descriptor and signal the receiver; safe from any
+        context. A refused descriptor (closed endpoint, full inbox) raises
+        and stays with the sender, which owns its frame and counts the
+        drop."""
         with self._lock:
             if self._closed:
                 raise UnknownDestination(f"{self.fn_id}: endpoint closed")
@@ -129,61 +129,3 @@ class EventEndpoint:
                 return
             self._closed = True
         os.eventfd_write(self._efd, 1)
-
-
-class SocketMap:
-    """Function-id routing for event deliveries.
-
-    It delivers wherever a descriptor's ``dst_fn`` names and checks no
-    filter: the chain runtime checks each move once, before it sends. An
-    undeliverable descriptor (unknown or closed destination, inbox full)
-    raises and stays with the sender, which owns its frame and counts the
-    drop.
-    """
-
-    def __init__(self):
-        self._entries: dict[str, EventEndpoint] = {}
-        self._lock = threading.Lock()
-
-    def register(self, fn_id: str,
-                 capacity: int = DEFAULT_INBOX_CAPACITY) -> EventEndpoint:
-        with self._lock:
-            if fn_id in self._entries:
-                raise DuplicateFunction(fn_id)
-            endpoint = EventEndpoint(fn_id, capacity)
-            self._entries[fn_id] = endpoint
-            return endpoint
-
-    def lookup(self, fn_id: str) -> EventEndpoint | None:
-        with self._lock:
-            return self._entries.get(fn_id)
-
-    def send(self, desc) -> None:
-        """Deliver ``desc`` to its destination's inbox and set its wakeup.
-
-        Frame ownership transfers on success; on failure it stays with the
-        caller.
-        """
-        endpoint = self.lookup(desc.dst_fn)
-        if endpoint is None:
-            raise UnknownDestination(desc.dst_fn)
-        endpoint.deliver(desc)
-
-    def close_all(self) -> None:
-        with self._lock:
-            endpoints = list(self._entries.values())
-            self._entries.clear()
-        for endpoint in endpoints:
-            endpoint.close()
-
-
-def send_audited(sockmap: SocketMap, desc, ledger, step: int) -> None:
-    """Send plus per-hop cost accounting: one interrupt (receiver wakeup) and
-    one context switch (its blocking receive returning) on the audited path.
-
-    The trace id is read before the send: once delivered, the descriptor
-    belongs to the receiving context."""
-    trace_id = desc.trace_id
-    sockmap.send(desc)
-    if ledger is not None:
-        ledger.record_hop(trace_id, step)

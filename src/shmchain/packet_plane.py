@@ -22,11 +22,10 @@ import threading
 from .audit import INTERRUPTS, AuditLedger
 from .descriptors import INGRESS_ID, FlowKey, PacketDescriptor
 from .errors import PlaneUnavailable
+from .events import EventEndpoint
 from .pool import FramePool
 from .rings import DEFAULT_RING_CAPACITY, NicRingSet
 from .runtime import POLLING, ChainRuntime, Mode
-
-TX_ID = "__tx__"
 
 
 def _null_sink(payload: bytes, desc) -> None:
@@ -35,8 +34,6 @@ def _null_sink(payload: bytes, desc) -> None:
 
 class PacketPlane(ChainRuntime):
     """One chain of packet functions under a single manager."""
-
-    EDGE_IDS = (TX_ID,)
 
     def __init__(self, pool: FramePool, mode: Mode = Mode.POLLING,
                  ledger: AuditLedger | None = None, *, name: str = "pkt"):
@@ -47,6 +44,7 @@ class PacketPlane(ChainRuntime):
         self.ingress_count = 0
         self.egress_count = 0
         self._nic_rings: NicRingSet | None = None  # event mode, built at start
+        self._tx_ep: EventEndpoint | None = None  # event mode, built at start
         # the fill ring is fed by the ingress reap and by every drop path
         self._fill_lock = threading.Lock()
 
@@ -58,13 +56,13 @@ class PacketPlane(ChainRuntime):
     def _start_edges(self) -> None:
         if self._mode is POLLING:
             return
-        tx_ep = self._register_endpoint(TX_ID)
+        self._tx_ep = self._new_endpoint("tx")
         self._nic_rings = NicRingSet.new()
         for _ in range(min(self.pool.config.frame_count // 2, DEFAULT_RING_CAPACITY)):
             ref = self.pool.alloc_frame()
-            parked = PacketDescriptor(ref, 0, 0, INGRESS_ID, self.ROUTER_ID, -1)
+            parked = PacketDescriptor(ref, 0, 0, INGRESS_ID, -1)
             self._nic_rings.fill.enqueue(parked)
-        self._spawn("tx", self._serve, tx_ep, self._egress_one)
+        self._spawn("tx", self._serve, self._tx_ep, self._egress_one)
 
     def _close_edges(self) -> None:
         # parked frames are not in flight: they are freed, not dropped
@@ -97,8 +95,7 @@ class PacketPlane(ChainRuntime):
             return False
         self.pool.write_frame(ref, 0, payload)
         return self._route(PacketDescriptor(ref, 0, len(payload), INGRESS_ID,
-                                            self._entry, next(self._trace_ids),
-                                            flow=flow))
+                                            next(self._trace_ids), flow=flow))
 
     def _ingress_event(self, payload: bytes, flow) -> bool:
         fill = self._nic_rings.fill
@@ -122,7 +119,7 @@ class PacketPlane(ChainRuntime):
             # delivery event that kicks the kernel-side redirect
             self.ledger.record(desc.trace_id, 0, INTERRUPTS, 1)
         # the router, not this thread, routes it to the entry function
-        return self._send(desc, self.ROUTER_ID)
+        return self._send(desc, self._router_ep)
 
     # -- egress and drops -------------------------------------------------------------
 
@@ -130,7 +127,7 @@ class PacketPlane(ChainRuntime):
         if self._mode is POLLING:
             self._egress_one(desc)
         else:
-            self._send(desc, TX_ID)
+            self._send(desc, self._tx_ep)
 
     def _egress_one(self, desc: PacketDescriptor) -> None:
         # reading the frame out for the wire is the DMA analog: not a copy

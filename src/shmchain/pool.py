@@ -216,6 +216,14 @@ def default_registry_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"shmchain-{os.getuid()}"
 
 
+def _tracker_id() -> int | None:
+    """Identity of the resource tracker this process reports segments to:
+    the inode of the pipe to it, which a child inherits from its parent
+    whether it was forked or spawned."""
+    fd = resource_tracker._resource_tracker._fd
+    return None if fd is None else os.fstat(fd).st_ino
+
+
 class PoolRegistry:
     def __init__(self, registry_dir: Path | None = None):
         self._pools: dict[str, FramePool] = {}
@@ -248,6 +256,7 @@ class PoolRegistry:
                     "frame_size": config.frame_size,
                     "layout_version": LAYOUT_VERSION,
                     "segment": segment.name,
+                    "tracker": _tracker_id(),
                 }
                 self._sidecar(prefix).write_text(json.dumps(meta))
             else:
@@ -274,12 +283,16 @@ class PoolRegistry:
         if meta.get("layout_version") != LAYOUT_VERSION:
             raise UnknownPrefix(f"{prefix}: layout version mismatch")
         segment = shared_memory.SharedMemory(name=meta["segment"])
-        # The tracker would unlink the creator's segment when this process
-        # exits (bpo-39959); only the creator may unlink.
-        try:
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
+        # Opening the segment registered it with this process's resource
+        # tracker, which would unlink it when this process exits
+        # (bpo-39959); only the creator may unlink. A child of the creator
+        # shares the creator's tracker, which keeps one entry per segment,
+        # the creator's, so it must not unregister.
+        if _tracker_id() != meta.get("tracker"):
+            try:
+                resource_tracker.unregister(segment._name, "shared_memory")
+            except Exception:
+                pass
         config = PoolConfig(prefix, meta["frame_count"], meta["frame_size"])
         return FramePool(config, segment.buf, owner=False, segment=segment)
 

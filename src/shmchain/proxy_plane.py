@@ -51,8 +51,6 @@ from .http11 import (
 from .pool import FramePool
 from .runtime import ChainRuntime, Mode
 
-RELAY_ID = "__relay__"
-
 INGEST_COST = CostVector(copies=2, interrupts=2, context_switches=1,
                          protocol_tasks=1, serde_tasks=1)
 EGRESS_COST = CostVector(copies=2, interrupts=1, context_switches=1,
@@ -146,7 +144,6 @@ class UpstreamPool:
 class ProxyPlane(ChainRuntime):
     """One middlebox chain behind a listening broker."""
 
-    ROUTER_ID = RELAY_ID
     ROUTER_LABEL = "relay"
     STAGE_LABEL = "mf"
 
@@ -326,8 +323,8 @@ class ProxyPlane(ChainRuntime):
         if self.ledger is not None:
             self.ledger.record_vector(trace_id, 0, INGEST_COST)
         self.ingest_count += 1
-        self._route(PacketDescriptor(ref, 0, len(body), INGRESS_ID, self._entry,
-                                     trace_id, flow=conn.flow, meta=meta))
+        self._route(PacketDescriptor(ref, 0, len(body), INGRESS_ID, trace_id,
+                                     flow=conn.flow, meta=meta))
 
     def _drop(self, desc, reason) -> None:
         """Count the drop and close its trace, free the frame, and answer the

@@ -41,7 +41,7 @@ class RoutingTable:
 
 
 class FilterTable:
-    """(src_fn, dst_fn) -> allow/deny with a deny default.
+    """(src, dst) -> allow/deny with a deny default.
 
     Lookups are total: pairs without an explicit rule get the default. Planes
     install an allow rule alongside each route, so deny rules are the
@@ -55,19 +55,19 @@ class FilterTable:
         self._default = default
         self._lock = threading.Lock()
 
-    def set(self, src_fn: str, dst_fn: str, verdict: str) -> None:
+    def set(self, src: str, dst: str, verdict: str) -> None:
         if verdict not in (ALLOW, DENY):
             raise ValueError(f"verdict must be allow or deny, got {verdict!r}")
         with self._lock:
             rules = dict(self._rules)
-            rules[(src_fn, dst_fn)] = verdict
+            rules[(src, dst)] = verdict
             self._rules = rules
 
-    def allow(self, src_fn: str, dst_fn: str) -> None:
-        self.set(src_fn, dst_fn, ALLOW)
+    def allow(self, src: str, dst: str) -> None:
+        self.set(src, dst, ALLOW)
 
-    def deny(self, src_fn: str, dst_fn: str) -> None:
-        self.set(src_fn, dst_fn, DENY)
+    def deny(self, src: str, dst: str) -> None:
+        self.set(src, dst, DENY)
 
-    def check(self, src_fn: str, dst_fn: str) -> bool:
-        return self._rules.get((src_fn, dst_fn), self._default) == ALLOW
+    def check(self, src: str, dst: str) -> bool:
+        return self._rules.get((src, dst), self._default) == ALLOW

@@ -20,7 +20,9 @@ Nothing blocks and nothing is copied, so a chain hop costs nothing on the
 audited path. Event mode gives every stage an event endpoint and blocks it
 until a delivery arrives. Every move between functions passes through the
 router's endpoint, and each send, made by the one ``_send``, pays one
-interrupt plus one context switch on the audited path.
+interrupt plus one context switch on the audited path. A send goes straight
+to the inbox object of the hop that routing picked; no endpoint has a name
+to look up.
 
 The sizes are constants, the same for every chain: each ring and each event
 inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling function
@@ -39,7 +41,7 @@ threads of its own that block outside the chain's transport overrides
 Ownership rule: a descriptor, and the frame it points to, has exactly one
 owner at a time. A successful enqueue or send moves it to the receiver. A
 failed one leaves it with the sender, as ``DescriptorRing.enqueue`` and
-``SocketMap.send`` both do, and the sender hands it to its plane's one
+``EventEndpoint.deliver`` both do, and the sender hands it to its plane's one
 ``_drop(desc, reason)``, which counts the drop under its reason, closes the
 descriptor's trace and releases the frame. At stop, every descriptor still
 on a ring or in an inbox is counted as a ``shutdown`` drop and freed, so
@@ -70,7 +72,7 @@ from .errors import (
     UnknownDestination,
     UnknownFunction,
 )
-from .events import EventEndpoint, SocketMap, send_audited
+from .events import EventEndpoint
 from .handlers import HandlerContext
 from .pool import FramePool
 from .rings import DEFAULT_RING_CAPACITY, DescriptorRing, RingPair
@@ -102,11 +104,8 @@ class Registration:
 class ChainRuntime:
     """One chain of functions between a plane's ingress and egress edges."""
 
-    ROUTER_ID = "__router__"
     ROUTER_LABEL = "router"
     STAGE_LABEL = "nf"
-    #: endpoints the edges register; no function may take their names
-    EDGE_IDS: tuple[str, ...] = ()
 
     def __init__(self, pool: FramePool, mode: Mode, ledger: AuditLedger | None,
                  *, name: str):
@@ -124,7 +123,7 @@ class ChainRuntime:
         self._started = False
         self.drops: Counter = Counter()
         self._count_lock = threading.Lock()
-        self._sockmap: SocketMap | None = None  # event mode, built at start
+        self._router_ep: EventEndpoint | None = None  # event mode, built at start
         self._endpoints: list[EventEndpoint] = []
 
     # -- topology -------------------------------------------------------------
@@ -141,8 +140,7 @@ class ChainRuntime:
     def register(self, fn_id: str, handler) -> Registration:
         if self._started:
             raise PlaneFrozen(self.name)
-        if fn_id in self._regs or fn_id in (self.ROUTER_ID, *self.EDGE_IDS,
-                                            INGRESS_ID, EGRESS):
+        if fn_id in self._regs or fn_id in (INGRESS_ID, EGRESS):
             raise DuplicateFunction(fn_id)
         reg = Registration(fn_id, handler, HandlerContext(self.pool, fn_id),
                            RingPair.new())
@@ -164,11 +162,11 @@ class ChainRuntime:
         # routing implies authorization unless explicitly denied later
         self.filters.allow(from_fn, to)
 
-    def set_filter(self, src_fn: str, dst_fn: str, verdict: str) -> None:
-        for fn in (src_fn, dst_fn):
+    def set_filter(self, src: str, dst: str, verdict: str) -> None:
+        for fn in (src, dst):
             if fn not in self._regs and fn not in (EGRESS, INGRESS_ID):
                 raise UnknownFunction(fn)
-        self.filters.set(src_fn, dst_fn, verdict)
+        self.filters.set(src, dst, verdict)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -186,15 +184,15 @@ class ChainRuntime:
                             self._nf_loop_polling, reg)
             self._spawn("router", self._router_loop_polling)
         else:
-            self._sockmap = SocketMap()
-            router_ep = self._register_endpoint(self.ROUTER_ID)
+            self._router_ep = self._new_endpoint(self.ROUTER_LABEL)
             for reg in self._regs.values():
-                reg.endpoint = self._register_endpoint(reg.fn_id)
+                reg.endpoint = self._new_endpoint(reg.fn_id)
             self._start_edges()
             for reg in self._regs.values():
                 self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}", self._serve,
                             reg.endpoint, functools.partial(self._nf_step_event, reg))
-            self._spawn(self.ROUTER_LABEL, self._serve, router_ep, self._route)
+            self._spawn(self.ROUTER_LABEL, self._serve, self._router_ep,
+                        self._route)
 
     def stop(self) -> None:
         """Stop every stage, then drop every descriptor still in flight.
@@ -206,8 +204,8 @@ class ChainRuntime:
         if not self._started:
             return
         self._stop.set()
-        if self._sockmap is not None:
-            self._sockmap.close_all()
+        for endpoint in self._endpoints:
+            endpoint.close()
         self._wake_edges()
         for thread in self._threads.values():
             thread.join(timeout=5)
@@ -225,7 +223,6 @@ class ChainRuntime:
                 faults.append(fault)
         self._close_edges()
         self._endpoints = []
-        self._sockmap = None
         self._started = False
         if faults:
             raise faults[0]
@@ -246,9 +243,9 @@ class ChainRuntime:
     def thread_ids(self) -> dict[str, int]:
         return {label: thread.native_id for label, thread in self._threads.items()}
 
-    def _register_endpoint(self, fn_id: str) -> EventEndpoint:
+    def _new_endpoint(self, label: str) -> EventEndpoint:
         # an inbox holds as many descriptors as a ring
-        endpoint = self._sockmap.register(fn_id, capacity=DEFAULT_RING_CAPACITY)
+        endpoint = EventEndpoint(label, capacity=DEFAULT_RING_CAPACITY)
         self._endpoints.append(endpoint)
         return endpoint
 
@@ -337,27 +334,32 @@ class ChainRuntime:
             self._egress_hop(desc)
             return True
         if self._mode is EVENT:
-            return self._send(desc, nxt)
+            return self._send(desc, self._regs[nxt].endpoint)
         desc.chain_hops += 1
-        desc.dst_fn = nxt
         if not self._regs[nxt].rings.rx.enqueue(desc):
             self._drop(desc, "ring_full")
             return False
         return True
 
-    def _send(self, desc, dst: str) -> bool:
-        """One audited event hop into ``dst``'s inbox. The receiver owns the
-        descriptor once it is sent; a failed send drops it here."""
-        desc.dst_fn = dst
+    def _send(self, desc, inbox: EventEndpoint) -> bool:
+        """One audited event hop into ``inbox``: one interrupt (the
+        receiver's wakeup) and one context switch (its blocking receive
+        returning). The receiver owns the descriptor once it is sent, so its
+        step and trace id are read first; a failed send drops it here and
+        records no hop."""
         desc.chain_hops += 1
+        step = desc.chain_hops
+        trace_id = desc.trace_id
         try:
-            send_audited(self._sockmap, desc, self.ledger, desc.chain_hops)
+            inbox.deliver(desc)
         except UnknownDestination:  # its endpoint closed at stop
             self._drop(desc, "shutdown")
             return False
         except InboxFull:
             self._drop(desc, "inbox_full")
             return False
+        if self.ledger is not None:
+            self.ledger.record_hop(trace_id, step)
         return True
 
     # -- event mode stages ----------------------------------------------------------
@@ -376,7 +378,7 @@ class ChainRuntime:
     def _nf_step_event(self, reg: Registration, desc) -> None:
         out = self._run_handler(reg, desc)
         if out is not None:
-            self._send(out, self.ROUTER_ID)
+            self._send(out, self._router_ep)
 
     # -- drops ----------------------------------------------------------------------
 

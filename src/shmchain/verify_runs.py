@@ -118,7 +118,7 @@ def run_audit_traffic(model_id: str, packets: int = 300,
         raise ShmChainError(
             f"model {model.model_id} is audited statically; use predict")
     registry = PoolRegistry()
-    ledger = AuditLedger(model.model_id)
+    ledger = AuditLedger()
     try:
         if model.model_id in ("alpha", "beta"):
             mode = Mode.POLLING if model.model_id == "alpha" else Mode.EVENT

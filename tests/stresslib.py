@@ -12,7 +12,7 @@ import time
 
 from shmchain.descriptors import PacketDescriptor
 from shmchain.errors import InboxFull, PoolExhausted
-from shmchain.events import SocketMap
+from shmchain.events import EventEndpoint
 from shmchain.pool import FrameRef, PoolConfig, PoolRegistry
 from shmchain.rings import DescriptorRing
 
@@ -50,8 +50,7 @@ def stress_event_channel(n_per_sender: int, senders: int = 2,
                          capacity: int = 2048) -> dict:
     """Multiple senders, one blocking receiver; per-sender FIFO, no loss, no
     duplicates, and the drain always finishes (no lost wakeups)."""
-    sockmap = SocketMap()
-    endpoint = sockmap.register("rx", capacity=capacity)
+    endpoint = EventEndpoint("rx", capacity=capacity)
     total = n_per_sender * senders
 
     def sender(sid: int):
@@ -59,7 +58,7 @@ def stress_event_channel(n_per_sender: int, senders: int = 2,
             desc = (sid, i)
             while True:
                 try:
-                    sockmap.send(_FakeDesc(desc))
+                    endpoint.deliver(_FakeDesc(desc))
                     break
                 except InboxFull:
                     time.sleep(0.0005)
@@ -92,12 +91,11 @@ def stress_event_channel(n_per_sender: int, senders: int = 2,
 
 
 class _FakeDesc:
-    __slots__ = ("trace_id", "src_fn", "dst_fn", "frame")
+    __slots__ = ("trace_id", "src_fn", "frame")
 
     def __init__(self, trace_id):
         self.trace_id = trace_id
         self.src_fn = "s"
-        self.dst_fn = "rx"
         self.frame = None
 
 

@@ -40,7 +40,7 @@ from shmchain.bench import (
 )
 from shmchain.classifier import BifurcationRule, Dispatcher, PlaneTarget, RuleTable
 from shmchain.descriptors import EGRESS, FlowKey
-from shmchain.events import SocketMap
+from shmchain.events import EventEndpoint
 from shmchain.handlers import atkin_prime_count, atkin_sieve, make_l2_forwarder
 from shmchain.packet_plane import Mode, PacketPlane
 from shmchain.pool import PoolConfig, PoolRegistry
@@ -302,18 +302,16 @@ def test_criterion_5c_idle_cpu_contrast(registry, upstreams):
 
 
 def test_criterion_5d_adaptive_batching():
-    sockmap = SocketMap()
-    endpoint = sockmap.register("rx", capacity=4096)
+    endpoint = EventEndpoint("rx", capacity=4096)
     total = 60_000
     import threading
 
     class D:
-        __slots__ = ("trace_id", "src_fn", "dst_fn", "frame")
+        __slots__ = ("trace_id", "src_fn", "frame")
 
         def __init__(self, i):
             self.trace_id = i
             self.src_fn = "s"
-            self.dst_fn = "rx"
             self.frame = None
 
     drained = [0]
@@ -329,7 +327,7 @@ def test_criterion_5d_adaptive_batching():
     for i in range(total):
         while True:
             try:
-                sockmap.send(D(i))
+                endpoint.deliver(D(i))
                 break
             except InboxFull:
                 time.sleep(0.0002)
@@ -482,8 +480,8 @@ def _sustained_capacity(plane) -> float:
 
 def test_criterion_8_unified_coexistence(registry, upstreams):
     addrs = [s.address for s in upstreams]
-    pkt_ledger = AuditLedger("polling")
-    pxy_ledger = AuditLedger("event")
+    pkt_ledger = AuditLedger()
+    pxy_ledger = AuditLedger()
     _pool_pkt, packet = build_packet_plane(registry, Mode.POLLING, pkt_ledger,
                                            name="uni-pkt")
     pool_pxy, proxy = build_proxy_plane(registry, Mode.EVENT, addrs,

@@ -126,7 +126,7 @@ def test_extrapolate_event_interrupts_scale_with_hops():
 
 
 def test_ledger_roundtrip_and_totals():
-    ledger = AuditLedger("test")
+    ledger = AuditLedger()
     ledger.record(1, 0, "copies", 2)
     ledger.record(1, 1, "interrupts", 1)
     ledger.record_hop(1, 2)

@@ -33,10 +33,6 @@ filter.r1->f1 = allow
 [classifier]
 rule.10 = UDP *:* *:* -> l2l3
 rule.20 = TCP *:* *:80 -> l4l7
-
-[bench]
-packet_size = 64
-duration = 2
 """
 
 
@@ -47,7 +43,6 @@ def test_parse_valid_two_nf_chain():
     assert plane.routes == (("r1", "f1"), ("f1", "EGRESS"))
     assert spec.pools["packet"].frame_count == 512
     assert spec.rules[0].target is PlaneTarget.L2L3
-    assert spec.bench["packet_size"] == "64"
 
 
 def test_route_to_undeclared_function():
@@ -145,11 +140,8 @@ def chain_specs(draw):
                         protocol=draw(st.sampled_from([None, "UDP", "TCP"])),
                         dst_port=draw(st.sampled_from([None, 80, 9000])))
         for p in draw(st.sets(st.integers(1, 40), max_size=3)))
-    bench = draw(st.dictionaries(st.sampled_from(["duration", "rate"]),
-                                 st.sampled_from(["1", "2500"]), max_size=2))
     return ChainSpec(pools={"pool0": pool}, planes={"p0": plane},
-                     rules=tuple(sorted(rules, key=lambda r: r.priority)),
-                     bench=bench)
+                     rules=tuple(sorted(rules, key=lambda r: r.priority)))
 
 
 @given(chain_specs())

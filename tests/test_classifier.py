@@ -66,7 +66,7 @@ def test_dispatch_requires_running_plane():
 
 
 def test_handoff_adapter_records_bridge_costs():
-    ledger = AuditLedger("handoff")
+    ledger = AuditLedger()
     delivered = []
     adapter = HandoffAdapter(ledger, deliver=delivered.append)
     for i in range(25):

@@ -3,62 +3,48 @@ import time
 
 import pytest
 
-from shmchain.audit import AuditLedger
 from shmchain.descriptors import PacketDescriptor
-from shmchain.errors import (
-    DuplicateFunction,
-    EndpointClosed,
-    InboxFull,
-    UnknownDestination,
-)
-from shmchain.events import SocketMap, send_audited
+from shmchain.errors import EndpointClosed, InboxFull, UnknownDestination
+from shmchain.events import EventEndpoint
 
 
-def make_desc(pool, dst="b", src="a", trace=0):
+def make_desc(pool, src="a", trace=0):
     ref = pool.alloc_frame()
-    return PacketDescriptor(ref, 0, 0, src, dst, trace)
-
-
-def test_register_and_duplicate():
-    sockmap = SocketMap()
-    sockmap.register("a")
-    with pytest.raises(DuplicateFunction):
-        sockmap.register("a")
+    return PacketDescriptor(ref, 0, 0, src, trace)
 
 
 def test_send_appends_and_wakes(pool):
-    sockmap = SocketMap()
-    endpoint = sockmap.register("b")
-    sockmap.send(make_desc(pool))
+    endpoint = EventEndpoint("b")
+    endpoint.deliver(make_desc(pool))
     assert endpoint.pending() == 1
     batch = endpoint.recv_batch(8)
     assert len(batch) == 1
 
 
 def test_send_unknown_destination_leaves_frame_with_sender(pool):
-    sockmap = SocketMap()
-    desc = make_desc(pool, dst="nobody")
+    # a closed inbox is the one destination a send can miss
+    endpoint = EventEndpoint("b")
+    endpoint.close()
+    desc = make_desc(pool)
     free_before = pool.free_count
     with pytest.raises(UnknownDestination):
-        sockmap.send(desc)
+        endpoint.deliver(desc)
     assert pool.free_count == free_before
     pool.free_frame(desc.frame)  # still allocated to the caller
 
 
 def test_inbox_full(pool):
-    sockmap = SocketMap()
-    sockmap.register("b", capacity=2)
-    sockmap.send(make_desc(pool))
-    sockmap.send(make_desc(pool))
+    endpoint = EventEndpoint("b", capacity=2)
+    endpoint.deliver(make_desc(pool))
+    endpoint.deliver(make_desc(pool))
     with pytest.raises(InboxFull):
-        sockmap.send(make_desc(pool))
+        endpoint.deliver(make_desc(pool))
 
 
 def test_batch_bound_and_no_sleep_between(pool):
-    sockmap = SocketMap()
-    endpoint = sockmap.register("b")
+    endpoint = EventEndpoint("b")
     for i in range(10):
-        sockmap.send(make_desc(pool, trace=i))
+        endpoint.deliver(make_desc(pool, trace=i))
     first = endpoint.recv_batch(8)
     assert [d.trace_id for d in first] == list(range(8))
     # latch still set: the second call returns immediately
@@ -70,8 +56,7 @@ def test_batch_bound_and_no_sleep_between(pool):
 
 
 def test_recv_blocks_until_send(pool):
-    sockmap = SocketMap()
-    endpoint = sockmap.register("b")
+    endpoint = EventEndpoint("b")
     got = []
 
     def receiver():
@@ -81,7 +66,7 @@ def test_recv_blocks_until_send(pool):
     thread.start()
     time.sleep(0.1)
     assert not got  # still blocked
-    sockmap.send(make_desc(pool, trace=42))
+    endpoint.deliver(make_desc(pool, trace=42))
     thread.join(timeout=5)
     assert [d.trace_id for d in got] == [42]
     assert endpoint.wakeups == 1
@@ -89,11 +74,10 @@ def test_recv_blocks_until_send(pool):
 
 def test_wakeup_coalescing_bound(big_pool):
     pool = big_pool
-    sockmap = SocketMap()
-    endpoint = sockmap.register("b")
+    endpoint = EventEndpoint("b")
     n = 1000  # well past what a byte-per-notification socket buffer holds
     for i in range(n):
-        sockmap.send(make_desc(pool, trace=i))
+        endpoint.deliver(make_desc(pool, trace=i))
     drained = []
 
     def receiver():
@@ -113,8 +97,7 @@ def test_wakeup_coalescing_bound(big_pool):
 
 def test_fifo_per_sender(big_pool):
     pool = big_pool
-    sockmap = SocketMap()
-    endpoint = sockmap.register("b")
+    endpoint = EventEndpoint("b")
     n = 200
     sent = {name: [] for name in ("s1", "s2")}
 
@@ -123,7 +106,7 @@ def test_fifo_per_sender(big_pool):
             desc = make_desc(pool, src=name, trace=(name, i))
             while True:
                 try:
-                    sockmap.send(desc)
+                    endpoint.deliver(desc)
                     break
                 except InboxFull:
                     time.sleep(0.001)
@@ -160,10 +143,9 @@ def test_fifo_per_sender(big_pool):
 
 
 def test_close_drains_then_raises(pool):
-    sockmap = SocketMap()
-    endpoint = sockmap.register("b")
+    endpoint = EventEndpoint("b")
     for i in range(3):
-        sockmap.send(make_desc(pool, trace=i))
+        endpoint.deliver(make_desc(pool, trace=i))
     endpoint.close()
     drained = endpoint.recv_batch(8)
     assert [d.trace_id for d in drained] == [0, 1, 2]
@@ -172,8 +154,7 @@ def test_close_drains_then_raises(pool):
 
 
 def test_blocked_receiver_woken_by_close(pool):
-    sockmap = SocketMap()
-    endpoint = sockmap.register("b")
+    endpoint = EventEndpoint("b")
     result = []
 
     def receiver():
@@ -188,22 +169,3 @@ def test_blocked_receiver_woken_by_close(pool):
     endpoint.close()
     thread.join(timeout=5)
     assert result == ["closed"]
-
-
-def test_send_audited_records_hop(pool):
-    ledger = AuditLedger()
-    sockmap = SocketMap()
-    sockmap.register("b")
-    desc = make_desc(pool, trace=7)
-    send_audited(sockmap, desc, ledger, step=3)
-    total = ledger.trace_total(7)
-    assert total.interrupts == 1 and total.context_switches == 1
-
-
-def test_send_audited_failure_records_nothing(pool):
-    ledger = AuditLedger()
-    sockmap = SocketMap()
-    desc = make_desc(pool, dst="nobody", trace=7)
-    with pytest.raises(UnknownDestination):
-        send_audited(sockmap, desc, ledger, step=3)
-    assert ledger.trace_total(7).interrupts == 0

@@ -33,13 +33,13 @@ def trial_division_count(limit: int) -> int:
 def make_packet_desc(pool, payload: bytes, trace=0):
     ref = pool.alloc_frame()
     pool.write_frame(ref, 0, payload)
-    return PacketDescriptor(ref, 0, len(payload), "in", "fn", trace)
+    return PacketDescriptor(ref, 0, len(payload), "in", trace)
 
 
 def make_meta_desc(pool, path="/x", method="GET"):
     ref = pool.alloc_frame()
     meta = HttpExchangeMeta(method, path, "HTTP/1.1", [], None, 0)
-    return PacketDescriptor(ref, 0, 0, "in", "fn", 0, meta=meta)
+    return PacketDescriptor(ref, 0, 0, "in", 0, meta=meta)
 
 
 def sample_packet(dst_ip=b"\x0a\x00\x00\x05", size=64) -> bytes:

@@ -126,7 +126,7 @@ def test_body_bytes_never_copied_or_corrupted(big_pool, mode):
 
 
 def test_audit_alpha_clean(big_pool):
-    ledger = AuditLedger("polling")
+    ledger = AuditLedger()
     plane = two_nf_plane(big_pool, Mode.POLLING, ledger)
     plane.set_sink(lambda p, d: None)
     plane.start()
@@ -139,7 +139,7 @@ def test_audit_alpha_clean(big_pool):
 
 
 def test_audit_beta_clean(big_pool):
-    ledger = AuditLedger("event")
+    ledger = AuditLedger()
     plane = two_nf_plane(big_pool, Mode.EVENT, ledger)
     plane.set_sink(lambda p, d: None)
     plane.start()

@@ -1,10 +1,16 @@
 import multiprocessing
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
+from multiprocessing import shared_memory
+from pathlib import Path
 
 import pytest
+
+import shmchain
 
 from shmchain.errors import (
     DoubleFree,
@@ -250,6 +256,48 @@ def _child_attach(registry_dir, prefix, index, out):
     handle.write_frame(ref, 8, b"reply!!!")
     handle.close()
     out.put(bytes(data))
+
+
+CHILD_ATTACH = """
+import multiprocessing, sys
+from pathlib import Path
+from shmchain.pool import PoolConfig, PoolRegistry
+
+def child(registry_dir):
+    PoolRegistry(registry_dir=registry_dir).attach("child0").close()
+
+if __name__ == "__main__":
+    reg = PoolRegistry(registry_dir=Path(sys.argv[2]))
+    pool = reg.create(PoolConfig("child0", 8, 2048), shared=True)
+    print(pool._segment.name)
+    proc = multiprocessing.get_context(sys.argv[1]).Process(
+        target=child, args=(reg.registry_dir,))
+    proc.start()
+    proc.join(timeout=30)
+    assert proc.exitcode == 0, proc.exitcode
+    reg.release("child0")
+"""
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_child_attach_keeps_creator_tracker_registration(tmp_path, start_method):
+    """A child of the creator shares its resource tracker; the child's
+    attach must leave the creator's registration alone, so that the
+    creator's release unregisters cleanly and the segment is gone."""
+    script = tmp_path / "child_attach.py"
+    script.write_text(CHILD_ATTACH)
+    src = Path(shmchain.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    # the tracker writes to this process's stderr and exits with it, so
+    # the captured stderr holds every complaint it made
+    result = subprocess.run(
+        [sys.executable, str(script), start_method, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "KeyError" not in result.stderr, result.stderr
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=result.stdout.strip())
 
 
 def test_multiprocess_attach_shares_frames(tmp_path):

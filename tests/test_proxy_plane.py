@@ -132,7 +132,7 @@ def test_roundtrip_and_rewrites(registry, upstreams, mode):
                                         (Mode.EVENT, "delta")])
 def test_audit_totals_match_model(registry, upstreams, mode, model):
     pool = registry.create(PoolConfig(f"audit-{mode.value}", 128, 4096))
-    ledger = AuditLedger(mode.value)
+    ledger = AuditLedger()
     plane = make_plane(pool, upstreams, mode, ledger)
     plane.start()
     try:

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from shmchain.audit import AuditLedger
 from shmchain.bench import StaticUpstream, build_packet
 from shmchain.descriptors import EGRESS, INGRESS_ID, PacketDescriptor
 from shmchain.errors import DoubleFree
@@ -21,7 +22,7 @@ from shmchain.handlers import (
 from shmchain.http11 import read_response, serialize_request
 from shmchain.packet_plane import PacketPlane
 from shmchain.pool import PoolConfig
-from shmchain.proxy_plane import BrokerConfig, ProxyPlane
+from shmchain.proxy_plane import INGEST_COST, BrokerConfig, ProxyPlane
 from shmchain.routing import RoutingTable
 from shmchain.runtime import Mode
 
@@ -210,7 +211,7 @@ def test_stop_raises_ownership_fault_after_full_teardown(registry, upstreams):
     pool.free_frame(freed)
     rx = plane._regs["b"].rings.rx
     for seq, ref in enumerate((freed, live)):
-        assert rx.enqueue(PacketDescriptor(ref, 0, 64, "a", "b", seq))
+        assert rx.enqueue(PacketDescriptor(ref, 0, 64, "a", seq))
     with pytest.raises(DoubleFree):
         plane.stop()
     assert not plane.running
@@ -224,3 +225,28 @@ def test_stop_raises_ownership_fault_after_full_teardown(registry, upstreams):
         time.sleep(0.005)
     plane.stop()
     assert pool.free_count == pool.config.frame_count
+
+
+def test_event_hop_into_closed_inbox_drops_as_shutdown(registry, upstreams):
+    """An event hop refused by an inbox closed at stop is a ``shutdown``
+    drop: the hop is not audited, so its trace gets no interrupt or context
+    switch for it, and the frame goes back to the pool."""
+    pool = registry.create(PoolConfig("rt-closed-inbox", 16, 2048))
+    plane = build("proxy", Mode.EVENT, pool, upstreams)
+    plane.ledger = ledger = AuditLedger()
+    plane.start()
+    try:
+        plane._regs["b"].endpoint.close()
+        status, _body, _raw = plane.http_roundtrip("GET", "/old/0",
+                                                   [("Host", "rt")])
+        assert status == 503
+        assert plane.stats()["drops"] == {"shutdown": 1}
+        assert pool.free_count == pool.config.frame_count
+    finally:
+        plane.close()
+    assert ledger.completed_ids("drop") == [0]
+    # two hops were made, ingest into a and a into the relay; the third,
+    # the relay into b, was refused
+    total = ledger.trace_total(0)
+    assert total.interrupts == INGEST_COST.interrupts + 2
+    assert total.context_switches == INGEST_COST.context_switches + 2
