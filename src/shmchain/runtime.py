@@ -21,8 +21,8 @@ audited path. Event mode gives every stage an event endpoint and blocks it
 until a delivery arrives. Every move between functions passes through the
 router's endpoint, and each send, made by the one ``_send``, pays one
 interrupt plus one context switch on the audited path. A send goes straight
-to the inbox object of the hop that routing picked; no endpoint has a name
-to look up.
+to the inbox object of the hop that routing picked; nothing is looked up by
+name.
 
 The sizes are constants, the same for every chain: each ring and each event
 inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling function
