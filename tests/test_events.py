@@ -3,9 +3,11 @@ import time
 
 import pytest
 
+from shmchain.audit import AuditLedger
 from shmchain.descriptors import PacketDescriptor
 from shmchain.errors import EndpointClosed, InboxFull, UnknownDestination
 from shmchain.events import EventEndpoint
+from shmchain.packet_plane import PacketPlane
 
 
 def make_desc(pool, src="a", trace=0):
@@ -169,3 +171,29 @@ def test_blocked_receiver_woken_by_close(pool):
     endpoint.close()
     thread.join(timeout=5)
     assert result == ["closed"]
+
+
+def test_send_audited_records_hop(pool):
+    # every event hop goes through the runtime's one send, which audits it
+    ledger = AuditLedger()
+    plane = PacketPlane(pool, ledger=ledger, name="ev")
+    endpoint = EventEndpoint("b")
+    desc = make_desc(pool, trace=7)
+    assert plane._send(desc, endpoint)
+    assert endpoint.pending() == 1
+    total = ledger.trace_total(7)
+    assert total.interrupts == 1 and total.context_switches == 1
+    pool.free_frame(desc.frame)
+
+
+def test_send_audited_failure_records_nothing(pool):
+    ledger = AuditLedger()
+    plane = PacketPlane(pool, ledger=ledger, name="ev")
+    endpoint = EventEndpoint("b")
+    endpoint.close()
+    free_before = pool.free_count
+    desc = make_desc(pool, trace=7)
+    assert not plane._send(desc, endpoint)
+    assert ledger.trace_total(7).interrupts == 0
+    assert plane.drops == {"shutdown": 1}
+    assert pool.free_count == free_before  # the refused frame was freed
