@@ -10,7 +10,9 @@ which checks measured per-trace totals against the model.
 Event category semantics used by every instrumented site:
 
 * copy: any CPU duplication of payload bytes (emulated DMA is not a copy)
-* interrupt: a wakeup that makes a blocked context runnable
+* interrupt: a wakeup that makes a blocked context runnable; each event hop
+  records one, the model's per-hop cost, though the event transport signals
+  its eventfd only when the receiver is actually blocked
 * context switch: a blocking receive returning on the audited path
 * protocol task: one pass of the host transport stack at broker ingress/egress
 * serde task: one HTTP parse or serialize

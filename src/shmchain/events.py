@@ -1,16 +1,16 @@
-"""Event-driven descriptor transport: per-delivery wakeups with batch drain.
+"""Event-driven descriptor transport: a wakeup only for a sleeping receiver.
 
-Each endpoint pairs a descriptor inbox with an eventfd counter that plays the
-kernel notification path: every delivery adds one to the counter, and the
-receiver blocks in a read of it until something arrives. That keeps a
-receiving context strictly load-proportional (no busy CPU at zero traffic)
-and makes each hop carry a real kernel crossing, which is exactly the cost
-profile this transport emulates.
+Each endpoint pairs a descriptor inbox with an eventfd that plays the
+kernel notification path. A receiver takes what its inbox holds without a
+syscall, and blocks in a read of the eventfd only when the inbox is empty.
+A delivery signals the eventfd only if the receiver is blocked there, as the
+kernel's data-ready callback wakes only a reader asleep on its socket. That
+keeps a receiving context strictly load-proportional (no busy CPU at zero
+traffic), and each wakeup is a real kernel crossing.
 
-Batching falls out of the counter: one read returns every notification
-pending since the last one and resets the counter, so the receiver drains up
-to the batch limit per call and keeps the rest as credit for its next calls.
-The counter cannot fill up, so no delivery ever goes unsignalled.
+Batching falls out of the sleeping flag: everything delivered while the
+receiver is awake, or before it has run after a wakeup, waits in the inbox,
+and the receiver drains up to the batch limit per call.
 
 Senders hold the endpoint itself. The chain runtime has already picked each
 next hop, and it holds the inbox that hop reads, so a send is one
@@ -31,15 +31,15 @@ MAX_INBOX_CAPACITY = 32768  # bounds the memory one inbox may pin
 
 
 class EventEndpoint:
-    """Inbox + wakeup counter owned by exactly one receiving context.
+    """Inbox + wakeup eventfd owned by exactly one receiving context.
 
-    Invariant: every queued descriptor is matched by one notification, either
-    still in the eventfd counter or already read into the receiver's credit
-    (the counter is bumped after the descriptor is appended, and the receiver
-    pops no more descriptors than it holds credit for). A blocked receiver
-    therefore wakes iff a delivery happened, and a non-empty inbox always has
-    a notification pending, so no wakeup is ever lost. ``close`` adds one
-    extra notification that carries no descriptor; it only wakes the receiver.
+    Invariant: the receiver blocks in the eventfd only with ``_sleeping``
+    set, and it sets the flag under the lock after it found the inbox empty
+    and the endpoint open. ``deliver`` and ``close`` change the inbox or the
+    closed flag, then take and clear ``_sleeping`` under the same lock, and
+    write the eventfd only if it was set. So a blocked receiver always has a
+    write coming, no wakeup is lost, and at most one notification is ever
+    pending.
     """
 
     def __init__(self, fn_id: str, capacity: int = DEFAULT_INBOX_CAPACITY):
@@ -53,20 +53,20 @@ class EventEndpoint:
         # the fd lives as long as the endpoint, so no in-flight delivery can
         # ever signal a closed (or reused) descriptor number
         weakref.finalize(self, os.close, self._efd)
-        self._credit = 0  # notifications read but not yet drained; receiver only
         self._inbox: deque = deque()
         self._lock = threading.Lock()
         self._closed = False
+        self._sleeping = False  # the receiver is blocked, or about to block
         # transport statistics (distinct from the audit ledger)
         self.delivered = 0
-        self.wakeups = 0   # recv_batch calls that found the inbox empty and waited
+        self.wakeups = 0   # recv_batch calls that blocked and then returned work
         self.drains = 0    # recv_batch calls that returned descriptors
 
     def deliver(self, desc) -> None:
-        """Append one descriptor and signal the receiver; safe from any
-        context. A refused descriptor (closed endpoint, full inbox) raises
-        and stays with the sender, which owns its frame and counts the
-        drop."""
+        """Append one descriptor, and wake the receiver if it sleeps; safe
+        from any context. A refused descriptor (closed endpoint, full inbox)
+        raises and stays with the sender, which owns its frame and counts
+        the drop."""
         with self._lock:
             if self._closed:
                 raise UnknownDestination(f"{self.fn_id}: endpoint closed")
@@ -74,38 +74,31 @@ class EventEndpoint:
                 raise InboxFull(self.fn_id)
             self._inbox.append(desc)
             self.delivered += 1
-        os.eventfd_write(self._efd, 1)
+            sleeping, self._sleeping = self._sleeping, False
+        if sleeping:
+            os.eventfd_write(self._efd, 1)
 
     def recv_batch(self, max_batch: int) -> list:
-        """Block until at least one descriptor is queued, then drain up to
-        ``max_batch`` in arrival order. After :meth:`close`, the remaining
-        inbox is drained first, then ``EndpointClosed`` is raised."""
+        """Return up to ``max_batch`` queued descriptors in arrival order,
+        blocking only while the inbox is empty. After :meth:`close`, the
+        remaining inbox is drained first, then ``EndpointClosed`` is raised."""
         if max_batch < 1:
             raise InvalidConfig("max_batch must be >= 1")
-        with self._lock:
-            waiting = not self._inbox
-            if waiting and self._closed:
-                raise EndpointClosed(self.fn_id)
-        while True:
-            if not self._credit:
-                self._credit = os.eventfd_read(self._efd)
-            with self._lock:
-                batch = self._pop_locked(min(self._credit, max_batch))
-                closed = self._closed
-            if batch:
-                self._credit -= len(batch)
-                if waiting:
-                    self.wakeups += 1
-                self.drains += 1
-                return batch
-            if closed:
-                raise EndpointClosed(self.fn_id)
-            # credit for descriptors taken by drain_remaining: wait afresh
-            self._credit = 0
-
-    def _pop_locked(self, n: int) -> list:
         inbox = self._inbox
-        return [inbox.popleft() for _ in range(min(n, len(inbox)))]
+        blocked = False
+        while True:
+            with self._lock:
+                if inbox:
+                    batch = [inbox.popleft() for _ in range(min(max_batch, len(inbox)))]
+                    break
+                if self._closed:
+                    raise EndpointClosed(self.fn_id)
+                self._sleeping = True
+            os.eventfd_read(self._efd)
+            blocked = True
+        self.wakeups += blocked
+        self.drains += 1
+        return batch
 
     def pending(self) -> int:
         with self._lock:
@@ -119,7 +112,7 @@ class EventEndpoint:
         return out
 
     def close(self) -> None:
-        """Stop accepting deliveries and wake the receiver.
+        """Stop accepting deliveries and wake the receiver if it sleeps.
 
         Queued descriptors stay in the inbox, so a blocked receiver drains
         them before seeing EndpointClosed.
@@ -128,4 +121,6 @@ class EventEndpoint:
             if self._closed:
                 return
             self._closed = True
-        os.eventfd_write(self._efd, 1)
+            sleeping, self._sleeping = self._sleeping, False
+        if sleeping:
+            os.eventfd_write(self._efd, 1)

@@ -173,4 +173,5 @@ class PacketPlane(ChainRuntime):
             "egress": self.egress_count,
             "drops": dict(self.drops),
             "pool_free": self.pool.free_count,
+            **self.event_counts(),
         }

@@ -427,4 +427,5 @@ class ProxyPlane(ChainRuntime):
             "parse_errors": self.parse_errors,
             "upstream_errors": self.upstream_errors,
             "pool_free": self.pool.free_count,
+            **self.event_counts(),
         }

@@ -19,10 +19,12 @@ function has an RX and a TX ring, and the router drains every TX ring.
 Nothing blocks and nothing is copied, so a chain hop costs nothing on the
 audited path. Event mode gives every stage an event endpoint and blocks it
 until a delivery arrives. Every move between functions passes through the
-router's endpoint, and each send, made by the one ``_send``, pays one
-interrupt plus one context switch on the audited path. A send goes straight
-to the inbox object of the hop that routing picked; nothing is looked up by
-name.
+router's endpoint, and each send, made by the one ``_send``, records one
+interrupt plus one context switch on the audited path: the model's per-hop
+cost. The real eventfd signal goes only to a receiver blocked on an empty
+inbox; one that is awake takes the descriptor with its next batch. A send
+goes straight to the inbox object of the hop that routing picked; nothing is
+looked up by name.
 
 The sizes are constants, the same for every chain: each ring and each event
 inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling function
@@ -125,6 +127,8 @@ class ChainRuntime:
         self._count_lock = threading.Lock()
         self._router_ep: EventEndpoint | None = None  # event mode, built at start
         self._endpoints: list[EventEndpoint] = []
+        # what the endpoints closed at stop had counted
+        self._closed_event_counts = {"event_hops": 0, "event_wakeups": 0}
 
     # -- topology -------------------------------------------------------------
 
@@ -222,10 +226,21 @@ class ChainRuntime:
             except (StaleRef, DoubleFree) as fault:
                 faults.append(fault)
         self._close_edges()
+        self._closed_event_counts = self.event_counts()
         self._endpoints = []
         self._started = False
         if faults:
             raise faults[0]
+
+    def event_counts(self) -> dict[str, int]:
+        """Event hops delivered, and blocking receives that returned work,
+        summed over every inbox this chain has run; both read 0 in polling
+        mode."""
+        counts = dict(self._closed_event_counts)
+        for endpoint in self._endpoints:
+            counts["event_hops"] += endpoint.delivered
+            counts["event_wakeups"] += endpoint.wakeups
+        return counts
 
     def _wake_edges(self) -> None:
         """Unblock the edges' own threads at stop; the default has none."""

@@ -7,6 +7,7 @@ conservation, or ownership violation.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -88,6 +89,47 @@ def stress_event_channel(n_per_sender: int, senders: int = 2,
         assert seq == sorted(seq), f"sender {sid} order broken"
     return {"ops": 2 * total, "wakeups": endpoint.wakeups,
             "drains": endpoint.drains, "items": total}
+
+
+def stress_event_pingpong(round_trips: int, timeout: float = 30.0) -> dict:
+    """Two endpoints and two threads bounce one payload at a time, so every
+    delivery meets a receiver that is blocked or about to block. A lost
+    wakeup stalls the exchange; payloads come back in order. A short
+    interpreter switch interval makes the threads interleave more often."""
+    ping, pong = EventEndpoint("ping"), EventEndpoint("pong")
+    returned: list[int] = []
+
+    def echo():
+        for _ in range(round_trips):
+            for item in ping.recv_batch(32):
+                pong.deliver(item)
+
+    def pinger():
+        for i in range(round_trips):
+            ping.deliver(i)
+            returned.extend(pong.recv_batch(32))
+
+    threads = [threading.Thread(target=fn, daemon=True) for fn in (echo, pinger)]
+    default_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + timeout
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(default_interval)
+    stuck = any(thread.is_alive() for thread in threads)
+    for endpoint in (ping, pong):
+        endpoint.close()  # unblock a side that lost a wakeup
+    assert not stuck, "ping-pong lost a wakeup"
+    assert returned == list(range(round_trips))
+    for endpoint in (ping, pong):
+        assert endpoint.delivered == round_trips
+        assert endpoint.wakeups <= endpoint.delivered
+    return {"round_trips": round_trips,
+            "wakeups": ping.wakeups + pong.wakeups}
 
 
 class _FakeDesc:

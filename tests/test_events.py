@@ -1,8 +1,10 @@
+import os
 import threading
 import time
 
 import pytest
 
+from shmchain import events
 from shmchain.audit import AuditLedger
 from shmchain.descriptors import PacketDescriptor
 from shmchain.errors import EndpointClosed, InboxFull, UnknownDestination
@@ -13,6 +15,90 @@ from shmchain.packet_plane import PacketPlane
 def make_desc(pool, src="a", trace=0):
     ref = pool.alloc_frame()
     return PacketDescriptor(ref, 0, 0, src, trace)
+
+
+class CountingOs:
+    """Stands in for ``os`` inside ``shmchain.events``: counts the eventfd
+    writes and reads and passes every call through."""
+
+    def __init__(self):
+        self.writes = 0
+        self.reads = 0
+
+    def eventfd_write(self, fd, value):
+        self.writes += 1
+        return os.eventfd_write(fd, value)
+
+    def eventfd_read(self, fd):
+        self.reads += 1
+        return os.eventfd_read(fd)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+@pytest.fixture
+def counting_os(monkeypatch):
+    fake = CountingOs()
+    monkeypatch.setattr(events, "os", fake)
+    return fake
+
+
+def blocked_receiver(endpoint, counting_os, result):
+    """Start a thread that blocks in ``recv_batch`` and records what it
+    returns or raises; returns once it has entered the eventfd read."""
+
+    def receiver():
+        try:
+            result.append(endpoint.recv_batch(4))
+        except EndpointClosed:
+            result.append("closed")
+
+    thread = threading.Thread(target=receiver, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 5
+    while counting_os.reads == 0:
+        assert time.monotonic() < deadline, "receiver never blocked"
+        time.sleep(0.001)
+    return thread
+
+
+def test_awake_receiver_costs_no_syscall(counting_os):
+    # nobody sleeps on the inbox, so no delivery signals it, and a receiver
+    # that finds work queued takes it without reading the eventfd
+    endpoint = EventEndpoint("b")
+    for i in range(100):
+        endpoint.deliver(i)
+    batches = [endpoint.recv_batch(32) for _ in range(4)]
+    assert [len(b) for b in batches] == [32, 32, 32, 4]
+    assert [i for b in batches for i in b] == list(range(100))
+    assert (counting_os.writes, counting_os.reads) == (0, 0)
+    assert (endpoint.wakeups, endpoint.drains) == (0, 4)
+
+
+def test_delivery_signals_a_blocked_receiver_once(counting_os):
+    endpoint = EventEndpoint("b")
+    result = []
+    thread = blocked_receiver(endpoint, counting_os, result)
+    endpoint.deliver("x")
+    thread.join(timeout=5)
+    assert result == [["x"]]
+    assert (counting_os.writes, counting_os.reads) == (1, 1)
+    assert endpoint.wakeups == 1
+
+
+def test_close_signals_a_blocked_receiver_once(counting_os):
+    endpoint = EventEndpoint("b")
+    result = []
+    thread = blocked_receiver(endpoint, counting_os, result)
+    endpoint.close()
+    endpoint.close()  # a second close signals nothing
+    thread.join(timeout=5)
+    assert result == ["closed"]
+    assert counting_os.writes == 1
+    with pytest.raises(EndpointClosed):
+        endpoint.recv_batch(4)
+    assert counting_os.reads == 1
 
 
 def test_send_appends_and_wakes(pool):

@@ -199,6 +199,37 @@ def test_upstream_down_gives_502(registry):
         plane.close()
 
 
+def test_silent_upstream_gives_502(registry):
+    """A backend that accepts and never answers times out into a 502."""
+    pool = registry.create(PoolConfig("silent", 64, 4096))
+    server = socket.create_server(("127.0.0.1", 0))
+    held = []
+    acceptor = threading.Thread(target=lambda: held.append(server.accept()[0]),
+                                daemon=True)
+    acceptor.start()
+    config = BrokerConfig(upstreams=[server.getsockname()], mode=Mode.EVENT,
+                          upstream_timeout=0.3)
+    plane = ProxyPlane(pool, config, name="silent")
+    plane.register("lb", make_reverse_proxy(1))
+    plane.set_entry("lb")
+    plane.set_route("lb", EGRESS)
+    plane.start()
+    try:
+        t0 = time.monotonic()
+        status, _body, _ = plane.http_roundtrip("GET", "/x", timeout=10)
+        elapsed = time.monotonic() - t0
+        assert status == 502
+        assert elapsed < 3.0
+        assert plane.upstream_errors == 1
+        assert pool.free_count == pool.config.frame_count
+    finally:
+        plane.close()
+        acceptor.join(timeout=5)
+        for sock in held:
+            sock.close()
+        server.close()
+
+
 @pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
 def test_keepalive_pipeline_order(registry, upstreams, mode):
     pool = registry.create(PoolConfig(f"keep-{mode.value}", 128, 4096))

@@ -250,3 +250,28 @@ def test_event_hop_into_closed_inbox_drops_as_shutdown(registry, upstreams):
     total = ledger.trace_total(0)
     assert total.interrupts == INGEST_COST.interrupts + 2
     assert total.context_switches == INGEST_COST.context_switches + 2
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_stats_count_event_hops_and_wakeups(registry, upstreams, mode):
+    """stats() sums the event hops delivered and the blocking receives woken
+    over the chain's inboxes, and still reads them after stop; a polling
+    chain has no inbox and reports 0 for both."""
+    n = 10
+    pool = registry.create(PoolConfig(f"rt-wakeups-{mode.value}", 16, 2048))
+    plane = build("proxy", mode, pool, upstreams)
+    plane.start()
+    try:
+        for i in range(n):
+            status, _body, _raw = plane.http_roundtrip("GET", f"/old/{i}",
+                                                       [("Host", "rt")])
+            assert status == 200
+    finally:
+        plane.close()
+    stats = plane.stats()
+    if mode is Mode.POLLING:
+        assert stats["event_hops"] == stats["event_wakeups"] == 0
+    else:
+        # ingest into a, a into the relay, the relay into b, b into the relay
+        assert stats["event_hops"] == 4 * n
+        assert 1 <= stats["event_wakeups"] <= stats["event_hops"]

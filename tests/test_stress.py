@@ -1,7 +1,12 @@
 """Reduced-scale runs of the randomized stress drivers; the acceptance suite
 runs the same drivers at full scale."""
 
-from stresslib import stress_event_channel, stress_pool_ownership, stress_ring_spsc
+from stresslib import (
+    stress_event_channel,
+    stress_event_pingpong,
+    stress_pool_ownership,
+    stress_ring_spsc,
+)
 
 
 def test_ring_spsc_stress_small():
@@ -13,6 +18,11 @@ def test_event_channel_stress_small():
     stats = stress_event_channel(10000, senders=2)
     assert stats["items"] == 20000
     assert stats["wakeups"] <= stats["items"]
+
+
+def test_event_pingpong_stress():
+    stats = stress_event_pingpong(20000)
+    assert stats["round_trips"] == 20000
 
 
 def test_pool_ownership_stress_small():
