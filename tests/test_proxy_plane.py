@@ -219,7 +219,7 @@ def test_silent_upstream_gives_502(registry):
         status, _body, _ = plane.http_roundtrip("GET", "/x", timeout=10)
         elapsed = time.monotonic() - t0
         assert status == 502
-        assert elapsed < 3.0
+        assert 0.25 <= elapsed < 3.0  # the read timed out; nothing refused it
         assert plane.upstream_errors == 1
         assert pool.free_count == pool.config.frame_count
     finally:
