@@ -4,13 +4,15 @@ Ingress places each packet into a pool frame, the emulated DMA, and hands
 its descriptor to the chain; egress reads the frame out to the sink, the
 DMA the other way, and recycles the frame. Polling mode allocates a frame
 per packet, routes it onto the entry function's RX ring, and runs egress
-on the router thread, which frees the frame after the sink. Event mode
-keeps frames parked on a fill ring, the way receive buffers stay posted to
-a NIC: ingress takes a parked frame and sends its descriptor to the router,
-which routes it like any other hop, and a packet routed to EGRESS is sent
-on to a TX stage that hands it to the sink and parks it on the completion
-ring. Ingress reaps that ring itself: when the fill ring runs dry it moves
-every completion back before it takes a frame, as a NIC driver reaps its
+on the router thread a burst at a time: it hands each packet of a burst to
+the sink, then frees the burst's frames with one ``free_frames`` call, under
+one acquire of the pool lock. Event mode keeps frames parked on a fill
+ring, the way receive buffers stay posted to a NIC: ingress takes a parked
+frame and sends its descriptor to the router, which routes it like any
+other hop, and a packet routed to EGRESS is sent on to a TX stage that
+hands it to the sink and parks it on the completion ring.
+Ingress reaps that ring itself: when the fill ring runs dry it moves every
+completion back before it takes a frame, as a NIC driver reaps its
 completion ring before it refills its receive ring, so no thread exists
 only to recycle frames.
 """
@@ -62,7 +64,7 @@ class PacketPlane(ChainRuntime):
             ref = self.pool.alloc_frame()
             parked = PacketDescriptor(ref, 0, 0, INGRESS_ID, -1)
             self._nic_rings.fill.enqueue(parked)
-        self._spawn("tx", self._serve, self._tx_ep, self._egress_one)
+        self._spawn("tx", self._serve, self._tx_ep, self._transmit_event)
 
     def _close_edges(self) -> None:
         # parked frames are not in flight: they are freed, not dropped
@@ -94,8 +96,9 @@ class PacketPlane(ChainRuntime):
             self._count_drop("pool_exhausted")
             return False
         self.pool.write_frame(ref, 0, payload)
-        return self._route(PacketDescriptor(ref, 0, len(payload), INGRESS_ID,
-                                            next(self._trace_ids), flow=flow))
+        desc = PacketDescriptor(ref, 0, len(payload), INGRESS_ID,
+                                next(self._trace_ids), flow=flow)
+        return self._route(INGRESS_ID, (desc,)) == 1
 
     def _ingress_event(self, payload: bytes, flow) -> bool:
         fill = self._nic_rings.fill
@@ -123,13 +126,28 @@ class PacketPlane(ChainRuntime):
 
     # -- egress and drops -------------------------------------------------------------
 
-    def _egress_hop(self, desc: PacketDescriptor) -> None:
+    def _egress(self, batch) -> None:
         if self._mode is POLLING:
-            self._egress_one(desc)
+            # the transmitted frames go back to the pool under one lock
+            # acquire; a packet the sink refused was dropped and freed
+            transmit = self._transmit
+            self.pool.free_frames([desc.frame for desc in batch
+                                   if transmit(desc)])
         else:
-            self._send(desc, self._tx_ep)
+            for desc in batch:
+                self._send(desc, self._tx_ep)
 
-    def _egress_one(self, desc: PacketDescriptor) -> None:
+    def _transmit_event(self, desc: PacketDescriptor) -> None:
+        """The TX stage's step: transmit, then park the frame on the
+        completion ring for ingress to reap."""
+        if (self._transmit(desc)
+                and not self._nic_rings.completion.enqueue(desc)):
+            self.pool.free_frame(desc.frame)
+
+    def _transmit(self, desc: PacketDescriptor) -> bool:
+        """Hand one packet to the sink. Returns whether it went out; the
+        caller then still owns its frame. A packet the sink refuses twice
+        is dropped here."""
         # reading the frame out for the wire is the DMA analog: not a copy
         payload = self.pool.read_frame(desc.frame, desc.offset, desc.length)
         try:
@@ -139,15 +157,13 @@ class PacketPlane(ChainRuntime):
                 self._sink(payload, desc)  # one retry, then the packet is lost
             except Exception:
                 self._drop(desc, "sink_unavailable")
-                return
+                return False
         # count and close the trace first: in event mode the recycled
         # descriptor is refilled with the next packet's trace id
         self.egress_count += 1
         if self.ledger is not None:
             self.ledger.complete(desc.trace_id, "egress")
-        if (self._mode is POLLING
-                or not self._nic_rings.completion.enqueue(desc)):
-            self.pool.free_frame(desc.frame)
+        return True
 
     def _recycle(self, desc: PacketDescriptor) -> None:
         with self._fill_lock:

@@ -18,7 +18,8 @@ frame access makes its index, ownership and bounds checks once, in
 ``_base``, then slices that view: ``write_frame``, ``read_frame`` and
 ``frame_view`` each do so directly. Only the allocator state, the free
 stack and the generation counters, is under the pool lock, because
-ingress allocates and the router frees on different threads.
+ingress allocates and the router frees on different threads. Polling egress
+frees a whole burst with ``free_frames``, under one acquire of that lock.
 """
 
 from __future__ import annotations
@@ -74,6 +75,15 @@ class FrameRef(NamedTuple):
 
 
 _new_tuple = tuple.__new__
+
+
+def _free_fault(index: int, generation: int, current: int) -> Exception:
+    """The fault of freeing ``(index, generation)`` when the frame's
+    generation reads ``current``."""
+    if generation == current - 1 and current % 2 == 0:
+        # this very ref already performed the free
+        return DoubleFree(f"frame {index} gen {generation}")
+    return StaleRef(f"frame {index} gen {generation} vs {current}")
 
 
 class FramePool:
@@ -142,10 +152,36 @@ class FramePool:
                 return
         finally:
             lock.release()
-        if generation == current - 1 and current % 2 == 0:
-            # this very ref already performed the free
-            raise DoubleFree(f"frame {index} gen {generation}")
-        raise StaleRef(f"frame {index} gen {generation} vs {current}")
+        raise _free_fault(index, generation, current)
+
+    def free_frames(self, refs) -> None:
+        """Free a burst of frames under one lock acquire, as DPDK's
+        ``rte_pktmbuf_free_bulk`` does. Every good ref is freed; then the
+        fault ``free_frame`` would raise for the first bad one is raised."""
+        if not self._owner:
+            raise NotPoolOwner(self.config.domain_prefix)
+        frame_count = self.config.frame_count
+        gens = self._gen
+        free = self._free
+        fault = None
+        lock = self._lock
+        lock.acquire()
+        try:
+            for index, generation in refs:
+                if not 0 <= index < frame_count:
+                    if fault is None:
+                        fault = OutOfBounds(f"frame index {index}")
+                    continue
+                current = gens[index]
+                if generation == current and current % 2 == 1:
+                    gens[index] = current + 1  # now even: free
+                    free.append(index)
+                elif fault is None:
+                    fault = _free_fault(index, generation, current)
+        finally:
+            lock.release()
+        if fault is not None:
+            raise fault
 
     # -- frame I/O ----------------------------------------------------------
 

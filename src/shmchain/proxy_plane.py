@@ -323,8 +323,9 @@ class ProxyPlane(ChainRuntime):
         if self.ledger is not None:
             self.ledger.record_vector(trace_id, 0, INGEST_COST)
         self.ingest_count += 1
-        self._route(PacketDescriptor(ref, 0, len(body), INGRESS_ID, trace_id,
-                                     flow=conn.flow, meta=meta))
+        desc = PacketDescriptor(ref, 0, len(body), INGRESS_ID, trace_id,
+                                flow=conn.flow, meta=meta)
+        self._route(INGRESS_ID, (desc,))
 
     def _drop(self, desc, reason) -> None:
         """Count the drop and close its trace, free the frame, and answer the
@@ -338,30 +339,31 @@ class ProxyPlane(ChainRuntime):
 
     # -- broker egress ------------------------------------------------------------------
 
-    def _egress_hop(self, desc) -> None:
-        """Serialize the (possibly rewritten) message, relay it upstream, and
-        answer the client with the upstream's bytes."""
-        meta = desc.meta
-        body = self.pool.read_frame(desc.frame, desc.offset, desc.length)
-        backend = meta.backend_choice if meta.backend_choice is not None else 0
-        data = serialize_request(meta.method, meta.path, meta.headers, body)
-        try:
-            response = self._upstreams.roundtrip(backend, data)
-        except UpstreamUnavailable:
+    def _egress(self, batch) -> None:
+        """Serialize each (possibly rewritten) message, relay it upstream,
+        and answer the client with the upstream's bytes."""
+        for desc in batch:
+            meta = desc.meta
+            body = self.pool.read_frame(desc.frame, desc.offset, desc.length)
+            backend = meta.backend_choice if meta.backend_choice is not None else 0
+            data = serialize_request(meta.method, meta.path, meta.headers, body)
+            try:
+                response = self._upstreams.roundtrip(backend, data)
+            except UpstreamUnavailable:
+                with self._count_lock:
+                    self.upstream_errors += 1
+                response = simple_response(502, "Bad Gateway")
+            if self.ledger is not None:
+                self.ledger.record_vector(desc.trace_id, desc.chain_hops + 1, EGRESS_COST)
+            self._free_frame(desc)
+            # account for the request before the client can see its response
             with self._count_lock:
-                self.upstream_errors += 1
-            response = simple_response(502, "Bad Gateway")
-        if self.ledger is not None:
-            self.ledger.record_vector(desc.trace_id, desc.chain_hops + 1, EGRESS_COST)
-        self._free_frame(desc)
-        # account for the request before the client can see its response
-        with self._count_lock:
-            self.egress_count += 1
-        if self.ledger is not None:
-            self.ledger.complete(desc.trace_id, "egress")
-        conn = self._conns.get(meta.connection_id)
-        if conn is not None:
-            self._respond(conn, meta.seq, response)
+                self.egress_count += 1
+            if self.ledger is not None:
+                self.ledger.complete(desc.trace_id, "egress")
+            conn = self._conns.get(meta.connection_id)
+            if conn is not None:
+                self._respond(conn, meta.seq, response)
 
     def _free_frame(self, desc) -> None:
         self.pool.free_frame(desc.frame)

@@ -4,7 +4,15 @@ A ring carries descriptors between exactly one producer context and one
 consumer context. Cursors are plain integers; the single-writer rule per
 cursor plus the interpreter's atomic attribute access give the needed
 release/acquire ordering. Full and empty are reported in-band (``False`` /
-``None``) because poll loops sit on these calls.
+``None``, or a count) because poll loops sit on these calls.
+
+Like DPDK's ``rte_ring_enqueue_burst`` and ``rte_ring_dequeue_burst``, the
+burst calls pay their fixed cost once per burst: ``enqueue_burst`` and
+``burst_dequeue`` move a whole run of slots by slice assignment, split once
+where the run wraps past the end of the slot list. The producer fills slots
+before it advances the head, and the consumer resets the slots it takes to
+``None`` before it advances the tail, so no slot is written by both sides
+and no consumed descriptor stays pinned by the ring.
 """
 
 from __future__ import annotations
@@ -48,21 +56,52 @@ class DescriptorRing:
         self._tail = tail + 1
         return desc
 
+    def enqueue_burst(self, descs) -> int:
+        """Producer side. Puts the longest prefix of ``descs`` that fits, in
+        order, and returns its length; the rest stay with the caller."""
+        head = self._head
+        n = len(descs)
+        room = self.capacity - (head - self._tail)
+        if n > room:
+            if room <= 0:
+                return 0
+            n = room
+            descs = descs[:n]
+        start = head & self._mask
+        if n == 1:  # an ingress burst: a plain store beats a slice
+            self._slots[start] = descs[0]
+        elif start + n <= self.capacity:
+            self._slots[start:start + n] = descs
+        else:
+            split = self.capacity - start
+            self._slots[start:] = descs[:split]
+            self._slots[:n - split] = descs[split:]
+        self._head = head + n
+        return n
+
     def burst_dequeue(self, max_n: int) -> list:
         """Drain up to max_n descriptors in FIFO order (possibly none)."""
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        out = []
         tail = self._tail
-        head = self._head
+        n = self._head - tail
+        if n > max_n:
+            n = max_n
+        elif n == 0:
+            return []
         slots = self._slots
-        mask = self._mask
-        while tail != head and len(out) < max_n:
-            idx = tail & mask
-            out.append(slots[idx])
-            slots[idx] = None
-            tail += 1
-        self._tail = tail
+        capacity = self.capacity
+        start = tail & self._mask
+        end = start + n
+        if end <= capacity:
+            out = slots[start:end]
+            slots[start:end] = [None] * n
+        else:
+            out = slots[start:]
+            out += slots[:end - capacity]
+            slots[start:] = [None] * (capacity - start)
+            slots[:end - capacity] = [None] * (end - capacity)
+        self._tail = tail + n
         return out
 
     def __len__(self) -> int:

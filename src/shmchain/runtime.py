@@ -6,13 +6,19 @@ table and a deny-by-default filter table. The runtime runs it as stages,
 and every stage does the same thing: take a burst from my inbox, run it,
 hand it on. A function stage runs its handler, and the router stage routes.
 
-One route step, ``_route``, decides every move in both modes: a descriptor
-from ingress goes to the entry function, any other to its routing-table
-next hop. It drops ``no_route`` when there is none, makes the chain's one
-filter check (dropping ``filtered``), hands a descriptor routed to EGRESS to
-the plane's ``_egress_hop``, and puts any other onto the next function's RX
-ring (polling) or sends it there (event). The planes' ingress edges call it
-too, for the hop into the entry function.
+One route step, ``_route(src, batch)``, decides every move in both modes.
+It takes a burst of descriptors that all left one source: a burst from
+ingress goes to the entry function, any other to its source's routing-table
+next hop. It makes one next-hop lookup and the chain's one filter check for
+the whole burst, and then drops the burst ``no_route`` when there is no next
+hop or ``filtered`` when the filter refuses it, hands it to the plane's
+``_egress(batch)`` when it is routed to EGRESS, and otherwise puts it onto
+the next function's RX ring with one burst enqueue (polling, dropping the
+tail that does not fit as ``ring_full``) or sends each descriptor there
+(event). The router's polling step passes each function's TX burst with that
+function as the source, since a function stage puts only what it ran onto
+its TX ring. The planes' ingress edges and the event router pass bursts of
+one descriptor.
 
 Polling mode gives every stage a spinning thread over SPSC rings: each
 function has an RX and a TX ring, and the router drains every TX ring.
@@ -28,14 +34,16 @@ looked up by name.
 
 The sizes are constants, the same for every chain: each ring and each event
 inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling function
-stage takes up to ``BURST`` (64) per pass and the router stage twice that,
-and an event stage takes up to ``BATCH`` (32) per wakeup. Chains are
+stage takes up to ``BURST`` (64) per pass and the router stage twice that
+from each TX ring, and an event stage takes up to ``BATCH`` (32) per
+wakeup. A polling function stage runs its handler over its whole burst and
+puts the survivors on its TX ring with one burst enqueue. Chains are
 assembled from spec text by ``chainspec.build_planes``.
 
 The planes supply only their edges: where traffic enters the chain and
 where it leaves. A subclass implements ``_start_edges`` (run once the
 chain's transport exists, before its stages start), ``_close_edges`` (at
-stop, after the stage threads are joined), ``_egress_hop`` (a descriptor
+stop, after the stage threads are joined), ``_egress(batch)`` (a burst
 routed to EGRESS, on the thread that routed it) and ``_drop``. An edge with
 threads of its own that block outside the chain's transport overrides
 ``_wake_edges``, run at stop before the threads are joined.
@@ -43,9 +51,10 @@ threads of its own that block outside the chain's transport overrides
 Ownership rule: a descriptor, and the frame it points to, has exactly one
 owner at a time. A successful enqueue or send moves it to the receiver. A
 failed one leaves it with the sender, as ``DescriptorRing.enqueue`` and
-``EventEndpoint.deliver`` both do, and the sender hands it to its plane's one
-``_drop(desc, reason)``, which counts the drop under its reason, closes the
-descriptor's trace and releases the frame. At stop, every descriptor still
+``EventEndpoint.deliver`` do, and as ``DescriptorRing.enqueue_burst`` does
+with the tail of a burst that did not fit. The sender hands each such
+descriptor to its plane's one ``_drop(desc, reason)``, which counts the drop
+under its reason, closes the descriptor's trace and releases the frame. At stop, every descriptor still
 on a ring or in an inbox is counted as a ``shutdown`` drop and freed, so
 ingress = egress + drops once the chain has stopped.
 """
@@ -196,7 +205,7 @@ class ChainRuntime:
                 self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}", self._serve,
                             reg.endpoint, functools.partial(self._nf_step_event, reg))
             self._spawn(self.ROUTER_LABEL, self._serve, self._router_ep,
-                        self._route)
+                        lambda desc: self._route(desc.src_fn, (desc,)))
 
     def stop(self) -> None:
         """Stop every stage, then drop every descriptor still in flight.
@@ -279,18 +288,22 @@ class ChainRuntime:
 
     # -- function stage ---------------------------------------------------------
 
-    def _run_handler(self, reg: Registration, desc):
-        """Run one function on one descriptor. Returns the descriptor to hand
-        on, or None once it has been dropped."""
-        try:
-            out = reg.handler(reg.context, desc)
-        except Exception:
-            out = None
-        if out is None:
-            self._drop(desc, "handler")
-            return None
-        out.src_fn = reg.fn_id
-        return out
+    def _run_handlers(self, reg: Registration, batch) -> list:
+        """Run one function over a burst. Returns the descriptors to hand on,
+        in order; each one its handler refused or raised on is dropped."""
+        handler, context, fn_id = reg.handler, reg.context, reg.fn_id
+        passed = []
+        for desc in batch:
+            try:
+                out = handler(context, desc)
+            except Exception:
+                out = None
+            if out is None:
+                self._drop(desc, "handler")
+            else:
+                out.src_fn = fn_id
+                passed.append(out)
+        return passed
 
     # -- polling mode stages ------------------------------------------------------
 
@@ -308,13 +321,12 @@ class ChainRuntime:
             if not batch:
                 idle(0)
                 continue
-            for desc in batch:
-                out = self._run_handler(reg, desc)
-                if out is None:
-                    continue
+            passed = self._run_handlers(reg, batch)
+            for out in passed:
                 out.chain_hops += 1
-                if not tx.enqueue(out):
-                    self._drop(out, "ring_full")
+            moved = tx.enqueue_burst(passed)
+            for out in passed[moved:]:  # the tail the TX ring refused
+                self._drop(out, "ring_full")
 
     def _router_loop_polling(self) -> None:
         stop = self._stop
@@ -324,37 +336,45 @@ class ChainRuntime:
                 idle(0)
 
     def route_step(self) -> int:
-        """Route every descriptor on every function's TX ring once. Returns
-        how many moved; drops are counted, never raised."""
+        """Route one burst off every function's TX ring. Returns how many
+        moved; drops are counted, never raised."""
         moved = 0
         for reg in self._regs.values():
-            for desc in reg.rings.tx.burst_dequeue(BURST * 2):
-                moved += self._route(desc)
+            batch = reg.rings.tx.burst_dequeue(BURST * 2)
+            if batch:
+                moved += self._route(reg.fn_id, batch)
         return moved
 
     # -- routing ----------------------------------------------------------------------
 
-    def _route(self, desc) -> bool:
-        """Move one descriptor to its next hop, in either mode. Returns
-        whether it moved on; a refused descriptor is dropped here."""
-        src = desc.src_fn
+    def _route(self, src: str, batch) -> int:
+        """Move a burst of descriptors that all left ``src`` to its next hop,
+        in either mode. Returns how many moved on; each refused descriptor is
+        dropped here."""
         nxt = self._entry if src == INGRESS_ID else self.routes.next_hop(src)
         if nxt is None:
-            self._drop(desc, "no_route")
-            return False
-        if not self.filters.check(src, nxt):
-            self._drop(desc, "filtered")
-            return False
-        if nxt == EGRESS:
-            self._egress_hop(desc)
-            return True
-        if self._mode is EVENT:
-            return self._send(desc, self._regs[nxt].endpoint)
-        desc.chain_hops += 1
-        if not self._regs[nxt].rings.rx.enqueue(desc):
-            self._drop(desc, "ring_full")
-            return False
-        return True
+            moved, reason = 0, "no_route"
+        elif not self.filters.check(src, nxt):
+            moved, reason = 0, "filtered"
+        elif nxt == EGRESS:
+            self._egress(batch)
+            return len(batch)
+        elif self._mode is EVENT:
+            inbox = self._regs[nxt].endpoint
+            moved = 0
+            for desc in batch:
+                moved += self._send(desc, inbox)
+            return moved
+        else:
+            for desc in batch:
+                desc.chain_hops += 1
+            moved = self._regs[nxt].rings.rx.enqueue_burst(batch)
+            if moved == len(batch):
+                return moved
+            reason = "ring_full"
+        for desc in batch[moved:]:  # the refused tail, or the whole burst
+            self._drop(desc, reason)
+        return moved
 
     def _send(self, desc, inbox: EventEndpoint) -> bool:
         """One audited event hop into ``inbox``: one interrupt (the
@@ -391,8 +411,7 @@ class ChainRuntime:
                 step(desc)
 
     def _nf_step_event(self, reg: Registration, desc) -> None:
-        out = self._run_handler(reg, desc)
-        if out is not None:
+        for out in self._run_handlers(reg, (desc,)):
             self._send(out, self._router_ep)
 
     # -- drops ----------------------------------------------------------------------

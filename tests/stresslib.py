@@ -19,11 +19,15 @@ from shmchain.rings import DescriptorRing
 
 
 def stress_ring_spsc(n_items: int, capacity: int = 256) -> dict:
-    """One producer, one consumer, random burst sizes; FIFO + conservation."""
+    """One producer, one consumer, random burst sizes on both sides; FIFO +
+    conservation. The producer alternates single enqueues with bursts, whose
+    refused tail it offers again, and a short interpreter switch interval
+    makes the two threads interleave inside the burst calls."""
     ring = DescriptorRing(capacity)
     consumed: list[int] = []
     done = threading.Event()
     rng = random.Random(7)
+    producer_rng = random.Random(11)
 
     def consumer():
         expected = 0
@@ -35,15 +39,27 @@ def stress_ring_spsc(n_items: int, capacity: int = 256) -> dict:
         done.set()
 
     thread = threading.Thread(target=consumer, daemon=True)
-    thread.start()
-    produced = 0
-    while produced < n_items:
-        if ring.enqueue(produced):
-            produced += 1
-    assert done.wait(timeout=90), "consumer starved"
-    thread.join(timeout=5)
+    default_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread.start()
+        produced = 0
+        bursts = 0
+        while produced < n_items:
+            if bursts % 2:
+                size = producer_rng.randint(1, 64)
+                produced += ring.enqueue_burst(
+                    list(range(produced, min(produced + size, n_items))))
+            elif ring.enqueue(produced):
+                produced += 1
+            bursts += 1
+        assert done.wait(timeout=90), "consumer starved"
+        thread.join(timeout=5)
+    finally:
+        sys.setswitchinterval(default_interval)
     assert consumed == [n_items]
     assert len(ring) == 0
+    assert ring._slots == [None] * capacity, "a consumed slot still pins its item"
     return {"ops": 2 * n_items, "items": n_items}
 
 

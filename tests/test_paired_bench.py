@@ -71,3 +71,43 @@ def test_low_steal_keeps_only_calm_pairs(paired_bench):
     assert calm["pairs"] == "2/3"
     assert calm["cpu_us_per_op"]["change_wins"] == "2/2"
     assert calm["cpu_us_per_op"]["parent_median"] == 11.0
+
+
+def test_pair_ratio_median_sees_a_gain_that_drift_hides(paired_bench):
+    """Both sides drift together across the set: the parent's own spread
+    covers the change's median, but every pair shows the change 10% lower,
+    and the median per-pair ratio says so, over all pairs and calm ones."""
+    def run(value, steal=0.01):
+        return {"correct": True, "failed": 0, "host_steal_share": steal,
+                "metrics": {"cpu_us_per_op": value}}
+
+    drift = [100.0, 104.0, 108.0, 112.0, 116.0, 120.0, 124.0, 128.0]
+    pairs = [{"seed": i + 1, "parent": run(level), "change": run(level * 0.9)}
+             for i, level in enumerate(drift)]
+    pairs.append({"seed": 9, "parent": run(100.0, steal=0.3),
+                  "change": run(150.0)})
+    benchmark = {"end_to_end": [{"name": "cpu_us_per_op", "better": "lower",
+                                 "bound": 0.25}]}
+    summary = paired_bench.summarize_workload(pairs, benchmark)
+    cpu = summary["cpu_us_per_op"]
+    lo, hi = cpu["parent_iqr"]
+    assert lo <= cpu["change_median"] <= hi  # the IQR rule cannot see it
+    assert cpu["pair_ratio_median"] == pytest.approx(0.9)
+    calm = summary["low_steal"]["cpu_us_per_op"]
+    assert summary["low_steal"]["pairs"] == "8/9"
+    assert calm["pair_ratio_median"] == pytest.approx(0.9)
+    assert calm["change_wins"] == "8/8"
+    text = "\n".join(paired_bench.format_summary("w", summary))
+    assert "pair ratio 0.9000" in text
+
+
+def test_pair_ratio_median_skips_a_zero_parent(paired_bench):
+    def pair(parent, change):
+        return {"parent": {"metrics": {"x": parent}},
+                "change": {"metrics": {"x": change}}}
+
+    metric = paired_bench.summarize_metric([pair(0.0, 0.0)], "x", "lower", 0.1)
+    assert metric["pair_ratio_median"] is None
+    metric = paired_bench.summarize_metric([pair(0.0, 1.0), pair(2.0, 3.0)],
+                                           "x", "lower", 0.1)
+    assert metric["pair_ratio_median"] == 1.5

@@ -29,6 +29,7 @@ FRAME_OPS = {
     "write_frame": lambda pool, ref: pool.write_frame(ref, 0, b"abcd"),
     "read_frame": lambda pool, ref: pool.read_frame(ref, 0, 4),
     "free_frame": lambda pool, ref: pool.free_frame(ref),
+    "free_frames": lambda pool, ref: pool.free_frames([ref]),
 }
 
 
@@ -110,6 +111,52 @@ def test_double_free_detected(pool):
     pool.free_frame(ref)
     with pytest.raises(DoubleFree):
         pool.free_frame(ref)
+
+
+@pytest.mark.parametrize("bad_first,fault", [("stale", StaleRef),
+                                             ("freed", DoubleFree)])
+def test_free_frames_frees_every_good_ref_then_raises(pool, bad_first, fault):
+    """A burst with one stale and one already-freed ref among good ones:
+    every good ref is freed, then the fault ``free_frame`` gives for the
+    first bad ref is raised."""
+    good = [pool.alloc_frame() for _ in range(4)]
+    stale = pool.alloc_frame()
+    pool.free_frame(stale)
+    assert pool.alloc_frame().index == stale.index  # the slot lives again
+    freed = pool.alloc_frame()
+    pool.free_frame(freed)  # nothing is allocated after this free
+    bad = [stale, freed] if bad_first == "stale" else [freed, stale]
+    with pytest.raises(fault):
+        pool.free_frame(bad[0])
+    free_before = pool.free_count
+    with pytest.raises(fault):
+        pool.free_frames([good[0], bad[0], good[1], bad[1], good[2], good[3]])
+    assert pool.free_count == free_before + len(good)
+    for ref in good:  # each good ref was freed once, and only once
+        with pytest.raises(DoubleFree):
+            pool.free_frame(ref)
+
+
+def test_free_frames_out_of_range_frees_the_rest(pool):
+    good = pool.alloc_frame()
+    with pytest.raises(OutOfBounds):
+        pool.free_frames([FrameRef(64, 1), good])
+    assert pool.free_count == 64
+
+
+def test_free_frames_same_ref_twice_is_a_double_free(pool):
+    ref = pool.alloc_frame()
+    with pytest.raises(DoubleFree):
+        pool.free_frames([ref, ref])
+    assert pool.free_count == 64
+
+
+def test_free_frames_empty_burst_does_nothing(pool):
+    live = pool.alloc_frame()
+    pool.free_frames([])
+    pool.free_frames(())
+    assert pool.free_count == 63
+    pool.write_frame(live, 0, b"live")  # the live ref is untouched
 
 
 def test_write_read_round_trip(pool):
@@ -327,6 +374,8 @@ def test_secondary_attach_cannot_allocate(tmp_path):
         handle = other.attach("shared1")
         with pytest.raises(NotPoolOwner):
             handle.alloc_frame()
+        with pytest.raises(NotPoolOwner):
+            handle.free_frames([FrameRef(0, 1)])
         handle.close()
     finally:
         reg.clear()

@@ -100,3 +100,66 @@ def test_cycle_partial_when_fill_tightens():
         rs.completion.enqueue(i)
     assert rs.cycle() == 2
     assert len(rs.completion) == 2
+
+
+def test_enqueue_burst_onto_nearly_full_ring_keeps_the_rest():
+    ring = DescriptorRing(8)
+    for i in range(5):
+        ring.enqueue(i)
+    burst = ["a", "b", "c", "d", "e"]
+    assert ring.enqueue_burst(burst) == 3
+    assert burst == ["a", "b", "c", "d", "e"]  # the caller still holds d, e
+    assert ring.enqueue_burst(burst[3:]) == 0
+    assert ring.burst_dequeue(8) == [0, 1, 2, 3, 4, "a", "b", "c"]
+
+
+def test_enqueue_burst_empty_and_single():
+    ring = DescriptorRing(4)
+    assert ring.enqueue_burst(()) == 0
+    assert ring.enqueue_burst(("x",)) == 1
+    assert len(ring) == 1 and ring.dequeue() == "x"
+
+
+def wrapped_ring():
+    """A capacity-8 ring whose cursors both stand at 6."""
+    ring = DescriptorRing(8)
+    for i in range(6):
+        ring.enqueue(i)
+    assert ring.burst_dequeue(6) == list(range(6))
+    assert ring._head == ring._tail == 6
+    return ring
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_bursts_keep_fifo_order_across_the_wrap(n):
+    ring = wrapped_ring()
+    items = [f"d{i}" for i in range(n)]
+    assert ring.enqueue_burst(items) == n
+    assert ring.burst_dequeue(8) == items
+    # a full burst, then single enqueues, each drained across the wrap
+    ring = wrapped_ring()
+    assert ring.enqueue_burst(list(range(10))) == 8
+    assert ring.burst_dequeue(3) == [0, 1, 2]
+    for extra in (8, 9, 10):
+        assert ring.enqueue(extra)
+    assert ring.burst_dequeue(8) == [3, 4, 5, 6, 7, 8, 9, 10]
+
+
+@pytest.mark.parametrize("take", [1, 2, 4, 7])
+def test_consumed_slots_read_none(take):
+    """Nothing the consumer took stays pinned by the ring."""
+    ring = wrapped_ring()
+    ring.enqueue_burst([object() for _ in range(7)])
+    ring.burst_dequeue(take)
+    held = sum(slot is not None for slot in ring._slots)
+    assert held == len(ring) == 7 - take
+    ring.burst_dequeue(8)
+    assert ring._slots == [None] * 8
+
+
+def test_burst_dequeue_zero_raises():
+    ring = DescriptorRing(8)
+    ring.enqueue("x")
+    with pytest.raises(ValueError):
+        ring.burst_dequeue(0)
+    assert len(ring) == 1

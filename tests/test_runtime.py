@@ -275,3 +275,65 @@ def test_stats_count_event_hops_and_wakeups(registry, upstreams, mode):
         # ingest into a, a into the relay, the relay into b, b into the relay
         assert stats["event_hops"] == 4 * n
         assert 1 <= stats["event_wakeups"] <= stats["event_hops"]
+
+
+def halt_stages(plane):
+    """Stop a started plane's stage threads but leave it running, so that a
+    test moves descriptors between its rings by hand."""
+    plane._stop.set()
+    for thread in plane._threads.values():
+        thread.join(timeout=5)
+
+
+def run_stage_a(plane):
+    """What function a's stage does with what it holds: run the handler
+    over the burst on its RX ring and put the survivors on its TX ring."""
+    reg = plane._regs["a"]
+    passed = plane._run_handlers(reg, reg.rings.rx.burst_dequeue(1024))
+    assert reg.rings.tx.enqueue_burst(passed) == len(passed)
+    return passed
+
+
+def test_burst_into_nearly_full_ring_drops_only_the_tail(registry, upstreams):
+    """One route step moves a burst of k + m from a toward b, whose RX ring
+    has room for k: exactly k move on in order, the m behind them drop as
+    ``ring_full`` with their frames freed, a deny filter set after start
+    drops the next burst as ``filtered``, and after stop ingress = egress +
+    drops with every frame back in the pool."""
+    k, m, j = 5, 7, 3
+    pool = registry.create(PoolConfig("rt-burst", 2048, 2048))
+    plane = build("packet", Mode.POLLING, pool, upstreams)
+    plane.start()
+    halt_stages(plane)
+    a_rx = plane._regs["a"].rings.rx
+    b_rx = plane._regs["b"].rings.rx
+    seq = iter(range(10_000))
+
+    def offer(n):
+        for _ in range(n):
+            assert plane.ingress(build_packet(64, next(seq), 1))
+
+    offer(b_rx.capacity - k)
+    assert b_rx.enqueue_burst(a_rx.burst_dequeue(1024)) == b_rx.capacity - k
+    offer(k + m)
+    burst = run_stage_a(plane)
+    assert len(burst) == k + m
+    in_use = pool.in_flight_count
+    assert plane.route_step() == k
+    assert plane.stats()["drops"] == {"ring_full": m}
+    assert pool.in_flight_count == in_use - m
+    on_b = b_rx.burst_dequeue(1024)
+    assert [d.trace_id for d in on_b[-k:]] == [d.trace_id for d in burst[:k]]
+    assert b_rx.enqueue_burst(on_b) == len(on_b)  # still in flight at stop
+
+    plane.set_filter("a", "b", "deny")
+    offer(j)
+    run_stage_a(plane)
+    assert plane.route_step() == 0
+    assert plane.stats()["drops"] == {"ring_full": m, "filtered": j}
+    plane.stop()
+    ingress, egress, drops = counts(plane)
+    assert ingress == b_rx.capacity - k + k + m + j
+    assert drops == {"ring_full": m, "filtered": j, "shutdown": b_rx.capacity}
+    assert ingress == egress + sum(drops.values())
+    assert pool.free_count == pool.config.frame_count

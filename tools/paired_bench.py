@@ -18,7 +18,11 @@ side under ``trace``. An existing file gains the new set.
 
 Per metric the summary gives each side's median, the parent's
 interquartile range, how far the change's median is worse than the
-parent's, and the share of pairs the change won. It does so over all pairs
+parent's, the share of pairs the change won, and the median over pairs of
+the change's value divided by the parent's (``pair_ratio_median``). Both
+runs of a pair share the host's state at that time, so the ratio shows a
+gain that drift within a set hides from the parent's own spread. It does
+so over all pairs
 and again, under ``low_steal``, over the pairs where both runs saw less
 than ``STEAL_MAX`` of the host's CPU time stolen. No run is ever dropped
 from the file.
@@ -60,8 +64,9 @@ def _better(direction: str, change: float, parent: float) -> bool:
 
 def summarize_metric(pairs: list[dict], name: str, direction: str,
                      bound: float) -> dict | None:
-    """Medians, parent IQR, relative change and win share of one metric over
-    the pairs in which both sides reported it."""
+    """Medians, parent IQR, relative change, win share and median per-pair
+    ratio (change over parent) of one metric over the pairs in which both
+    sides reported it."""
     both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name])
             for p in pairs
             if name in p["parent"].get("metrics", {})
@@ -78,6 +83,7 @@ def summarize_metric(pairs: list[dict], name: str, direction: str,
     wins = sum(_better(direction, c, p) for p, c in both)
     quartiles = (statistics.quantiles(parent, n=4, method="inclusive")
                  if len(parent) > 1 else [parent[0]] * 3)
+    ratios = [c / p for p, c in both if p]
     return {
         "parent_median": parent_median,
         "change_median": change_median,
@@ -85,6 +91,7 @@ def summarize_metric(pairs: list[dict], name: str, direction: str,
         "bound": bound,
         "change_wins": f"{wins}/{len(both)}",
         "parent_iqr": [quartiles[0], quartiles[2]],
+        "pair_ratio_median": statistics.median(ratios) if ratios else None,
     }
 
 
@@ -135,10 +142,12 @@ def format_summary(workload: str, summary: dict) -> list[str]:
             if not isinstance(m, dict) or "parent_median" not in m:
                 continue
             lo, hi = m["parent_iqr"]
+            ratio = m["pair_ratio_median"]
             lines.append(
                 f"    {name:14s} {m['parent_median']:12.6g} -> {m['change_median']:12.6g}"
                 f"  worse by {m['change_worse_by']:+.2%}  wins {m['change_wins']:>5s}"
-                f"  parent IQR {lo:.6g}..{hi:.6g}")
+                f"  parent IQR {lo:.6g}..{hi:.6g}"
+                f"  pair ratio {'n/a' if ratio is None else format(ratio, '.4f')}")
     return lines
 
 
