@@ -25,15 +25,21 @@ def stress_ring_spsc(n_items: int, capacity: int = 256) -> dict:
     makes the two threads interleave inside the burst calls."""
     ring = DescriptorRing(capacity)
     consumed: list[int] = []
+    broken: list[str] = []
     done = threading.Event()
     rng = random.Random(7)
     producer_rng = random.Random(11)
 
     def consumer():
+        # a failure is reported to the producer, which would otherwise spin
+        # on a full ring forever
         expected = 0
         while expected < n_items:
             for item in ring.burst_dequeue(rng.randint(1, 64)):
-                assert item == expected, f"order broken: {item} != {expected}"
+                if item != expected:
+                    broken.append(f"order broken: {item} != {expected}")
+                    done.set()
+                    return
                 expected += 1
         consumed.append(expected)
         done.set()
@@ -44,19 +50,20 @@ def stress_ring_spsc(n_items: int, capacity: int = 256) -> dict:
     try:
         thread.start()
         produced = 0
-        bursts = 0
-        while produced < n_items:
-            if bursts % 2:
+        passes = 0
+        while produced < n_items and not done.is_set():
+            if passes % 2:
                 size = producer_rng.randint(1, 64)
                 produced += ring.enqueue_burst(
                     list(range(produced, min(produced + size, n_items))))
             elif ring.enqueue(produced):
                 produced += 1
-            bursts += 1
+            passes += 1
         assert done.wait(timeout=90), "consumer starved"
         thread.join(timeout=5)
     finally:
         sys.setswitchinterval(default_interval)
+    assert not broken, broken[0]
     assert consumed == [n_items]
     assert len(ring) == 0
     assert ring._slots == [None] * capacity, "a consumed slot still pins its item"

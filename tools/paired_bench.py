@@ -22,10 +22,9 @@ parent's, the share of pairs the change won, and the median over pairs of
 the change's value divided by the parent's (``pair_ratio_median``). Both
 runs of a pair share the host's state at that time, so the ratio shows a
 gain that drift within a set hides from the parent's own spread. It does
-so over all pairs
-and again, under ``low_steal``, over the pairs where both runs saw less
-than ``STEAL_MAX`` of the host's CPU time stolen. No run is ever dropped
-from the file.
+so over all pairs and again, under ``low_steal``, over the pairs where both
+runs saw less than ``STEAL_MAX`` of the host's CPU time stolen. No run is
+ever dropped from the file.
 
 The second form recomputes and prints the summaries of a ``BENCH_*.json``
 file from its raw runs.
