@@ -14,7 +14,7 @@ from .events import EventEndpoint
 from .packet_plane import PacketPlane
 from .pool import FrameRef, FramePool, PoolConfig, attach_pool, create_pool, release_pool
 from .proxy_plane import BrokerConfig, ProxyPlane
-from .rings import DescriptorRing, NicRingSet, RingPair
+from .rings import DescriptorRing, NicRingSet
 from .runtime import Mode
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "CostVector", "DescriptorRing", "Dispatcher", "EGRESS", "EventEndpoint",
     "FlowKey", "FramePool", "FrameRef", "HandoffAdapter", "HttpExchangeMeta",
     "Mode", "NicRingSet", "PacketDescriptor", "PacketPlane", "PlaneTarget",
-    "PoolConfig", "ProxyPlane", "RingPair", "RuleTable",
+    "PoolConfig", "ProxyPlane", "RuleTable",
     "attach_pool", "create_pool", "extrapolate", "predict", "release_pool",
     "verify",
 ]

@@ -4,9 +4,9 @@ Ingress places each packet into a pool frame, the emulated DMA, and hands
 its descriptor to the chain; egress reads the frame out to the sink, the
 DMA the other way, and recycles the frame. Polling mode allocates a frame
 per packet, routes it onto the entry function's RX ring, and runs egress
-on the router thread a burst at a time: it hands each packet of a burst to
-the sink, then frees the burst's frames with one ``free_frames`` call, under
-one acquire of the pool lock. Event mode keeps frames parked on a fill
+on the chain's worker thread a burst at a time: it hands each packet of a
+burst to the sink, then frees the burst's frames with one ``free_frames``
+call, under one acquire of the pool lock. Event mode keeps frames parked on a fill
 ring, the way receive buffers stay posted to a NIC: ingress takes a parked
 frame and sends its descriptor to the router, which routes it like any
 other hop, and a packet routed to EGRESS is sent on to a TX stage that

@@ -9,6 +9,12 @@ kernel wakeup. In-process threads would serialize both sides on the
 interpreter lock and measure its scheduling quantum instead of the
 transports.
 
+Given two CPUs, both probes place their sides the same way: the consumer
+pins itself to the highest CPU of the caller's set and the producer, for
+its send loop only, to the lowest. A ring hop is then a cache line moving
+between two spinning CPUs, and an event hop a wakeup sent to another CPU,
+wherever the scheduler would have put the consumer.
+
 Timestamps use CLOCK_MONOTONIC, which is comparable across processes. The
 shared region is an anonymous MAP_SHARED mapping inherited across fork.
 """
@@ -47,7 +53,9 @@ def _ring_consumer(region, n: int, cpu: int | None) -> None:
             got += 1
 
 
-def _event_consumer(sock: socket.socket, region, n: int) -> None:
+def _event_consumer(sock: socket.socket, region, n: int, cpu: int | None) -> None:
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
     got = 0
     while got < n:
         data = sock.recv(64)
@@ -71,6 +79,23 @@ def _paced_send_loop(n: int, pace_s: float, send_one) -> list[int]:
     return send_ts
 
 
+def _consumer_cpu(cpus: set[int]) -> int | None:
+    return max(cpus) if len(cpus) >= 2 else None
+
+
+def _pinned_send_loop(cpus: set[int], n: int, pace_s: float,
+                      send_one) -> list[int]:
+    """The paced send loop on ``min(cpus)``, away from the consumer, after
+    which the calling thread gets ``cpus`` back."""
+    if len(cpus) < 2:
+        return _paced_send_loop(n, pace_s, send_one)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        return _paced_send_loop(n, pace_s, send_one)
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def _collect(region, base: int, send_ts: list[int], warmup: int) -> LatencyStats:
     lat = []
     for i, sent in enumerate(send_ts):
@@ -89,9 +114,8 @@ def ring_hop_probe(n_samples: int, *, pace_s: float = 2e-4,
     # both sides spin, so each gets a CPU of its own: sharing one, every hop
     # would wait out the other side's time slice
     cpus = os.sched_getaffinity(0)  # the calling thread's, restored below
-    pinned = len(cpus) >= 2
     proc = _CTX.Process(target=_ring_consumer,
-                        args=(region, n_samples, max(cpus) if pinned else None),
+                        args=(region, n_samples, _consumer_cpu(cpus)),
                         daemon=True)
     proc.start()
     time.sleep(0.05)
@@ -100,12 +124,7 @@ def ring_hop_probe(n_samples: int, *, pace_s: float = 2e-4,
         struct.pack_into("<Q", region, 0, i + 1)
 
     try:
-        if pinned:
-            os.sched_setaffinity(0, {min(cpus)})
-        try:
-            send_ts = _paced_send_loop(n_samples, pace_s, send_one)
-        finally:
-            os.sched_setaffinity(0, cpus)
+        send_ts = _pinned_send_loop(cpus, n_samples, pace_s, send_one)
         proc.join(timeout=30)
         stats = _collect(region, _CURSOR_BYTES, send_ts, warmup)
     finally:
@@ -124,8 +143,11 @@ def event_hop_probe(n_samples: int, *, pace_s: float = 2e-4,
     warmup = min(warmup, max(0, n_samples - 1))
     region = mmap.mmap(-1, 8 * n_samples)
     parent_sock, child_sock = socket.socketpair()
+    # pinned apart, every hop wakes the consumer on the other CPU
+    cpus = os.sched_getaffinity(0)  # the calling thread's, restored below
     proc = _CTX.Process(target=_event_consumer,
-                        args=(child_sock, region, n_samples), daemon=True)
+                        args=(child_sock, region, n_samples, _consumer_cpu(cpus)),
+                        daemon=True)
     proc.start()
     child_sock.close()
     time.sleep(0.05)
@@ -134,7 +156,7 @@ def event_hop_probe(n_samples: int, *, pace_s: float = 2e-4,
         parent_sock.send(b"\x01")
 
     try:
-        send_ts = _paced_send_loop(n_samples, pace_s, send_one)
+        send_ts = _pinned_send_loop(cpus, n_samples, pace_s, send_one)
         proc.join(timeout=30)
         stats = _collect(region, 0, send_ts, warmup)
     finally:

@@ -7,7 +7,7 @@ hop into its inbox), while the middlebox functions work on the parsed
 metadata. Its egress edge serializes the (possibly rewritten) request,
 relays it over a pooled upstream connection, and answers the client. That
 egress runs on the thread that routed the descriptor out of the chain, the
-router in polling mode and the relay in event mode, so one broker's
+chain's worker in polling mode and the relay in event mode, so one broker's
 upstream round trips are serial.
 
 A client may pipeline: every complete request in a connection's buffer is

@@ -113,18 +113,6 @@ class DescriptorRing:
 
 
 @dataclass
-class RingPair:
-    """Per-function receive/transmit rings; always two distinct rings."""
-
-    rx: DescriptorRing
-    tx: DescriptorRing
-
-    @classmethod
-    def new(cls, capacity: int = DEFAULT_RING_CAPACITY) -> "RingPair":
-        return cls(DescriptorRing(capacity), DescriptorRing(capacity))
-
-
-@dataclass
 class NicRingSet:
     """Ring pair for event-driven ingress emulation.
 

@@ -1,10 +1,8 @@
 """Chain runtime shared by both planes: topology, routing, filtering and the
-stage loops that move descriptors between chain functions.
+threads that move descriptors between chain functions.
 
 A chain is a set of registered functions, an entry function, a routing
-table and a deny-by-default filter table. The runtime runs it as stages,
-and every stage does the same thing: take a burst from my inbox, run it,
-hand it on. A function stage runs its handler, and the router stage routes.
+table and a deny-by-default filter table.
 
 One route step, ``_route(src, batch)``, decides every move in both modes.
 It takes a burst of descriptors that all left one source: a burst from
@@ -15,35 +13,39 @@ hop or ``filtered`` when the filter refuses it, hands it to the plane's
 ``_egress(batch)`` when it is routed to EGRESS, and otherwise puts it onto
 the next function's RX ring with one burst enqueue (polling, dropping the
 tail that does not fit as ``ring_full``) or sends each descriptor there
-(event). The router's polling step passes each function's TX burst with that
-function as the source, since a function stage puts only what it ran onto
-its TX ring. The planes' ingress edges and the event router pass bursts of
-one descriptor.
+(event). The polling step passes the burst a function has just run with
+that function as the source. The planes' ingress edges and the event router
+pass bursts of one descriptor.
 
-Polling mode gives every stage a spinning thread over SPSC rings: each
-function has an RX and a TX ring, and the router drains every TX ring.
-Nothing blocks and nothing is copied, so a chain hop costs nothing on the
-audited path. Event mode gives every stage an event endpoint and blocks it
-until a delivery arrives. Every move between functions passes through the
-router's endpoint, and each send, made by the one ``_send``, records one
-interrupt plus one context switch on the audited path: the model's per-hop
-cost. The real eventfd signal goes only to a receiver blocked on an empty
-inbox; one that is awake takes the descriptor with its next batch. A send
-goes straight to the inbox object of the hop that routing picked; nothing is
-looked up by name.
+Polling mode runs the whole chain to completion on one worker thread, as
+DPDK runs a core's functions in one loop. Each ``route_step`` visits the
+functions in registration order: it takes a burst off a function's RX ring,
+runs the function's handler over it and routes the survivors on at once,
+onto the next function's RX ring or out through egress. Functions stay
+isolated by the ownership rule, not by threads. An empty step yields the
+CPU with ``os.sched_yield`` and polls again, so a polling plane keeps one
+core busy, the paper's dedicated polling core. Nothing blocks and nothing
+is copied, so a chain hop costs nothing on the audited path.
+
+Event mode gives every function, and the router, a thread blocked on its
+event endpoint until a delivery arrives. Every move between functions
+passes through the router's endpoint, and each send, made by the one
+``_send``, records one interrupt plus one context switch on the audited
+path: the model's per-hop cost. The real eventfd signal goes only to a
+receiver blocked on an empty inbox; one that is awake takes the descriptor
+with its next batch. A send goes straight to the inbox object of the hop
+that routing picked; nothing is looked up by name.
 
 The sizes are constants, the same for every chain: each ring and each event
-inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling function
-stage takes up to ``BURST`` (64) per pass and the router stage twice that
-from each TX ring, and an event stage takes up to ``BATCH`` (32) per
-wakeup. A polling function stage runs its handler over its whole burst and
-puts the survivors on its TX ring with one burst enqueue. Chains are
-assembled from spec text by ``chainspec.build_planes``.
+inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling step
+takes up to ``BURST`` (64) off each RX ring, and an event stage takes up to
+``BATCH`` (32) per wakeup. Chains are assembled from spec text by
+``chainspec.build_planes``.
 
 The planes supply only their edges: where traffic enters the chain and
 where it leaves. A subclass implements ``_start_edges`` (run once the
-chain's transport exists, before its stages start), ``_close_edges`` (at
-stop, after the stage threads are joined), ``_egress(batch)`` (a burst
+chain's transport exists, before its threads start), ``_close_edges`` (at
+stop, after the chain's threads are joined), ``_egress(batch)`` (a burst
 routed to EGRESS, on the thread that routed it) and ``_drop``. An edge with
 threads of its own that block outside the chain's transport overrides
 ``_wake_edges``, run at stop before the threads are joined.
@@ -54,17 +56,18 @@ failed one leaves it with the sender, as ``DescriptorRing.enqueue`` and
 ``EventEndpoint.deliver`` do, and as ``DescriptorRing.enqueue_burst`` does
 with the tail of a burst that did not fit. The sender hands each such
 descriptor to its plane's one ``_drop(desc, reason)``, which counts the drop
-under its reason, closes the descriptor's trace and releases the frame. At stop, every descriptor still
-on a ring or in an inbox is counted as a ``shutdown`` drop and freed, so
-ingress = egress + drops once the chain has stopped.
+under its reason, closes the descriptor's trace and releases the frame. At
+stop, every descriptor still on a ring or in an inbox is counted as a
+``shutdown`` drop and freed, so ingress = egress + drops once the chain has
+stopped.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
 import threading
-import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -86,10 +89,10 @@ from .errors import (
 from .events import EventEndpoint
 from .handlers import HandlerContext
 from .pool import FramePool
-from .rings import DEFAULT_RING_CAPACITY, DescriptorRing, RingPair
+from .rings import DEFAULT_RING_CAPACITY, DescriptorRing
 from .routing import DENY, FilterTable, RoutingTable
 
-BURST = 64  # descriptors a polling function stage takes per pass
+BURST = 64  # descriptors a polling step takes off each RX ring
 BATCH = 32  # descriptors an event stage takes per wakeup
 
 
@@ -108,7 +111,7 @@ class Registration:
     fn_id: str
     handler: object
     context: HandlerContext
-    rings: RingPair
+    rx: DescriptorRing  # polling mode only
     endpoint: EventEndpoint | None = None  # event mode only
 
 
@@ -156,7 +159,7 @@ class ChainRuntime:
         if fn_id in self._regs or fn_id in (INGRESS_ID, EGRESS):
             raise DuplicateFunction(fn_id)
         reg = Registration(fn_id, handler, HandlerContext(self.pool, fn_id),
-                           RingPair.new())
+                           DescriptorRing())
         self._regs[fn_id] = reg
         return reg
 
@@ -192,10 +195,7 @@ class ChainRuntime:
         self._started = True
         if self._mode is POLLING:
             self._start_edges()
-            for reg in self._regs.values():
-                self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}",
-                            self._nf_loop_polling, reg)
-            self._spawn("router", self._router_loop_polling)
+            self._spawn("worker", self._worker)
         else:
             self._router_ep = self._new_endpoint(self.ROUTER_LABEL)
             for reg in self._regs.values():
@@ -226,8 +226,7 @@ class ChainRuntime:
         in_flight = [desc for endpoint in self._endpoints
                      for desc in endpoint.drain_remaining()]
         for reg in self._regs.values():
-            for ring in (reg.rings.rx, reg.rings.tx):
-                in_flight.extend(self._drain(ring))
+            in_flight.extend(self._drain(reg.rx))
         faults = []
         for desc in in_flight:
             try:
@@ -305,44 +304,26 @@ class ChainRuntime:
                 passed.append(out)
         return passed
 
-    # -- polling mode stages ------------------------------------------------------
+    # -- polling mode -------------------------------------------------------------
 
-    def _nf_loop_polling(self, reg: Registration) -> None:
-        # Empty polls idle with time.sleep(0). It releases the interpreter,
-        # but on Linux it is a timed sleep of the thread's timer slack (50 us
-        # by default), not a bare yield, so an idle loop mostly sleeps rather
-        # than spins. os.sched_yield would spin; ROADMAP item 1 has what that
-        # costs the process's other threads.
-        rx, tx = reg.rings.rx, reg.rings.tx
+    def _worker(self) -> None:
         stop = self._stop
-        idle = time.sleep
+        # looked up once the thread runs, so that a step patched in before
+        # start is the one that runs
+        step = self.route_step
         while not stop.is_set():
-            batch = rx.burst_dequeue(BURST)
-            if not batch:
-                idle(0)
-                continue
-            passed = self._run_handlers(reg, batch)
-            for out in passed:
-                out.chain_hops += 1
-            moved = tx.enqueue_burst(passed)
-            for out in passed[moved:]:  # the tail the TX ring refused
-                self._drop(out, "ring_full")
-
-    def _router_loop_polling(self) -> None:
-        stop = self._stop
-        idle = time.sleep
-        while not stop.is_set():
-            if not self.route_step():
-                idle(0)
+            if not step():
+                os.sched_yield()
 
     def route_step(self) -> int:
-        """Route one burst off every function's TX ring. Returns how many
-        moved; drops are counted, never raised."""
+        """Run each function, in registration order, over a burst off its RX
+        ring and route the survivors on. Returns how many moved on; drops are
+        counted, never raised."""
         moved = 0
         for reg in self._regs.values():
-            batch = reg.rings.tx.burst_dequeue(BURST * 2)
+            batch = reg.rx.burst_dequeue(BURST)
             if batch:
-                moved += self._route(reg.fn_id, batch)
+                moved += self._route(reg.fn_id, self._run_handlers(reg, batch))
         return moved
 
     # -- routing ----------------------------------------------------------------------
@@ -368,7 +349,7 @@ class ChainRuntime:
         else:
             for desc in batch:
                 desc.chain_hops += 1
-            moved = self._regs[nxt].rings.rx.enqueue_burst(batch)
+            moved = self._regs[nxt].rx.enqueue_burst(batch)
             if moved == len(batch):
                 return moved
             reason = "ring_full"

@@ -257,7 +257,7 @@ def test_oversize_payload_refused_without_taking_a_frame(pool, mode):
 
 
 def test_routing_totality(big_pool):
-    """Every descriptor leaving a TX ring is forwarded, egressed, or dropped."""
+    """Every descriptor leaving a function is forwarded, egressed, or dropped."""
     sink = ListSink()
     plane = two_nf_plane(big_pool, Mode.POLLING)
     plane.set_sink(sink)

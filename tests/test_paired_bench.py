@@ -111,3 +111,20 @@ def test_pair_ratio_median_skips_a_zero_parent(paired_bench):
     metric = paired_bench.summarize_metric([pair(0.0, 1.0), pair(2.0, 3.0)],
                                            "x", "lower", 0.1)
     assert metric["pair_ratio_median"] == 1.5
+
+
+def test_self_shares_hold_when_one_traced_side_ran_slower(paired_bench):
+    """A traced change run that was slower throughout, as on a busier host,
+    reads higher in every layer's self time but not in any layer's share of
+    its run's total."""
+    parent = {"pool.self_us_per_op": 2.0, "rings.self_us_per_op": 6.0,
+              "events.self_us_per_op": 0.0, "pool.alloc.ns": 900.0}
+    change = {name: value * 1.2 for name, value in parent.items()}
+    shares = paired_bench.self_shares(parent)
+    assert shares == {"pool.self_share": 0.25, "rings.self_share": 0.75,
+                      "events.self_share": 0.0}
+    assert paired_bench.self_shares(change) == pytest.approx(shares)
+    assert paired_bench.self_shares({"pool.self_us_per_op": 0.0}) == {}
+    entry = {"parent": {"metrics": parent}, "change": {"metrics": change}}
+    text = "\n".join(paired_bench.format_trace("w", entry))
+    assert "pool            2.000 ( 25.0%) ->    2.400 ( 25.0%)" in text

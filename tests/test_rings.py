@@ -1,7 +1,7 @@
 import pytest
 
 from shmchain.errors import FillRingFull, InvalidCapacity
-from shmchain.rings import DescriptorRing, NicRingSet, RingPair
+from shmchain.rings import DescriptorRing, NicRingSet
 
 
 def test_new_ring_empty():
@@ -61,11 +61,6 @@ def test_burst_dequeue_leaves_remainder():
         ring.enqueue(i)
     assert ring.burst_dequeue(4) == [0, 1, 2, 3]
     assert len(ring) == 6
-
-
-def test_ring_pair_distinct():
-    pair = RingPair.new(8)
-    assert pair.rx is not pair.tx
 
 
 def test_cycle_moves_all():

@@ -24,15 +24,16 @@ from shmchain.packet_plane import PacketPlane
 from shmchain.pool import PoolConfig
 from shmchain.proxy_plane import INGEST_COST, BrokerConfig, ProxyPlane
 from shmchain.routing import RoutingTable
-from shmchain.runtime import Mode
+from shmchain.runtime import BURST, Mode
 
 K = 20
-# every thread a two-function plane runs: one per function, the router (the
-# relay in the broker's event mode), event-mode packet TX and the broker's io
+# every thread a two-function plane runs: in polling mode the one worker
+# that runs the chain; in event mode one per function, the router (the relay
+# in the broker) and packet TX; and the broker's io in both modes
 THREADS = {
-    ("packet", Mode.POLLING): {"nf.a", "nf.b", "router"},
+    ("packet", Mode.POLLING): {"worker"},
     ("packet", Mode.EVENT): {"nf.a", "nf.b", "router", "tx"},
-    ("proxy", Mode.POLLING): {"mf.a", "mf.b", "router", "io"},
+    ("proxy", Mode.POLLING): {"worker", "io"},
     ("proxy", Mode.EVENT): {"mf.a", "mf.b", "relay", "io"},
 }
 
@@ -209,7 +210,7 @@ def test_stop_raises_ownership_fault_after_full_teardown(registry, upstreams):
         thread.join(timeout=5)
     freed, live = pool.alloc_frame(), pool.alloc_frame()
     pool.free_frame(freed)
-    rx = plane._regs["b"].rings.rx
+    rx = plane._regs["b"].rx
     for seq, ref in enumerate((freed, live)):
         assert rx.enqueue(PacketDescriptor(ref, 0, 64, "a", seq))
     with pytest.raises(DoubleFree):
@@ -278,35 +279,57 @@ def test_stats_count_event_hops_and_wakeups(registry, upstreams, mode):
 
 
 def halt_stages(plane):
-    """Stop a started plane's stage threads but leave it running, so that a
-    test moves descriptors between its rings by hand."""
+    """Stop a started plane's threads but leave it running, so that a test
+    steps its chain by hand."""
     plane._stop.set()
     for thread in plane._threads.values():
         thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
-def run_stage_a(plane):
-    """What function a's stage does with what it holds: run the handler
-    over the burst on its RX ring and put the survivors on its TX ring."""
-    reg = plane._regs["a"]
-    passed = plane._run_handlers(reg, reg.rings.rx.burst_dequeue(1024))
-    assert reg.rings.tx.enqueue_burst(passed) == len(passed)
-    return passed
+def test_one_route_step_runs_a_burst_to_completion(registry, upstreams):
+    """One polling step runs a burst through both functions and out to the
+    sink: every packet arrives rewritten by both, and every frame is back in
+    the pool."""
+    n = 10
+    pool = registry.create(PoolConfig("rt-complete", 64, 2048))
+    plane = build("packet", Mode.POLLING, pool, upstreams)
+    sent, got = [], []
+    plane.set_sink(lambda payload, desc: got.append(bytes(payload)))
+    plane.start()
+    try:
+        halt_stages(plane)
+        for seq in range(n):
+            sent.append(build_packet(64, seq, 1))
+            assert plane.ingress(sent[-1])
+        assert plane.route_step() == 2 * n  # n onto b's RX ring, n out
+    finally:
+        plane.stop()
+    want = []
+    for packet in sent:
+        packet = bytearray(packet)
+        packet[30:34] = bytes([10, 0, 1, 5])  # a's l3 rewrite
+        packet[0:6] = bytes.fromhex("020000000002")  # b's l2 rewrite
+        want.append(bytes(packet))
+    assert got == want
+    assert plane.stats()["drops"] == {}
+    assert pool.free_count == pool.config.frame_count
 
 
 def test_burst_into_nearly_full_ring_drops_only_the_tail(registry, upstreams):
-    """One route step moves a burst of k + m from a toward b, whose RX ring
-    has room for k: exactly k move on in order, the m behind them drop as
+    """A step runs a burst of k + m through a toward b, whose RX ring has
+    room for k: exactly k move on in order, the m behind them drop as
     ``ring_full`` with their frames freed, a deny filter set after start
     drops the next burst as ``filtered``, and after stop ingress = egress +
-    drops with every frame back in the pool."""
+    drops with every frame back in the pool. Each step also sends a burst of
+    b's out through egress, after a has run."""
     k, m, j = 5, 7, 3
     pool = registry.create(PoolConfig("rt-burst", 2048, 2048))
     plane = build("packet", Mode.POLLING, pool, upstreams)
     plane.start()
     halt_stages(plane)
-    a_rx = plane._regs["a"].rings.rx
-    b_rx = plane._regs["b"].rings.rx
+    a_rx = plane._regs["a"].rx
+    b_rx = plane._regs["b"].rx
     seq = iter(range(10_000))
 
     def offer(n):
@@ -316,24 +339,26 @@ def test_burst_into_nearly_full_ring_drops_only_the_tail(registry, upstreams):
     offer(b_rx.capacity - k)
     assert b_rx.enqueue_burst(a_rx.burst_dequeue(1024)) == b_rx.capacity - k
     offer(k + m)
-    burst = run_stage_a(plane)
-    assert len(burst) == k + m
+    burst = a_rx.burst_dequeue(1024)  # what a's step will take, in order
+    assert a_rx.enqueue_burst(burst) == len(burst) == k + m
     in_use = pool.in_flight_count
-    assert plane.route_step() == k
+    assert plane.route_step() == k + BURST
     assert plane.stats()["drops"] == {"ring_full": m}
-    assert pool.in_flight_count == in_use - m
+    assert plane.stats()["egress"] == BURST
+    assert pool.in_flight_count == in_use - m - BURST
     on_b = b_rx.burst_dequeue(1024)
     assert [d.trace_id for d in on_b[-k:]] == [d.trace_id for d in burst[:k]]
     assert b_rx.enqueue_burst(on_b) == len(on_b)  # still in flight at stop
 
     plane.set_filter("a", "b", "deny")
     offer(j)
-    run_stage_a(plane)
-    assert plane.route_step() == 0
+    assert plane.route_step() == BURST  # none of a's, a burst of b's
     assert plane.stats()["drops"] == {"ring_full": m, "filtered": j}
     plane.stop()
     ingress, egress, drops = counts(plane)
     assert ingress == b_rx.capacity - k + k + m + j
-    assert drops == {"ring_full": m, "filtered": j, "shutdown": b_rx.capacity}
+    assert egress == 2 * BURST
+    assert drops == {"ring_full": m, "filtered": j,
+                     "shutdown": b_rx.capacity - 2 * BURST}
     assert ingress == egress + sum(drops.values())
     assert pool.free_count == pool.config.frame_count

@@ -16,6 +16,12 @@ the root of the repo, in the layout of the earlier ``BENCH_*.json`` files:
 ``summary`` and, with ``--trace-seconds``, one traced run per workload and
 side under ``trace``. An existing file gains the new set.
 
+A traced run also gets ``self_share``: each layer's ``*.self_us_per_op`` as
+a share of the sum over all layers of that run. The two traced runs are not
+paired, so a host that ran slower during one of them raises every layer's
+self time on that side, code the change does not touch included; the
+shares do not move with it.
+
 Per metric the summary gives each side's median, the parent's
 interquartile range, how far the change's median is worse than the
 parent's, the share of pairs the change won, and the median over pairs of
@@ -150,6 +156,36 @@ def format_summary(workload: str, summary: dict) -> list[str]:
     return lines
 
 
+def self_shares(metrics: dict) -> dict:
+    """Each layer's ``<layer>.self_us_per_op`` over their sum in one run,
+    keyed ``<layer>.self_share``; empty when the run has no self time."""
+    layers = {name[:-len(".self_us_per_op")]: value
+              for name, value in metrics.items()
+              if name.endswith(".self_us_per_op")}
+    total = sum(layers.values())
+    if not total:
+        return {}
+    return {f"{layer}.self_share": value / total for layer, value in layers.items()}
+
+
+def format_trace(workload: str, entry: dict) -> list[str]:
+    """One line per layer: each traced side's self time and its share."""
+    shares = {side: self_shares(entry[side].get("metrics", {}))
+              for side in ("parent", "change")}
+    lines = [f"{workload} traced, self us/op (share of the run's total):"]
+    for key in shares["parent"]:
+        layer = key[:-len(".self_share")]
+        cells = []
+        for side in ("parent", "change"):
+            if key not in shares[side]:
+                cells.append("n/a")
+                continue
+            self_us = entry[side]["metrics"][f"{layer}.self_us_per_op"]
+            cells.append(f"{self_us:8.3f} ({shares[side][key]:6.1%})")
+        lines.append(f"  {layer:12s} {cells[0]} -> {cells[1]}")
+    return lines
+
+
 def resummarize(bench: dict, benchmark: dict) -> dict:
     """Summaries of every set of a ``BENCH_*.json`` document, from its raw
     ``paired`` runs: set name -> workload -> summary."""
@@ -233,8 +269,9 @@ def run_traces(dirs: dict[str, Path], workloads: list[str], seconds: float) -> d
             "command": (f"python3 chainbench/run.py --workload {workload} --seed 1 "
                         f"--seconds {seconds:g} --trace 1")}
         for side in ("parent", "change"):
-            entry[side] = run_once(dirs[side], workload, 1, seconds, trace=1)
-            print(f"{workload} trace {side:6s} {_brief(entry[side])}", flush=True)
+            run = entry[side] = run_once(dirs[side], workload, 1, seconds, trace=1)
+            run["self_share"] = self_shares(run["metrics"])
+            print(f"{workload} trace {side:6s} {_brief(run)}", flush=True)
     return traces
 
 
@@ -267,6 +304,8 @@ def main(argv=None) -> int:
             print(f"set {set_name}")
             for workload, summary in summaries.items():
                 print("\n".join(format_summary(workload, summary)))
+            for workload, entry in bench["sets"][set_name].get("trace", {}).items():
+                print("\n".join(format_trace(workload, entry)))
         return 0
 
     if args.pr is None:
@@ -298,6 +337,8 @@ def main(argv=None) -> int:
 
     for workload, s in summary.items():
         print("\n".join(format_summary(workload, s)))
+    for workload, entry in traces.items():
+        print("\n".join(format_trace(workload, entry)))
     print(f"wrote {out_path}")
     return 0
 
