@@ -18,7 +18,7 @@ frame access makes its index, ownership and bounds checks once, in
 ``_base``, then slices that view: ``write_frame``, ``read_frame`` and
 ``frame_view`` each do so directly. Only the allocator state, the free
 stack and the generation counters, is under the pool lock, because
-ingress allocates and the router frees on different threads. Polling egress
+ingress allocates and egress frees on different threads. Polling egress
 frees a whole burst with ``free_frames``, under one acquire of that lock.
 """
 

@@ -12,8 +12,8 @@ transports.
 Given two CPUs, both probes place their sides the same way: the consumer
 pins itself to the highest CPU of the caller's set and the producer, for
 its send loop only, to the lowest. A ring hop is then a cache line moving
-between two spinning CPUs, and an event hop a wakeup sent to another CPU,
-wherever the scheduler would have put the consumer.
+between two spinning CPUs and an event hop a wakeup sent to another CPU,
+whatever the scheduler would have done with an unpinned consumer.
 
 Timestamps use CLOCK_MONOTONIC, which is comparable across processes. The
 shared region is an anonymous MAP_SHARED mapping inherited across fork.
@@ -143,7 +143,6 @@ def event_hop_probe(n_samples: int, *, pace_s: float = 2e-4,
     warmup = min(warmup, max(0, n_samples - 1))
     region = mmap.mmap(-1, 8 * n_samples)
     parent_sock, child_sock = socket.socketpair()
-    # pinned apart, every hop wakes the consumer on the other CPU
     cpus = os.sched_getaffinity(0)  # the calling thread's, restored below
     proc = _CTX.Process(target=_event_consumer,
                         args=(child_sock, region, n_samples, _consumer_cpu(cpus)),
