@@ -40,13 +40,17 @@ CRC_OFF = 50
 BODY_OFF = 54
 MIN_PACKET = 64
 
+DST_IP = "10.0.0.5"  # every synthetic packet's destination address
+PKTGEN_SEED = 1  # body seed of pktgen_run's packets
+TEMPLATE_VARIANTS = 64  # distinct bodies a PacketFactory cycles through
+HTTP_TIMEOUT_S = 5.0  # a load client's connect and read timeout
+
 
 @dataclass(frozen=True)
 class PktgenConfig:
     packet_size: int = 64
     offered_rate: float = 10_000.0
     duration: float = 1.0
-    payload_seed: int = 1
 
     def validate(self) -> None:
         if self.packet_size not in PACKET_SIZES:
@@ -61,10 +65,6 @@ class PktgenConfig:
 class HttpLoadConfig:
     concurrency: int = 1
     duration: float = 1.0
-    path: str = "/"
-    method: str = "GET"
-    body_size: int = 0
-    timeout: float = 5.0
 
     def validate(self) -> None:
         if not 1 <= self.concurrency <= 512:
@@ -137,8 +137,7 @@ class BenchReport:
 # Synthetic packets
 # ---------------------------------------------------------------------------
 
-def build_packet(size: int, seq: int, seed: int, dst_ip: str = "10.0.0.5",
-                 ts: int | None = None) -> bytes:
+def build_packet(size: int, seq: int, seed: int, ts: int | None = None) -> bytes:
     """Ethernet+IPv4 shaped packet with sequence, timestamp, and body CRC.
 
     Passing ``ts`` pins the timestamp field, making the packet a pure
@@ -155,7 +154,7 @@ def build_packet(size: int, seq: int, seed: int, dst_ip: str = "10.0.0.5",
     pkt[12:14] = b"\x08\x00"                        # IPv4 ethertype
     pkt[14] = 0x45
     pkt[26:30] = bytes(int(p) for p in "10.0.0.1".split("."))
-    pkt[30:34] = bytes(int(p) for p in dst_ip.split("."))
+    pkt[30:34] = bytes(int(p) for p in DST_IP.split("."))
     pkt[SEQ_OFF:SEQ_OFF + 8] = seq.to_bytes(8, "big")
     if ts is None:
         ts = time.monotonic_ns()
@@ -186,14 +185,12 @@ class PacketFactory:
     to drive rates the planes can actually saturate on.
     """
 
-    def __init__(self, size: int, seed: int, dst_ip: str = "10.0.0.5",
-                 variants: int = 64):
-        self._templates = [build_packet(size, v, seed, dst_ip=dst_ip, ts=0)
-                           for v in range(variants)]
-        self._n = variants
+    def __init__(self, size: int, seed: int):
+        self._templates = [build_packet(size, v, seed, ts=0)
+                           for v in range(TEMPLATE_VARIANTS)]
 
     def make(self, seq: int) -> bytes:
-        pkt = bytearray(self._templates[seq % self._n])
+        pkt = bytearray(self._templates[seq % TEMPLATE_VARIANTS])
         pkt[SEQ_OFF:SEQ_OFF + 8] = seq.to_bytes(8, "big")
         pkt[TS_OFF:TS_OFF + 8] = time.monotonic_ns().to_bytes(8, "big")
         return bytes(pkt)
@@ -281,7 +278,7 @@ def _paced(rate: float, duration: float):
 
 def pktgen_run(config: PktgenConfig, target, *, flow: FlowKey | None = None,
                collector: CollectorSink | None = None,
-               dst_ip: str = "10.0.0.5", settle: float = 0.5) -> BenchReport:
+               settle: float = 0.5) -> BenchReport:
     """Offer paced traffic to ``target.ingress`` and reconcile the outcome.
 
     ``target`` is a packet plane or anything with the same ingress surface.
@@ -294,9 +291,8 @@ def pktgen_run(config: PktgenConfig, target, *, flow: FlowKey | None = None,
     if not getattr(target, "running", True):
         raise PlaneUnavailable("target not running")
     if flow is None:
-        flow = FlowKey("10.0.0.1", dst_ip, 5000, 5001, "UDP")
-    factory = PacketFactory(config.packet_size, config.payload_seed,
-                            dst_ip=dst_ip)
+        flow = FlowKey("10.0.0.1", DST_IP, 5000, 5001, "UDP")
+    factory = PacketFactory(config.packet_size, PKTGEN_SEED)
     seq_base = next(_run_seq_base) << 32
     offered = 0
     accepted = 0
@@ -333,14 +329,13 @@ def pktgen_run(config: PktgenConfig, target, *, flow: FlowKey | None = None,
 
 def mlfr_search(make_run, packet_size: int, tolerance: float, *,
                 rate_floor: float = 200.0, rate_ceiling: float = 200_000.0,
-                probe_duration: float = 0.5, confirm_duration: float | None = None,
-                max_lost: int = 0) -> float:
+                probe_duration: float = 0.5,
+                confirm_duration: float | None = None) -> float:
     """Binary search for the highest offered rate with zero loss.
 
     ``make_run(rate, duration) -> BenchReport`` runs one probe. The bracket
     [floor, ceiling] narrows until within ``tolerance`` relative width; the
-    returned rate is re-confirmed over ``confirm_duration``. ``max_lost``
-    packets are forgiven per window when an environment needs slack.
+    returned rate is re-confirmed over ``confirm_duration``.
     """
     if not 0 < tolerance < 0.5:
         raise InvalidTolerance(str(tolerance))
@@ -352,7 +347,7 @@ def mlfr_search(make_run, packet_size: int, tolerance: float, *,
     def loss_free(rate, duration) -> bool:
         nonlocal best_effective
         report = make_run(rate, duration)
-        ok = report.dropped <= max_lost
+        ok = report.dropped == 0
         if ok and report.duration > 0:
             # the generator may self-limit below the nominal rate; the
             # loss-free rate actually demonstrated is what was offered
@@ -465,7 +460,7 @@ def http_load(config: HttpLoadConfig, address: tuple[str, int]) -> BenchReport:
     results = []
     lock = threading.Lock()
     stop = threading.Event()
-    body = bytes(config.body_size)
+    request = serialize_request("GET", "/", [("Host", "bench")], b"")
 
     def worker():
         ok = 0
@@ -473,13 +468,11 @@ def http_load(config: HttpLoadConfig, address: tuple[str, int]) -> BenchReport:
         timeouts = 0
         latencies = []
         sock = None
-        request = serialize_request(config.method, config.path,
-                                    [("Host", "bench")], body)
         while not stop.is_set():
             try:
                 if sock is None:
-                    sock = socket.create_connection(address, timeout=config.timeout)
-                    sock.settimeout(config.timeout)
+                    sock = socket.create_connection(address, timeout=HTTP_TIMEOUT_S)
+                    sock.settimeout(HTTP_TIMEOUT_S)
                 t0 = time.monotonic_ns()
                 sock.sendall(request)
                 _raw, status, _body, reusable = read_response(sock)
@@ -517,7 +510,7 @@ def http_load(config: HttpLoadConfig, address: tuple[str, int]) -> BenchReport:
     time.sleep(config.duration)
     stop.set()
     for thread in threads:
-        thread.join(timeout=config.timeout + 2)
+        thread.join(timeout=HTTP_TIMEOUT_S + 2)
     duration = time.perf_counter() - start
     ok = sum(r[0] for r in results)
     errors = sum(r[1] for r in results)
@@ -624,12 +617,14 @@ class UnifiedReport:
                          f"\t{self.aggregate_per_s[i]:.0f}\n")
 
 
+UNIFIED_PACKET_SIZE = 128
+UNIFIED_HTTP_BODY = 1024  # bytes of body per paced HTTP request
+UNIFIED_HTTP_PACE_S = 0.01  # each HTTP client's pause between requests
+
+
 def unified_run(packet_target, collector: CollectorSink, proxy_address,
-                *, l2l3_rate: float, packet_size: int = 128,
-                http_concurrency: int = 2, duration: float = 30.0,
-                step_at: float = 10.0, http_body: int = 1024,
-                http_pace_s: float = 0.01,
-                dst_ip: str = "10.0.0.5") -> UnifiedReport:
+                *, l2l3_rate: float, http_concurrency: int = 2,
+                duration: float = 30.0, step_at: float = 10.0) -> UnifiedReport:
     """Drive both planes at once; the HTTP load starts mid-run.
 
     The HTTP side is paced to a modest share of the packet load, matching the
@@ -643,7 +638,7 @@ def unified_run(packet_target, collector: CollectorSink, proxy_address,
 
     def http_worker():
         request = serialize_request("GET", "/unified", [("Host", "bench")],
-                                    bytes(http_body))
+                                    bytes(UNIFIED_HTTP_BODY))
         sock = None
         while not stop_http.is_set():
             try:
@@ -658,8 +653,7 @@ def unified_run(packet_target, collector: CollectorSink, proxy_address,
                 if not reusable:
                     sock.close()
                     sock = None
-                if http_pace_s:
-                    time.sleep(http_pace_s)
+                time.sleep(UNIFIED_HTTP_PACE_S)
             except OSError:
                 if sock is not None:
                     sock.close()
@@ -669,11 +663,11 @@ def unified_run(packet_target, collector: CollectorSink, proxy_address,
         if sock is not None:
             sock.close()
 
-    factory = PacketFactory(packet_size, 7, dst_ip=dst_ip)
+    factory = PacketFactory(UNIFIED_PACKET_SIZE, 7)
     t0_ns = time.monotonic_ns()
     http_threads = []
     offered = 0
-    flow = FlowKey("10.0.0.1", dst_ip, 5000, 5001, "UDP")
+    flow = FlowKey("10.0.0.1", DST_IP, 5000, 5001, "UDP")
     for elapsed, due in _paced(l2l3_rate, duration):
         if not http_threads and elapsed >= step_at:
             for _ in range(http_concurrency):
@@ -695,7 +689,7 @@ def unified_run(packet_target, collector: CollectorSink, proxy_address,
     for t_ns in arrivals:
         sec = int((t_ns - t0_ns) / 1e9)
         if 0 <= sec < n_secs:
-            l2l3[sec] += packet_size
+            l2l3[sec] += UNIFIED_PACKET_SIZE
     with http_lock:
         for t_ns, nbytes in http_bytes:
             sec = int((t_ns - t0_ns) / 1e9)

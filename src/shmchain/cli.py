@@ -8,6 +8,7 @@ check failed or the configuration was unusable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -33,7 +34,6 @@ from .errors import ShmChainError
 from .packet_plane import PacketPlane
 from .pool import PoolRegistry
 from .proxy_plane import ProxyPlane
-from .runtime import Mode
 
 DEFAULT_PACKET_SPEC = """\
 [pool.packet]
@@ -88,17 +88,16 @@ def _load_spec(args, default: str | None = None):
     return parse_spec(text)
 
 
-def _packet_plane_from_spec(spec, ledger, mode_override=None, registry=None):
-    ledgers = {name: ledger for name, p in spec.planes.items()
-               if p.kind == "packet"}
-    pools, planes = build_planes(spec, registry=registry, ledgers=ledgers)
-    packet_planes = [p for p in planes.values() if isinstance(p, PacketPlane)]
-    if not packet_planes:
-        raise ShmChainError("spec declares no packet plane")
-    plane = packet_planes[0]
-    if mode_override:
-        plane.set_mode(Mode(mode_override))
-    return pools, planes, plane
+def _pick_plane(spec, kind: str, mode: str | None = None) -> str:
+    """Name the spec's first plane of ``kind``; a ``mode`` given replaces
+    the mode that plane declares, before any plane is built."""
+    name = next((name for name, p in spec.planes.items() if p.kind == kind),
+                None)
+    if name is None:
+        raise ShmChainError(f"spec declares no {kind} plane")
+    if mode:
+        spec.planes[name] = dataclasses.replace(spec.planes[name], mode=mode)
+    return name
 
 
 def _run_sampled(plane, duration: float, load):
@@ -150,10 +149,10 @@ def cmd_run_chain(args) -> int:
 
 def cmd_bench_l2l3(args) -> int:
     registry = PoolRegistry()
-    ledger = audit.AuditLedger()
     spec = _load_spec(args, DEFAULT_PACKET_SPEC)
-    pools, planes, plane = _packet_plane_from_spec(spec, ledger, args.mode,
-                                                   registry)
+    name = _pick_plane(spec, "packet", args.mode)
+    _pools, planes = build_planes(spec, registry=registry)
+    plane = planes[name]
     collector = CollectorSink()
     plane.set_sink(collector)
     plane.start()
@@ -195,7 +194,6 @@ def cmd_bench_l2l3(args) -> int:
 
 def cmd_bench_l4l7(args) -> int:
     registry = PoolRegistry()
-    ledger = audit.AuditLedger()
     stubs = []
     if args.spec:
         spec = _load_spec(args)
@@ -204,14 +202,9 @@ def cmd_bench_l4l7(args) -> int:
         upstream_text = ", ".join(f"{h}:{p}" for h, p in
                                   (s.address for s in stubs))
         spec = parse_spec(DEFAULT_PROXY_SPEC.format(upstreams=upstream_text))
-    ledgers = {name: ledger for name, p in spec.planes.items() if p.kind == "proxy"}
-    pools, planes = build_planes(spec, registry=registry, ledgers=ledgers)
-    proxies = [p for p in planes.values() if isinstance(p, ProxyPlane)]
-    if not proxies:
-        raise ShmChainError("spec declares no proxy plane")
-    plane = proxies[0]
-    if args.mode:
-        plane.set_mode(Mode(args.mode))
+    name = _pick_plane(spec, "proxy", args.mode)
+    _pools, planes = build_planes(spec, registry=registry)
+    plane = planes[name]
     plane.start()
     out = _out_dir(args)
     try:
@@ -248,9 +241,10 @@ def cmd_bench_unified(args) -> int:
         spec = packet_spec
         spec.pools.update(proxy_spec.pools)
         spec.planes.update(proxy_spec.planes)
-    pools, planes = build_planes(spec, registry=registry)
-    packet = next(p for p in planes.values() if isinstance(p, PacketPlane))
-    proxy = next(p for p in planes.values() if isinstance(p, ProxyPlane))
+    packet_name = _pick_plane(spec, "packet")
+    proxy_name = _pick_plane(spec, "proxy")
+    _pools, planes = build_planes(spec, registry=registry)
+    packet, proxy = planes[packet_name], planes[proxy_name]
     collector = CollectorSink()
     packet.set_sink(collector)
     packet.start()

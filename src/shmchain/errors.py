@@ -75,10 +75,6 @@ class CycleDetected(ShmChainError):
     pass
 
 
-class ModeChangeAfterStart(ShmChainError):
-    pass
-
-
 class PlaneFrozen(ShmChainError):
     """Topology mutation attempted after the plane started."""
 

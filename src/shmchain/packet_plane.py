@@ -8,9 +8,11 @@ on the chain's worker thread a burst at a time: it hands each packet of a
 burst to the sink, then frees the burst's frames with one ``free_frames``
 call, under one acquire of the pool lock. Event mode keeps frames parked on a fill
 ring, the way receive buffers stay posted to a NIC: ingress takes a parked
-frame and sends its descriptor to the router, which routes it like any
-other hop, and a packet routed to EGRESS is sent on to a TX stage that
-hands it to the sink and parks it on the completion ring.
+frame, writes the packet into it, makes a fresh descriptor for it and sends
+that to the router, which routes it like any other hop, and a packet routed
+to EGRESS is sent on to a TX stage that hands it to the sink and parks its
+frame on the completion ring. Like AF_XDP's fill and completion rings, both
+rings carry frames, not descriptors.
 Ingress reaps that ring itself: when the fill ring runs dry it moves every
 completion back before it takes a frame, as a NIC driver reaps its
 completion ring before it refills its receive ring, so no thread exists
@@ -61,17 +63,15 @@ class PacketPlane(ChainRuntime):
         self._tx_ep = self._new_endpoint("tx")
         self._nic_rings = NicRingSet.new()
         for _ in range(min(self.pool.config.frame_count // 2, DEFAULT_RING_CAPACITY)):
-            ref = self.pool.alloc_frame()
-            parked = PacketDescriptor(ref, 0, 0, INGRESS_ID, -1)
-            self._nic_rings.fill.enqueue(parked)
+            self._nic_rings.fill.enqueue(self.pool.alloc_frame())
         self._spawn("tx", self._serve, self._tx_ep, self._transmit_event)
 
     def _close_edges(self) -> None:
         # parked frames are not in flight: they are freed, not dropped
         if self._nic_rings is not None:
             for ring in (self._nic_rings.fill, self._nic_rings.completion):
-                for desc in self._drain(ring):
-                    self.pool.free_frame(desc.frame)
+                for ref in self._drain(ring):
+                    self.pool.free_frame(ref)
             self._nic_rings = None
 
     # -- ingress ------------------------------------------------------------------
@@ -102,22 +102,18 @@ class PacketPlane(ChainRuntime):
 
     def _ingress_event(self, payload: bytes, flow) -> bool:
         fill = self._nic_rings.fill
-        desc = fill.dequeue()
-        if desc is None:
+        ref = fill.dequeue()
+        if ref is None:
             # reap the completion ring, the only way a sent frame comes back
             with self._fill_lock:
                 self._nic_rings.cycle()
-            desc = fill.dequeue()
-            if desc is None:
+            ref = fill.dequeue()
+            if ref is None:
                 self._count_drop("fill_empty")
                 return False
-        self.pool.write_frame(desc.frame, 0, payload)
-        desc.offset = 0
-        desc.length = len(payload)
-        desc.src_fn = INGRESS_ID
-        desc.flow = flow
-        desc.trace_id = next(self._trace_ids)
-        desc.chain_hops = 0
+        self.pool.write_frame(ref, 0, payload)
+        desc = PacketDescriptor(ref, 0, len(payload), INGRESS_ID,
+                                next(self._trace_ids), flow=flow)
         if self.ledger is not None:
             # delivery event that kicks the kernel-side redirect
             self.ledger.record(desc.trace_id, 0, INTERRUPTS, 1)
@@ -141,7 +137,7 @@ class PacketPlane(ChainRuntime):
         """The TX stage's step: transmit, then park the frame on the
         completion ring for ingress to reap."""
         if (self._transmit(desc)
-                and not self._nic_rings.completion.enqueue(desc)):
+                and not self._nic_rings.completion.enqueue(desc.frame)):
             self.pool.free_frame(desc.frame)
 
     def _transmit(self, desc: PacketDescriptor) -> bool:
@@ -158,18 +154,16 @@ class PacketPlane(ChainRuntime):
             except Exception:
                 self._drop(desc, "sink_unavailable")
                 return False
-        # count and close the trace first: in event mode the recycled
-        # descriptor is refilled with the next packet's trace id
         self.egress_count += 1
         if self.ledger is not None:
             self.ledger.complete(desc.trace_id, "egress")
         return True
 
-    def _recycle(self, desc: PacketDescriptor) -> None:
+    def _recycle(self, ref) -> None:
         with self._fill_lock:
-            parked = self._nic_rings.fill.enqueue(desc)
+            parked = self._nic_rings.fill.enqueue(ref)
         if not parked:
-            self.pool.free_frame(desc.frame)
+            self.pool.free_frame(ref)
 
     def _drop(self, desc: PacketDescriptor, reason: str) -> None:
         """Count the drop and close its trace, then free the frame (polling)
@@ -178,7 +172,7 @@ class PacketPlane(ChainRuntime):
         if self._mode is POLLING:
             self.pool.free_frame(desc.frame)
         else:
-            self._recycle(desc)
+            self._recycle(desc.frame)
 
     # -- stats -------------------------------------------------------------------------
 

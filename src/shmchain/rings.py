@@ -116,8 +116,8 @@ class DescriptorRing:
 class NicRingSet:
     """Ring pair for event-driven ingress emulation.
 
-    ``fill`` holds descriptors of frames parked for the next incoming packet;
-    ``completion`` holds descriptors of transmitted frames awaiting recycling.
+    ``fill`` holds frames parked for the next incoming packet;
+    ``completion`` holds transmitted frames awaiting recycling.
     """
 
     completion: DescriptorRing
@@ -128,7 +128,7 @@ class NicRingSet:
         return cls(DescriptorRing(capacity), DescriptorRing(capacity))
 
     def cycle(self) -> int:
-        """Move every completed descriptor back to the fill ring.
+        """Move every completed frame back to the fill ring.
 
         Returns the number recycled. When the fill ring has no space at all,
         completion entries are left in place for the next cycle and

@@ -25,7 +25,9 @@ onto the next function's RX ring or out through egress. Functions stay
 isolated by the ownership rule, not by threads. An empty step yields the
 CPU with ``os.sched_yield`` and polls again, so a polling plane keeps one
 core busy, the paper's dedicated polling core. Nothing blocks and nothing
-is copied, so a chain hop costs nothing on the audited path.
+is copied, so a chain hop costs nothing on the audited path. Only a polling
+chain has RX rings: the mode is fixed when the chain is built, so
+``register`` gives a function a ring only in polling mode.
 
 Event mode gives every function, and the router, a thread blocked on its
 event endpoint until a delivery arrives. Every move between functions
@@ -79,7 +81,6 @@ from .errors import (
     DuplicateFunction,
     EndpointClosed,
     InboxFull,
-    ModeChangeAfterStart,
     PlaneFrozen,
     PlaneUnavailable,
     StaleRef,
@@ -111,7 +112,7 @@ class Registration:
     fn_id: str
     handler: object
     context: HandlerContext
-    rx: DescriptorRing  # polling mode only
+    rx: DescriptorRing | None  # polling mode only
     endpoint: EventEndpoint | None = None  # event mode only
 
 
@@ -148,18 +149,13 @@ class ChainRuntime:
     def mode(self) -> Mode:
         return self._mode
 
-    def set_mode(self, mode: Mode) -> None:
-        if self._started:
-            raise ModeChangeAfterStart(self.name)
-        self._mode = Mode(mode)
-
     def register(self, fn_id: str, handler) -> Registration:
         if self._started:
             raise PlaneFrozen(self.name)
         if fn_id in self._regs or fn_id in (INGRESS_ID, EGRESS):
             raise DuplicateFunction(fn_id)
         reg = Registration(fn_id, handler, HandlerContext(self.pool, fn_id),
-                           DescriptorRing())
+                           DescriptorRing() if self._mode is POLLING else None)
         self._regs[fn_id] = reg
         return reg
 
@@ -225,8 +221,9 @@ class ChainRuntime:
         self._threads.clear()
         in_flight = [desc for endpoint in self._endpoints
                      for desc in endpoint.drain_remaining()]
-        for reg in self._regs.values():
-            in_flight.extend(self._drain(reg.rx))
+        if self._mode is POLLING:
+            for reg in self._regs.values():
+                in_flight.extend(self._drain(reg.rx))
         faults = []
         for desc in in_flight:
             try:

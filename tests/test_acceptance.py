@@ -554,9 +554,8 @@ def test_criterion_8_unified_coexistence(registry, upstreams):
         collector2 = CollectorSink()
         packet.set_sink(collector2)
         report = unified_run(shim, collector2, proxy.listen_address,
-                             l2l3_rate=rate, packet_size=128,
-                             http_concurrency=2, duration=30.0, step_at=10.0,
-                             http_body=1024, http_pace_s=0.01)
+                             l2l3_rate=rate, http_concurrency=2,
+                             duration=30.0, step_at=10.0)
     finally:
         packet.stop()
         proxy.close()

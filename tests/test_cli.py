@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shmchain.audit import AuditLedger
 from shmchain.cli import DEFAULT_PACKET_SPEC, main
 from shmchain.verify_runs import RUNNABLE_MODELS
 
@@ -68,3 +69,26 @@ def test_bench_l4l7_short(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["delivered"] > 0
     assert report["extras"]["cpu_total_cores"] > 0  # sampled under load
+
+
+@pytest.mark.parametrize("argv, threads", [
+    (["bench-l2l3", "--mode", "event", "--rate", "3000"],
+     {"nf.r1", "nf.f1", "router", "tx"}),
+    (["bench-l4l7", "--mode", "polling", "--concurrency", "2"],
+     {"worker", "io"}),
+])
+def test_bench_runs_the_mode_asked_and_audits_nothing(argv, threads, tmp_path,
+                                                     capsys, monkeypatch):
+    """``--mode`` decides which threads the benched plane runs, and a bench
+    run keeps no audit ledger."""
+    audited = []
+    for method in ("record", "complete"):
+        monkeypatch.setattr(AuditLedger, method,
+                            lambda self, *a, method=method, **kw:
+                            audited.append(method))
+    assert main(["--out", str(tmp_path), "--json", *argv,
+                 "--duration", "0.6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["delivered"] > 0
+    assert set(report["cpu"]) == threads
+    assert audited == []

@@ -9,7 +9,6 @@ from shmchain.descriptors import EGRESS
 from shmchain.errors import (
     CycleDetected,
     DuplicateFunction,
-    ModeChangeAfterStart,
     PlaneFrozen,
     UnknownFunction,
 )
@@ -81,8 +80,6 @@ def test_frozen_after_start(big_pool):
     try:
         with pytest.raises(PlaneFrozen):
             plane.register("x", make_l2_forwarder())
-        with pytest.raises(ModeChangeAfterStart):
-            plane.set_mode(Mode.EVENT)
     finally:
         plane.stop()
 

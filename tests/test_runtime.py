@@ -136,6 +136,9 @@ def check_refusal(registry, upstreams, kind, mode, where):
             offer(seq, True)
         wait_settled(plane, 2 * K)
         assert set(plane.thread_ids()) == THREADS[(kind, mode)]
+        # only a polling chain has RX rings
+        assert all((reg.rx is None) == (mode is Mode.EVENT)
+                   for reg in plane._regs.values())
     finally:
         for sock in socks:
             sock.close()
