@@ -93,10 +93,6 @@ class ParseError(ShmChainError):
     pass
 
 
-class UpstreamUnavailable(ShmChainError):
-    pass
-
-
 # -- audit ----------------------------------------------------------------------
 
 class UnknownModel(ShmChainError):

@@ -1,6 +1,6 @@
 """Minimal HTTP/1.1 framing: request parsing, request/response serialization,
-and blocking response reads. Content-Length framing only; chunked transfer
-is rejected.
+and blocking response reads, pipelined ones included. Content-Length framing
+only; chunked transfer is rejected.
 """
 
 from __future__ import annotations
@@ -110,22 +110,29 @@ def simple_response(status: int, reason: str, body: bytes = b"",
     return b"".join(head)
 
 
-def read_response(sock: socket.socket) -> tuple[bytes, int, bytes, bool]:
+def read_response(sock: socket.socket, buf: bytearray | None = None
+                  ) -> tuple[bytes, int, bytes, bool]:
     """Read one Content-Length framed response off a blocking socket.
 
-    Returns (raw bytes, status code, body, connection reusable).
+    Returns (raw bytes, status code, body, connection reusable). A caller
+    that reads pipelined responses passes the connection's ``buf``: the read
+    starts with the bytes already in it and leaves there every byte past
+    this response. Without one, bytes past the response are lost, so the
+    connection is not reusable.
     """
-    buf = bytearray()
+    keep = buf is not None
+    if buf is None:
+        buf = bytearray()
     while True:
         head_end = buf.find(b"\r\n\r\n")
         if head_end >= 0:
             break
+        if len(buf) > MAX_HEADER_BYTES:
+            raise ParseError("response head too large")
         chunk = sock.recv(65536)
         if not chunk:
             raise ParseError("connection closed before response head")
         buf += chunk
-        if len(buf) > MAX_HEADER_BYTES:
-            raise ParseError("response head too large")
     head = bytes(buf[:head_end]).decode("latin-1")
     lines = head.split("\r\n")
     status_parts = lines[0].split(" ", 2)
@@ -147,6 +154,8 @@ def read_response(sock: socket.socket) -> tuple[bytes, int, bytes, bool]:
         if not chunk:
             raise ParseError("connection closed mid body")
         buf += chunk
+    raw = bytes(buf[:total])
+    del buf[:total]
     connection = (_find(headers, "connection") or "keep-alive").lower()
-    reusable = connection != "close" and len(buf) == total
-    return bytes(buf[:total]), status, bytes(buf[head_end + 4:total]), reusable
+    reusable = connection != "close" and (keep or not buf)
+    return raw, status, raw[head_end + 4:], reusable

@@ -133,12 +133,13 @@ class PacketPlane(ChainRuntime):
             for desc in batch:
                 self._send(desc, self._tx_ep)
 
-    def _transmit_event(self, desc: PacketDescriptor) -> None:
-        """The TX stage's step: transmit, then park the frame on the
-        completion ring for ingress to reap."""
-        if (self._transmit(desc)
-                and not self._nic_rings.completion.enqueue(desc.frame)):
-            self.pool.free_frame(desc.frame)
+    def _transmit_event(self, batch) -> None:
+        """The TX stage's step: transmit each packet, then park its frame on
+        the completion ring for ingress to reap."""
+        completion = self._nic_rings.completion
+        for desc in batch:
+            if self._transmit(desc) and not completion.enqueue(desc.frame):
+                self.pool.free_frame(desc.frame)
 
     def _transmit(self, desc: PacketDescriptor) -> bool:
         """Hand one packet to the sink. Returns whether it went out; the

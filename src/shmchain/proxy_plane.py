@@ -4,17 +4,19 @@ The broker terminates real TCP connections and parses HTTP/1.1 requests.
 Its ingress edge moves each message body into a pool frame and routes the
 descriptor straight to the entry function (onto its RX ring, or one event
 hop into its inbox), while the middlebox functions work on the parsed
-metadata. Its egress edge serializes the (possibly rewritten) request,
-relays it over a pooled upstream connection, and answers the client. That
-egress runs on the thread that routed the descriptor out of the chain, the
-chain's worker in polling mode and the relay in event mode, so one broker's
-upstream round trips are serial.
+metadata. Its egress edge works a burst at a time, on the thread that
+routed the burst out of the chain: the chain's worker in polling mode and
+the relay in event mode. It serializes every (possibly rewritten) request
+of the burst and pipelines them upstream: each backend's requests go out in
+one write on one pooled keep-alive connection, every backend is written to
+before any is read, and then each backend's responses are read in order
+and answered. A burst of one is one plain round trip.
 
 A client may pipeline: every complete request in a connection's buffer is
 parsed and enters the chain at once, numbered in arrival order. Requests of
 one connection can leave the chain out of order (a function drops one, or
 a later one takes a shorter path), so every answer, the upstream's response
-or the broker's own 400, 413 or 503, goes through the connection's
+or the broker's own 400, 413, 502 or 503, goes through the connection's
 sequencer, which holds it until every earlier answer has been written.
 
 Per message the broker pays exactly two copies at ingest (socket read into
@@ -40,7 +42,6 @@ from .errors import (
     ParseError,
     PlaneUnavailable,
     PoolExhausted,
-    UpstreamUnavailable,
 )
 from .http11 import (
     read_response,
@@ -55,6 +56,7 @@ INGEST_COST = CostVector(copies=2, interrupts=2, context_switches=1,
                          protocol_tasks=1, serde_tasks=1)
 EGRESS_COST = CostVector(copies=2, interrupts=1, context_switches=1,
                          protocol_tasks=1, serde_tasks=1)
+BAD_GATEWAY = simple_response(502, "Bad Gateway")
 
 
 @dataclass
@@ -100,37 +102,83 @@ class UpstreamPool:
     def __len__(self):
         return len(self._backends)
 
-    def _checkout(self, idx):
-        with self._lock:
-            if self._idle[idx]:
-                return self._idle[idx].pop(), True
-        try:
-            sock = socket.create_connection(self._backends[idx], timeout=self._timeout)
-        except OSError as exc:
-            raise UpstreamUnavailable(f"backend {idx}: {exc}") from None
-        sock.settimeout(self._timeout)
-        return sock, False
+    def roundtrip(self, requests) -> list:
+        """Relay a burst of ``(backend index, request bytes)`` pairs. Returns
+        each request's response bytes in the burst's order, or None for a
+        request its backend did not answer.
 
-    def roundtrip(self, idx, data: bytes) -> bytes:
-        if not 0 <= idx < len(self._backends):
-            raise UpstreamUnavailable(f"backend index {idx} out of range")
-        for attempt in (0, 1):
-            sock, pooled = self._checkout(idx)
-            try:
-                sock.sendall(data)
-                raw, _status, _body, reusable = read_response(sock)
-            except (OSError, ParseError) as exc:
+        Each backend's requests are written in one ``sendall`` on one
+        keep-alive connection, and every backend is written to before any
+        is read; then each backend's responses are read in order. A pooled
+        connection that fails is stale: the requests it left unanswered are
+        sent once more, on a fresh connection. A response that closes the
+        connection sends the rest on a fresh one."""
+        answers = [None] * len(requests)
+        slots: dict[int, list[int]] = {}
+        for i, (idx, _data) in enumerate(requests):
+            if 0 <= idx < len(self._backends):
+                slots.setdefault(idx, []).append(i)
+        sent = [(idx, todo, *self._send(idx, [requests[i][1] for i in todo]))
+                for idx, todo in slots.items()]
+        for idx, todo, sock, pooled in sent:
+            while True:
+                raws, failed = self._read(idx, sock, len(todo))
+                for i, raw in zip(todo, raws):
+                    answers[i] = raw
+                todo = todo[len(raws):]
+                # only a pooled connection's failure is retried, and every
+                # resend goes on a fresh one, so a burst retries at most once
+                if not todo or failed and not pooled:
+                    break
+                sock, pooled = self._send(idx, [requests[i][1] for i in todo],
+                                          fresh=True)
+        return answers
+
+    def _send(self, idx, payloads, fresh=False):
+        """Write ``payloads`` to backend ``idx`` in one ``sendall``, on an idle
+        connection unless ``fresh``, else on a new one. Returns the
+        connection, None if the backend refused it or the write failed, and
+        whether it was pooled."""
+        sock, pooled = None, False
+        if not fresh:
+            with self._lock:
+                if self._idle[idx]:
+                    sock, pooled = self._idle[idx].pop(), True
+        try:
+            if sock is None:
+                sock = socket.create_connection(self._backends[idx],
+                                                timeout=self._timeout)
+            sock.sendall(b"".join(payloads))
+        except OSError:
+            if sock is not None:
                 sock.close()
-                if pooled and attempt == 0:
-                    continue  # stale keep-alive connection; retry fresh
-                raise UpstreamUnavailable(f"backend {idx}: {exc}") from None
-            if reusable:
-                with self._lock:
-                    self._idle[idx].append(sock)
-            else:
-                sock.close()
-            return raw
-        raise UpstreamUnavailable(f"backend {idx}")
+            return None, pooled
+        return sock, pooled
+
+    def _read(self, idx, sock, count):
+        """Read up to ``count`` responses off ``sock``, in order. Returns them
+        and whether the connection failed. A connection that answered all
+        ``count`` and may be kept goes back to the pool; any other is
+        closed."""
+        if sock is None:
+            return [], True
+        buf = bytearray()
+        raws = []
+        try:
+            while len(raws) < count:
+                raw, _status, _body, reusable = read_response(sock, buf)
+                raws.append(raw)
+                if not reusable:
+                    break
+        except (OSError, ParseError):
+            sock.close()
+            return raws, True
+        if reusable and not buf:
+            with self._lock:
+                self._idle[idx].append(sock)
+        else:
+            sock.close()
+        return raws, False
 
     def close_all(self):
         with self._lock:
@@ -340,30 +388,32 @@ class ProxyPlane(ChainRuntime):
     # -- broker egress ------------------------------------------------------------------
 
     def _egress(self, batch) -> None:
-        """Serialize each (possibly rewritten) message, relay it upstream,
-        and answer the client with the upstream's bytes."""
+        """Serialize every (possibly rewritten) message of the burst, relay
+        the burst upstream, and answer each client with its upstream's
+        bytes."""
+        requests = []
         for desc in batch:
             meta = desc.meta
             body = self.pool.read_frame(desc.frame, desc.offset, desc.length)
             backend = meta.backend_choice if meta.backend_choice is not None else 0
-            data = serialize_request(meta.method, meta.path, meta.headers, body)
-            try:
-                response = self._upstreams.roundtrip(backend, data)
-            except UpstreamUnavailable:
-                with self._count_lock:
-                    self.upstream_errors += 1
-                response = simple_response(502, "Bad Gateway")
-            if self.ledger is not None:
-                self.ledger.record_vector(desc.trace_id, desc.chain_hops + 1, EGRESS_COST)
+            requests.append((backend, serialize_request(meta.method, meta.path,
+                                                        meta.headers, body)))
+        responses = self._upstreams.roundtrip(requests)
+        ledger = self.ledger
+        for desc in batch:
+            if ledger is not None:
+                ledger.record_vector(desc.trace_id, desc.chain_hops + 1, EGRESS_COST)
             self._free_frame(desc)
-            # account for the request before the client can see its response
-            with self._count_lock:
-                self.egress_count += 1
-            if self.ledger is not None:
-                self.ledger.complete(desc.trace_id, "egress")
-            conn = self._conns.get(meta.connection_id)
+        # account for the burst before any client can see its response
+        with self._count_lock:
+            self.egress_count += len(batch)
+            self.upstream_errors += responses.count(None)
+        for desc, response in zip(batch, responses):
+            if ledger is not None:
+                ledger.complete(desc.trace_id, "egress")
+            conn = self._conns.get(desc.meta.connection_id)
             if conn is not None:
-                self._respond(conn, meta.seq, response)
+                self._respond(conn, desc.meta.seq, response or BAD_GATEWAY)
 
     def _free_frame(self, desc) -> None:
         self.pool.free_frame(desc.frame)

@@ -14,8 +14,9 @@ hop or ``filtered`` when the filter refuses it, hands it to the plane's
 the next function's RX ring with one burst enqueue (polling, dropping the
 tail that does not fit as ``ring_full``) or sends each descriptor there
 (event). The polling step passes the burst a function has just run with
-that function as the source. The planes' ingress edges and the event router
-pass bursts of one descriptor.
+that function as the source. The event router splits each batch it receives
+by source and passes each source's descriptors as one burst, in their
+order. The planes' ingress edges pass bursts of one descriptor.
 
 Polling mode runs the whole chain to completion on one worker thread, as
 DPDK runs a core's functions in one loop. Each ``route_step`` visits the
@@ -30,7 +31,8 @@ chain has RX rings: the mode is fixed when the chain is built, so
 ``register`` gives a function a ring only in polling mode.
 
 Event mode gives every function, and the router, a thread blocked on its
-event endpoint until a delivery arrives. Every move between functions
+event endpoint until a delivery arrives; each wakeup runs the stage once
+over the whole batch it received. Every move between functions
 passes through the router's endpoint, and each send, made by the one
 ``_send``, records one interrupt plus one context switch on the audited
 path: the model's per-hop cost. The real eventfd signal goes only to a
@@ -201,7 +203,7 @@ class ChainRuntime:
                 self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}", self._serve,
                             reg.endpoint, functools.partial(self._nf_step_event, reg))
             self._spawn(self.ROUTER_LABEL, self._serve, self._router_ep,
-                        lambda desc: self._route(desc.src_fn, (desc,)))
+                        self._router_step)
 
     def stop(self) -> None:
         """Stop every stage, then drop every descriptor still in flight.
@@ -378,19 +380,28 @@ class ChainRuntime:
     # -- event mode stages ----------------------------------------------------------
 
     def _serve(self, endpoint: EventEndpoint, step) -> None:
-        """Run ``step`` on each descriptor delivered to ``endpoint``, a burst
+        """Run ``step`` once on each batch delivered to ``endpoint``, a batch
         per wakeup, until the endpoint is closed and its inbox is empty."""
         while True:
             try:
                 batch = endpoint.recv_batch(BATCH)
             except EndpointClosed:
                 return
-            for desc in batch:
-                step(desc)
+            step(batch)
 
-    def _nf_step_event(self, reg: Registration, desc) -> None:
-        for out in self._run_handlers(reg, (desc,)):
-            self._send(out, self._router_ep)
+    def _nf_step_event(self, reg: Registration, batch) -> None:
+        router = self._router_ep
+        for out in self._run_handlers(reg, batch):
+            self._send(out, router)
+
+    def _router_step(self, batch) -> None:
+        """Route a received batch one source at a time, each source's
+        descriptors as one burst in their order."""
+        by_src: dict[str, list] = {}
+        for desc in batch:
+            by_src.setdefault(desc.src_fn, []).append(desc)
+        for src, burst in by_src.items():
+            self._route(src, burst)
 
     # -- drops ----------------------------------------------------------------------
 

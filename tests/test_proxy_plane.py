@@ -19,7 +19,7 @@ from shmchain.http11 import (
 )
 from shmchain.packet_plane import Mode
 from shmchain.pool import PoolConfig
-from shmchain.proxy_plane import BrokerConfig, ProxyPlane
+from shmchain.proxy_plane import BrokerConfig, ProxyPlane, UpstreamPool
 
 
 @pytest.fixture(scope="module")
@@ -57,15 +57,12 @@ def make_gate_plane(pool, upstreams, mode):
 
 def read_responses(sock, count):
     """Read ``count`` pipelined responses off ``sock``: (status, raw) each."""
-    with sock.makefile("rb") as stream:
-        # one byte per recv, so that read_response stops at the end of its
-        # own response and leaves the next one unread
-        reader = SimpleNamespace(recv=lambda _size: stream.read(1))
-        responses = []
-        for _ in range(count):
-            raw, status, _body, _ = read_response(reader)
-            responses.append((status, raw))
-        return responses
+    buf = bytearray()
+    responses = []
+    for _ in range(count):
+        raw, status, _body, _ = read_response(sock, buf)
+        responses.append((status, raw))
+    return responses
 
 
 def pipeline(sock, paths):
@@ -75,6 +72,84 @@ def pipeline(sock, paths):
 
 def x_path(raw):
     return raw.split(b"\r\nX-Path: ", 1)[1].split(b"\r\n", 1)[0].decode()
+
+
+def get(path):
+    return serialize_request("GET", path, [("Host", "t")], b"")
+
+
+def dead_address():
+    """An address nothing listens on."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    address = probe.getsockname()
+    probe.close()
+    return address
+
+
+class ScriptedBackend:
+    """A backend that logs the path of every request it reads, one list per
+    connection, and answers with ``X-Path`` set to that path. It answers
+    once a connection has sent ``gather`` requests, and only a connection's
+    first ``keep``; the last of those says ``Connection: close`` if
+    ``close``. Then it stops writing and reads the connection until the
+    client hangs up."""
+
+    def __init__(self, keep=None, close=False, gather=1):
+        self.keep, self.close, self.gather = keep, close, gather
+        self.paths: list[list[str]] = []
+        self._server = socket.create_server(("127.0.0.1", 0))
+        self.address = self._server.getsockname()
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+        self._threads[0].start()
+
+    def _accept(self):
+        while True:
+            try:
+                sock, _addr = self._server.accept()
+            except OSError:
+                return
+            self.paths.append([])
+            thread = threading.Thread(target=self._serve,
+                                      args=(sock, self.paths[-1]), daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, sock, paths):
+        buf, answered = bytearray(), 0
+        keep = len(paths) + 10**6 if self.keep is None else self.keep
+        with sock:
+            sock.settimeout(10)
+            while True:
+                request, consumed = try_parse_request(buf)
+                if request is not None:
+                    del buf[:consumed]
+                    paths.append(request.target)
+                    continue
+                while len(paths) >= self.gather and answered < min(len(paths), keep):
+                    answered += 1
+                    last = answered == keep
+                    headers = [("X-Path", paths[answered - 1])]
+                    if last and self.close:
+                        headers.append(("Connection", "close"))
+                    sock.sendall(simple_response(200, "OK", extra_headers=headers))
+                    if last:
+                        sock.shutdown(socket.SHUT_WR)
+                try:
+                    data = sock.recv(65536)
+                except OSError:
+                    return
+                if not data:
+                    return
+                buf += data
+
+    def stop(self):
+        """Close the listener and wait until every client has hung up."""
+        self._server.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self._server.close()
+        for thread in self._threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
 
 
 class TestHttpWire:
@@ -98,6 +173,33 @@ class TestHttpWire:
         raw = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
         with pytest.raises(ParseError):
             try_parse_request(raw)
+
+    def test_pipelined_responses_in_one_recv_are_both_kept(self):
+        first = simple_response(200, "OK", b"one")
+        second = simple_response(404, "Not Found", b"two")
+        chunks = [first + second]
+        sock = SimpleNamespace(recv=lambda _size: chunks.pop(0))
+        buf = bytearray()
+        raw, status, body, reusable = read_response(sock, buf)
+        assert (raw, status, body, reusable) == (first, 200, b"one", True)
+        assert buf == second
+        raw, status, body, reusable = read_response(sock, buf)  # no recv
+        assert (raw, status, body, reusable) == (second, 404, b"two", True)
+        assert buf == b""
+
+    def test_response_split_across_recvs(self):
+        response = simple_response(200, "OK", b"x" * 100)
+        chunks = [response[i:i + 7] for i in range(0, len(response), 7)]
+        sock = SimpleNamespace(recv=lambda _size: chunks.pop(0))
+        buf = bytearray()
+        assert read_response(sock, buf) == (response, 200, b"x" * 100, True)
+        assert buf == b"" and chunks == []
+
+    def test_bytes_past_the_response_without_a_buffer_end_reuse(self):
+        chunks = [simple_response(200, "OK") * 2]
+        sock = SimpleNamespace(recv=lambda _size: chunks.pop(0))
+        _raw, status, _body, reusable = read_response(sock)
+        assert status == 200 and not reusable
 
     def test_serialize_sets_content_length(self):
         data = serialize_request("POST", "/y", [("Host", "h")], b"12345")
@@ -174,6 +276,123 @@ def test_parse_error_resets_connection(registry, upstreams):
         assert plane.parse_errors == 1
     finally:
         plane.close()
+
+
+class TestUpstreamPool:
+    def test_burst_to_one_backend_is_pipelined_on_one_connection(self):
+        """The backend answers only once all five requests have arrived, so
+        the burst is written before any response is read."""
+        backend = ScriptedBackend(gather=5)
+        pool = UpstreamPool([backend.address], timeout=5)
+        answers = pool.roundtrip([(0, get(f"/{i}")) for i in range(5)])
+        pool.close_all()
+        backend.stop()
+        assert [x_path(raw) for raw in answers] == [f"/{i}" for i in range(5)]
+        assert backend.paths == [[f"/{i}" for i in range(5)]]
+
+    def test_stale_pooled_connection_resends_only_the_unanswered(self):
+        """The pooled connection answers one request of the burst and then
+        closes: the other two, and only they, go out again on a fresh
+        connection."""
+        backend = ScriptedBackend(keep=2)
+        pool = UpstreamPool([backend.address], timeout=5)
+        assert x_path(pool.roundtrip([(0, get("/warm"))])[0]) == "/warm"
+        answers = pool.roundtrip([(0, get(f"/{i}")) for i in range(3)])
+        pool.close_all()
+        backend.stop()
+        assert [x_path(raw) for raw in answers] == ["/0", "/1", "/2"]
+        assert backend.paths == [["/warm", "/0", "/1", "/2"], ["/1", "/2"]]
+
+    def test_stale_pooled_connection_is_retried_once(self):
+        """The pooled connection answers nothing more and the fresh one
+        answers one request: the rest of the burst is not sent a third
+        time."""
+        backend = ScriptedBackend(keep=1)
+        pool = UpstreamPool([backend.address], timeout=5)
+        pool.roundtrip([(0, get("/warm"))])
+        answers = pool.roundtrip([(0, get(f"/{i}")) for i in range(3)])
+        pool.close_all()
+        backend.stop()
+        assert x_path(answers[0]) == "/0" and answers[1:] == [None, None]
+        assert backend.paths == [["/warm", "/0", "/1", "/2"], ["/0", "/1", "/2"]]
+
+    def test_connection_close_midway_resends_the_rest(self):
+        """Every connection answers once with ``Connection: close``: the rest
+        of the burst goes out again on a fresh connection each time."""
+        backend = ScriptedBackend(keep=1, close=True)
+        pool = UpstreamPool([backend.address], timeout=5)
+        answers = pool.roundtrip([(0, get(f"/{i}")) for i in range(3)])
+        pool.close_all()
+        backend.stop()
+        assert [x_path(raw) for raw in answers] == ["/0", "/1", "/2"]
+        assert backend.paths == [["/0", "/1", "/2"], ["/1", "/2"], ["/2"]]
+
+    def test_dead_backend_leaves_only_its_requests_unanswered(self):
+        backend = ScriptedBackend()
+        pool = UpstreamPool([backend.address, dead_address()], timeout=5)
+        answers = pool.roundtrip([(i % 2, get(f"/{i}")) for i in range(4)])
+        pool.close_all()
+        backend.stop()
+        assert x_path(answers[0]) == "/0" and x_path(answers[2]) == "/2"
+        assert answers[1] is None and answers[3] is None
+        assert backend.paths == [["/0", "/2"]]
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_pipelined_requests_share_one_upstream_connection(registry, mode):
+    """N pipelined requests to one backend reach it on one connection and
+    get their N answers in order; ingest = egress and the pool is full
+    after stop."""
+    n = 12
+    backend = ScriptedBackend()
+    pool = registry.create(PoolConfig(f"one-conn-{mode.value}", 32, 4096))
+    config = BrokerConfig(upstreams=[backend.address], mode=mode)
+    plane = ProxyPlane(pool, config, name="one-conn")
+    plane.register("lb", make_reverse_proxy(1))
+    plane.set_entry("lb")
+    plane.set_route("lb", EGRESS)
+    plane.start()
+    try:
+        with socket.create_connection(plane.listen_address, timeout=5) as sock:
+            pipeline(sock, [f"/{i}" for i in range(n)])
+            responses = read_responses(sock, n)
+    finally:
+        plane.close()
+        backend.stop()
+    assert [(s, x_path(raw)) for s, raw in responses] == [
+        (200, f"/{i}") for i in range(n)]
+    assert backend.paths == [[f"/{i}" for i in range(n)]]
+    assert plane.ingest_count == plane.egress_count == n
+    assert plane.upstream_errors == 0 and not plane.drops
+    assert pool.free_count == pool.config.frame_count
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_dead_backend_gives_502_per_request(registry, upstreams, mode):
+    """Round robin over a live and a dead backend: each request sent to the
+    dead one is answered 502 in its place, and ``upstream_errors`` counts
+    each of them."""
+    n = 10
+    pool = registry.create(PoolConfig(f"half-dead-{mode.value}", 32, 4096))
+    config = BrokerConfig(upstreams=[upstreams[0].address, dead_address()],
+                          mode=mode)
+    plane = ProxyPlane(pool, config, name="half-dead")
+    plane.register("lb", make_reverse_proxy(2))
+    plane.set_entry("lb")
+    plane.set_route("lb", EGRESS)
+    plane.start()
+    try:
+        with socket.create_connection(plane.listen_address, timeout=10) as sock:
+            pipeline(sock, [f"/{i}" for i in range(n)])
+            responses = read_responses(sock, n)
+    finally:
+        plane.close()
+    assert [s for s, _raw in responses] == [200, 502] * (n // 2)
+    assert [x_path(raw) for _s, raw in responses[::2]] == [
+        f"/{i}" for i in range(0, n, 2)]
+    assert plane.upstream_errors == n // 2
+    assert plane.ingest_count == plane.egress_count == n
+    assert pool.free_count == pool.config.frame_count
 
 
 def test_upstream_down_gives_502(registry):

@@ -24,7 +24,7 @@ from shmchain.packet_plane import PacketPlane
 from shmchain.pool import PoolConfig
 from shmchain.proxy_plane import INGEST_COST, BrokerConfig, ProxyPlane
 from shmchain.routing import RoutingTable
-from shmchain.runtime import BURST, Mode
+from shmchain.runtime import BATCH, BURST, Mode
 
 K = 20
 # every thread a two-function plane runs: in polling mode the one worker
@@ -316,6 +316,46 @@ def test_one_route_step_runs_a_burst_to_completion(registry, upstreams):
         want.append(bytes(packet))
     assert got == want
     assert plane.stats()["drops"] == {}
+    assert pool.free_count == pool.config.frame_count
+
+
+def test_router_batch_routes_each_source_in_its_order(registry, upstreams,
+                                                      monkeypatch):
+    """One router batch holds descriptors that left ingress and ``a``,
+    interleaved: the router hands each source's descriptors to its next hop
+    in their order, and the ledger holds one hop per successful send. The
+    stages run by hand: start spawns no thread."""
+    pool = registry.create(PoolConfig("rt-router-batch", 64, 2048))
+    plane = build("packet", Mode.EVENT, pool, upstreams)
+    plane.ledger = ledger = AuditLedger()
+    monkeypatch.setattr(plane, "_spawn", lambda *args: None)
+    plane.start()
+    a, b = plane._regs["a"], plane._regs["b"]
+    router = plane._router_ep
+    try:
+        for seq in range(6):
+            assert plane.ingress(build_packet(64, seq, 1))
+        plane._router_step(router.recv_batch(BATCH))  # traces 0-5 into a
+        plane._nf_step_event(a, a.endpoint.recv_batch(3))  # 0-2 out of a
+        for seq in range(6, 9):
+            assert plane.ingress(build_packet(64, seq, 1))
+        plane._nf_step_event(a, a.endpoint.recv_batch(3))  # 3-5 out of a
+        batch = router.recv_batch(BATCH)
+        assert [(d.src_fn, d.trace_id) for d in batch] == (
+            [("a", t) for t in range(3)] + [(INGRESS_ID, t) for t in range(6, 9)]
+            + [("a", t) for t in range(3, 6)])
+        plane._router_step(batch)
+        # read in place: stop drops what the inboxes hold as shutdown
+        assert [d.trace_id for d in b.endpoint._inbox] == list(range(6))
+        assert [d.trace_id for d in a.endpoint._inbox] == [6, 7, 8]
+        hops = plane.stats()["event_hops"]
+    finally:
+        plane.stop()
+    # traces 0-5: ingress, the router into a, a out, the router into b;
+    # traces 6-8: ingress and the router into a
+    assert hops == 6 * 4 + 3 * 2
+    assert plane.stats()["drops"] == {"shutdown": 9}
+    assert sum(ledger.trace_total(t).context_switches for t in range(9)) == hops
     assert pool.free_count == pool.config.frame_count
 
 
