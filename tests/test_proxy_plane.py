@@ -65,17 +65,16 @@ def read_responses(sock, count):
     return responses
 
 
+def get(path):
+    return serialize_request("GET", path, [("Host", "t")], b"")
+
+
 def pipeline(sock, paths):
-    sock.sendall(b"".join(serialize_request("GET", path, [("Host", "t")], b"")
-                          for path in paths))
+    sock.sendall(b"".join(get(path) for path in paths))
 
 
 def x_path(raw):
     return raw.split(b"\r\nX-Path: ", 1)[1].split(b"\r\n", 1)[0].decode()
-
-
-def get(path):
-    return serialize_request("GET", path, [("Host", "t")], b"")
 
 
 def dead_address():
@@ -117,7 +116,7 @@ class ScriptedBackend:
 
     def _serve(self, sock, paths):
         buf, answered = bytearray(), 0
-        keep = len(paths) + 10**6 if self.keep is None else self.keep
+        keep = 10**6 if self.keep is None else self.keep
         with sock:
             sock.settimeout(10)
             while True:
