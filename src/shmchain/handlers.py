@@ -5,6 +5,17 @@ A handler is ``handler(ctx, desc) -> desc | None``; ``None`` means drop. Each
 handler touches only frames it currently owns, and only the byte ranges it
 declares through its ``mutates`` attribute, so transport tests can check that
 bodies ride through chains untouched.
+
+A handler may also have a burst form, ``handler.burst(ctx, batch)``, which
+returns a list that lines up with ``batch``: the descriptor to hand on, or
+``None`` for each one refused. The chain runtime calls it once per burst,
+as DPDK and VPP run a stage over a whole vector of packets, and calls any
+handler without one once per descriptor. ``l3route`` and ``l2fwd`` are
+written once, in burst form; their per-descriptor call runs the burst form
+over a burst of one. They reach their frames through ``ctx.views(batch)``,
+which makes the pool's ownership and bounds checks for the whole burst in
+one loop and gives ``None`` for a frame that fails them, so such a
+descriptor is refused without touching the rest of its burst.
 """
 
 from __future__ import annotations
@@ -30,8 +41,21 @@ class HandlerContext:
     dropped: int = 0
     extra: dict = field(default_factory=dict)
 
-    def view(self, desc):
-        return self.pool.frame_view(desc.frame, desc.offset, desc.length)
+    def views(self, batch) -> list:
+        """A writable window onto each descriptor's bytes in its frame, for a
+        whole burst, checked in one loop; ``None`` for each descriptor whose
+        frame fails the pool's ownership or bounds checks."""
+        return self.pool.frame_views(batch)
+
+
+def _per_descriptor(burst):
+    """The per-descriptor call of a handler written in burst form."""
+
+    def handler(ctx: HandlerContext, desc):
+        return burst(ctx, (desc,))[0]
+
+    handler.burst = burst
+    return handler
 
 
 def make_l3_router(route_map: dict[str, str] | None = None):
@@ -41,19 +65,32 @@ def make_l3_router(route_map: dict[str, str] | None = None):
     an IPv4 header are dropped as malformed.
     """
     table = {ip_to_bytes(k): ip_to_bytes(v) for k, v in (route_map or {}).items()}
+    lookup = table.get
+    min_len = ETH_HEADER_LEN + IPV4_HEADER_LEN
+    lo, hi = IPV4_DST_OFFSET, IPV4_DST_OFFSET + 4
 
-    def handler(ctx: HandlerContext, desc):
-        ctx.processed += 1
-        if desc.length < ETH_HEADER_LEN + IPV4_HEADER_LEN:
-            ctx.dropped += 1
-            return None
-        view = ctx.view(desc)
-        new_dst = table.get(bytes(view[IPV4_DST_OFFSET:IPV4_DST_OFFSET + 4]))
-        if new_dst is not None:
-            view[IPV4_DST_OFFSET:IPV4_DST_OFFSET + 4] = new_dst
-            ctx.mutated += 1
-        return desc
+    def burst(ctx: HandlerContext, batch) -> list:
+        out = []
+        append = out.append
+        mutated = dropped = 0
+        for desc, view in zip(batch, ctx.views(batch)):
+            if desc.length < min_len:
+                dropped += 1
+                append(None)
+            elif view is None:
+                append(None)
+            else:
+                new_dst = lookup(bytes(view[lo:hi]))
+                if new_dst is not None:
+                    view[lo:hi] = new_dst
+                    mutated += 1
+                append(desc)
+        ctx.processed += len(out)
+        ctx.mutated += mutated
+        ctx.dropped += dropped
+        return out
 
+    handler = _per_descriptor(burst)
     handler.mutates = ((IPV4_DST_OFFSET, IPV4_DST_OFFSET + 4),)
     handler.kind = "l3route"
     return handler
@@ -62,17 +99,28 @@ def make_l3_router(route_map: dict[str, str] | None = None):
 def make_l2_forwarder(dst_mac: str = "02:00:00:00:00:02"):
     """Rewrite the destination MAC so the packet heads for the next hop."""
     mac = mac_to_bytes(dst_mac)
+    lo, hi = ETH_DST_OFFSET, ETH_DST_OFFSET + 6
 
-    def handler(ctx: HandlerContext, desc):
-        ctx.processed += 1
-        if desc.length < ETH_HEADER_LEN:
-            ctx.dropped += 1
-            return None
-        view = ctx.view(desc)
-        view[ETH_DST_OFFSET:ETH_DST_OFFSET + 6] = mac
-        ctx.mutated += 1
-        return desc
+    def burst(ctx: HandlerContext, batch) -> list:
+        out = []
+        append = out.append
+        mutated = dropped = 0
+        for desc, view in zip(batch, ctx.views(batch)):
+            if desc.length < ETH_HEADER_LEN:
+                dropped += 1
+                append(None)
+            elif view is None:
+                append(None)
+            else:
+                view[lo:hi] = mac
+                mutated += 1
+                append(desc)
+        ctx.processed += len(out)
+        ctx.mutated += mutated
+        ctx.dropped += dropped
+        return out
 
+    handler = _per_descriptor(burst)
     handler.mutates = ((ETH_DST_OFFSET, ETH_DST_OFFSET + 6),)
     handler.kind = "l2fwd"
     return handler

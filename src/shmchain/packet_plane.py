@@ -2,17 +2,20 @@
 
 Ingress places each packet into a pool frame, the emulated DMA, and hands
 its descriptor to the chain; egress reads the frame out to the sink, the
-DMA the other way, and recycles the frame. Polling mode allocates a frame
-per packet, routes it onto the entry function's RX ring, and runs egress
-on the chain's worker thread a burst at a time: it hands each packet of a
-burst to the sink, then frees the burst's frames with one ``free_frames``
-call, under one acquire of the pool lock. Event mode keeps frames parked on a fill
-ring, the way receive buffers stay posted to a NIC: ingress takes a parked
-frame, writes the packet into it, makes a fresh descriptor for it and sends
-that to the router, which routes it like any other hop, and a packet routed
-to EGRESS is sent on to a TX stage that hands it to the sink and parks its
-frame on the completion ring. Like AF_XDP's fill and completion rings, both
-rings carry frames, not descriptors.
+DMA the other way, and recycles the frame. Both modes transmit a burst in
+one loop, ``_transmit``: it checks the burst's frames with one
+``frame_views`` call, then for each packet reads it out, hands it to the
+sink with one retry, closes its trace and counts it. Polling mode allocates
+a frame per packet, routes it onto the entry function's RX ring, and runs
+egress on the chain's worker thread: it transmits a burst, then frees the
+sent frames with one ``free_frames`` call, under one acquire of the pool
+lock. Event mode keeps frames parked on a fill ring, the way receive
+buffers stay posted to a NIC: ingress takes a parked frame, writes the
+packet into it, makes a fresh descriptor for it and sends that to the
+router, which routes it like any other hop, and a packet routed to EGRESS
+is sent on to a TX stage that transmits each batch it receives and parks
+the sent frames on the completion ring. Like AF_XDP's fill and completion
+rings, both rings carry frames, not descriptors.
 Ingress reaps that ring itself: when the fill ring runs dry it moves every
 completion back before it takes a frame, as a NIC driver reaps its
 completion ring before it refills its receive ring, so no thread exists
@@ -70,8 +73,7 @@ class PacketPlane(ChainRuntime):
         # parked frames are not in flight: they are freed, not dropped
         if self._nic_rings is not None:
             for ring in (self._nic_rings.fill, self._nic_rings.completion):
-                for ref in self._drain(ring):
-                    self.pool.free_frame(ref)
+                self._free(list(self._drain(ring)))
             self._nic_rings = None
 
     # -- ingress ------------------------------------------------------------------
@@ -124,41 +126,51 @@ class PacketPlane(ChainRuntime):
 
     def _egress(self, batch) -> None:
         if self._mode is POLLING:
-            # the transmitted frames go back to the pool under one lock
-            # acquire; a packet the sink refused was dropped and freed
-            transmit = self._transmit
-            self.pool.free_frames([desc.frame for desc in batch
-                                   if transmit(desc)])
+            # the sent frames go back to the pool under one lock acquire
+            self._free(self._transmit(batch))
         else:
             for desc in batch:
                 self._send(desc, self._tx_ep)
 
     def _transmit_event(self, batch) -> None:
-        """The TX stage's step: transmit each packet, then park its frame on
-        the completion ring for ingress to reap."""
-        completion = self._nic_rings.completion
-        for desc in batch:
-            if self._transmit(desc) and not completion.enqueue(desc.frame):
-                self.pool.free_frame(desc.frame)
+        """The TX stage's step: transmit the batch, then park the sent
+        frames on the completion ring for ingress to reap."""
+        sent = self._transmit(batch)
+        parked = self._nic_rings.completion.enqueue_burst(sent)
+        if parked < len(sent):
+            self._free(sent[parked:])
 
-    def _transmit(self, desc: PacketDescriptor) -> bool:
-        """Hand one packet to the sink. Returns whether it went out; the
-        caller then still owns its frame. A packet the sink refuses twice
-        is dropped here."""
-        # reading the frame out for the wire is the DMA analog: not a copy
-        payload = self.pool.read_frame(desc.frame, desc.offset, desc.length)
-        try:
-            self._sink(payload, desc)
-        except Exception:
+    def _transmit(self, batch) -> list:
+        """Hand a burst to the sink in one loop: read each packet out of its
+        frame, give it to the sink with one retry, close its trace and count
+        it. Returns the frames of the packets that went out, in order; the
+        caller still owns them. A packet the sink refuses twice is dropped
+        as ``sink_unavailable``; one whose frame fails the pool's checks is
+        dropped as ``bad_frame`` and never read."""
+        sink, ledger = self._sink, self.ledger
+        sent = []
+        for desc, view in zip(batch, self.pool.frame_views(batch)):
+            if view is None:
+                # its frame may have another owner: free it, keeping the
+                # fault, but never park it on the completion ring
+                self._count_drop("bad_frame", desc)
+                self._free((desc.frame,))
+                continue
+            # reading the frame out for the wire is the DMA analog: not a copy
+            payload = view.tobytes()
             try:
-                self._sink(payload, desc)  # one retry, then the packet is lost
+                sink(payload, desc)
             except Exception:
-                self._drop(desc, "sink_unavailable")
-                return False
-        self.egress_count += 1
-        if self.ledger is not None:
-            self.ledger.complete(desc.trace_id, "egress")
-        return True
+                try:
+                    sink(payload, desc)  # one retry, then the packet is lost
+                except Exception:
+                    self._drop(desc, "sink_unavailable")
+                    continue
+            if ledger is not None:
+                ledger.complete(desc.trace_id, "egress")
+            sent.append(desc.frame)
+        self.egress_count += len(sent)
+        return sent
 
     def _recycle(self, ref) -> None:
         with self._fill_lock:
@@ -171,7 +183,7 @@ class PacketPlane(ChainRuntime):
         or park it back on the fill ring (event)."""
         self._count_drop(reason, desc)
         if self._mode is POLLING:
-            self.pool.free_frame(desc.frame)
+            self._free((desc.frame,))
         else:
             self._recycle(desc.frame)
 

@@ -11,15 +11,17 @@ descriptor transports preserve that ownership as descriptors move through a
 chain. Generation counters turn violations of the discipline into immediate
 ``StaleRef``/``DoubleFree`` errors instead of silent corruption.
 
-Every packet calls into this module four times or more, so its hot
-path is kept lean. A ref is a plain tuple, ``FrameRef(index, generation)``.
-A pool keeps one ``memoryview`` of its region for its whole life, and every
+Every packet passes through this module on each stage, so its hot path
+is kept lean. A ref is a plain tuple, ``FrameRef(index, generation)``. A
+pool keeps one ``memoryview`` of its region for its whole life, and every
 frame access makes its index, ownership and bounds checks once, in
 ``_base``, then slices that view: ``write_frame``, ``read_frame`` and
-``frame_view`` each do so directly. Only the allocator state, the free
-stack and the generation counters, is under the pool lock, because
-ingress allocates and egress frees on different threads. Polling egress
-frees a whole burst with ``free_frames``, under one acquire of that lock.
+``frame_view`` each do so directly. ``frame_views`` makes the same checks
+for a whole burst of descriptors in one loop, for the burst handlers and
+packet egress. Only the allocator state, the free stack and the generation
+counters, is under the pool lock, because ingress allocates and egress
+frees on different threads. Polling egress frees a whole burst with
+``free_frames``, under one acquire of that lock.
 """
 
 from __future__ import annotations
@@ -218,6 +220,31 @@ class FramePool:
             length = self.config.frame_size - offset
         base = self._base(ref, offset, length)
         return self._view[base:base + length]
+
+    def frame_views(self, descs) -> list:
+        """Writable zero-copy windows into the frames of a burst of
+        descriptors, in order: ``frame_view(desc.frame, desc.offset,
+        desc.length)`` for each, with ``_base``'s checks made in one loop.
+        A descriptor whose frame fails them gets ``None``, not a raise, so
+        one bad frame leaves the rest of its burst alone."""
+        frame_count = self.config.frame_count
+        fsz = self.config.frame_size
+        gens = self._gen if self._owner else None
+        region = self._view
+        views = []
+        append = views.append
+        for desc in descs:
+            index, generation = desc.frame
+            offset = desc.offset
+            end = offset + desc.length
+            if (not 0 <= index < frame_count or offset < 0 or not offset <= end <= fsz
+                    or gens is not None
+                    and (generation != gens[index] or not generation & 1)):
+                append(None)
+            else:
+                base = index * fsz
+                append(region[base + offset:base + end])
+        return views
 
     # -- introspection ------------------------------------------------------
 

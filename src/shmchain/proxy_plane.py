@@ -416,7 +416,7 @@ class ProxyPlane(ChainRuntime):
                 self._respond(conn, desc.meta.seq, response or BAD_GATEWAY)
 
     def _free_frame(self, desc) -> None:
-        self.pool.free_frame(desc.frame)
+        self._free((desc.frame,))
         if self._parked:  # let the io thread hand a parked request this frame
             self._wake()
 

@@ -18,10 +18,14 @@ that function as the source. The event router splits each batch it receives
 by source and passes each source's descriptors as one burst, in their
 order. The planes' ingress edges pass bursts of one descriptor.
 
+A function runs over a burst in ``_run_handlers``: once for the whole
+burst when its handler has a burst form (``handlers.py``), as DPDK and VPP
+run a stage over a vector of packets, and otherwise once per descriptor.
+
 Polling mode runs the whole chain to completion on one worker thread, as
 DPDK runs a core's functions in one loop. Each ``route_step`` visits the
 functions in registration order: it takes a burst off a function's RX ring,
-runs the function's handler over it and routes the survivors on at once,
+runs the function over it and routes the survivors on at once,
 onto the next function's RX ring or out through egress. Functions stay
 isolated by the ownership rule, not by threads. An empty step yields the
 CPU with ``os.sched_yield`` and polls again, so a polling plane keeps one
@@ -63,7 +67,10 @@ descriptor to its plane's one ``_drop(desc, reason)``, which counts the drop
 under its reason, closes the descriptor's trace and releases the frame. At
 stop, every descriptor still on a ring or in an inbox is counted as a
 ``shutdown`` drop and freed, so ingress = egress + drops once the chain has
-stopped.
+stopped. A frame found with another owner when it is freed is left to that
+owner: ``_free`` keeps the first ``StaleRef`` or ``DoubleFree`` it meets,
+the rest of the burst goes on, and ``stop`` raises the fault once the chain
+is torn down.
 """
 
 from __future__ import annotations
@@ -83,6 +90,7 @@ from .errors import (
     DuplicateFunction,
     EndpointClosed,
     InboxFull,
+    OutOfBounds,
     PlaneFrozen,
     PlaneUnavailable,
     StaleRef,
@@ -140,6 +148,7 @@ class ChainRuntime:
         self._started = False
         self.drops: Counter = Counter()
         self._count_lock = threading.Lock()
+        self._fault: Exception | None = None  # the first one ``_free`` met
         self._router_ep: EventEndpoint | None = None  # event mode, built at start
         self._endpoints: list[EventEndpoint] = []
         # what the endpoints closed at stop had counted
@@ -208,10 +217,10 @@ class ChainRuntime:
     def stop(self) -> None:
         """Stop every stage, then drop every descriptor still in flight.
 
-        A descriptor whose frame has another owner makes ``free_frame``
-        raise ``StaleRef`` or ``DoubleFree``. Stop still releases every
-        other descriptor and closes the edges, then raises the first such
-        fault; the plane is stopped either way."""
+        A descriptor whose frame has another owner makes its free raise
+        ``StaleRef`` or ``DoubleFree``, while the chain ran or here. Stop
+        still releases every other descriptor and closes the edges, then
+        raises the first such fault; the plane is stopped either way."""
         if not self._started:
             return
         self._stop.set()
@@ -226,18 +235,17 @@ class ChainRuntime:
         if self._mode is POLLING:
             for reg in self._regs.values():
                 in_flight.extend(self._drain(reg.rx))
-        faults = []
+        # nobody is answered, as the stages have stopped
         for desc in in_flight:
-            try:
-                self._release(desc)
-            except (StaleRef, DoubleFree) as fault:
-                faults.append(fault)
+            self._count_drop("shutdown", desc)
+        self._free([desc.frame for desc in in_flight])
         self._close_edges()
         self._closed_event_counts = self.event_counts()
         self._endpoints = []
         self._started = False
-        if faults:
-            raise faults[0]
+        fault, self._fault = self._fault, None
+        if fault is not None:
+            raise fault
 
     def event_counts(self) -> dict[str, int]:
         """Event hops delivered, and blocking receives that returned work,
@@ -271,12 +279,17 @@ class ChainRuntime:
         self._endpoints.append(endpoint)
         return endpoint
 
-    def _release(self, desc) -> None:
-        """Drop a descriptor found in flight at stop: count it as
-        ``shutdown``, close its trace and free its frame. Nobody is
-        answered, as the stages have stopped."""
-        self._count_drop("shutdown", desc)
-        self.pool.free_frame(desc.frame)
+    def _free(self, refs) -> None:
+        """Free frames this chain owns, under one pool lock acquire. A frame
+        that has another owner is left to it: the first such fault is kept
+        for ``stop`` to raise once the chain is torn down, and the caller,
+        with the rest of its burst, goes on."""
+        try:
+            self.pool.free_frames(refs)
+        except (StaleRef, DoubleFree, OutOfBounds) as fault:
+            with self._count_lock:  # event stages free on their own threads
+                if self._fault is None:
+                    self._fault = fault
 
     @staticmethod
     def _drain(ring: DescriptorRing):
@@ -288,14 +301,31 @@ class ChainRuntime:
 
     def _run_handlers(self, reg: Registration, batch) -> list:
         """Run one function over a burst. Returns the descriptors to hand on,
-        in order; each one its handler refused or raised on is dropped."""
+        in order; each one its handler refused or raised on is dropped as
+        ``handler``.
+
+        A handler with a burst form is called once for the whole burst; if
+        that call raises, or returns a list that does not line up with the
+        burst, the whole burst is dropped. Any other handler, such as a
+        user's or a traced wrapper, is called once per descriptor."""
         handler, context, fn_id = reg.handler, reg.context, reg.fn_id
-        passed = []
-        for desc in batch:
+        burst = getattr(handler, "burst", None)
+        if burst is not None:
             try:
-                out = handler(context, desc)
+                outs = burst(context, batch)
             except Exception:
-                out = None
+                outs = None
+            if outs is None or len(outs) != len(batch):
+                outs = [None] * len(batch)
+        else:
+            outs = []
+            for desc in batch:
+                try:
+                    outs.append(handler(context, desc))
+                except Exception:
+                    outs.append(None)
+        passed = []
+        for desc, out in zip(batch, outs):
             if out is None:
                 self._drop(desc, "handler")
             else:

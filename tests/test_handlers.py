@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shmchain.descriptors import HttpExchangeMeta, PacketDescriptor
-from shmchain.errors import NoBackends
+from shmchain.errors import DoubleFree, NoBackends
 from shmchain.handlers import (
     HandlerContext,
     atkin_prime_count,
@@ -12,6 +14,9 @@ from shmchain.handlers import (
     make_reverse_proxy,
     make_url_rewriter,
 )
+from shmchain.packet_plane import PacketPlane
+from shmchain.pool import PoolConfig, PoolRegistry
+from shmchain.runtime import Mode
 
 
 def trial_division_count(limit: int) -> int:
@@ -201,3 +206,109 @@ def test_build_handler_registry(pool):
     assert handler.kind == "revproxy"
     with pytest.raises(KeyError):
         build_handler("nope", None)
+
+
+MAPPED, ROUTED_TO, UNMAPPED = (bytes([10, 0, 0, 5]), bytes([10, 0, 1, 5]),
+                               bytes([10, 9, 9, 9]))
+NEXT_HOP = bytes.fromhex("021122334455")
+HANDLER_PARAMS = {"l3route": "10.0.0.5=10.0.1.5", "l2fwd": "02:11:22:33:44:55"}
+
+# (length, destination IP, frame freed behind the chain's back)
+bursts = st.lists(st.tuples(st.sampled_from([0, 8, 13, 14, 20, 33, 34, 64, 80]),
+                            st.sampled_from([MAPPED, UNMAPPED]), st.booleans()),
+                  min_size=1, max_size=24)
+
+
+def run_function(registry, name, handler, items):
+    """Run one chain function over one burst through the runtime, as a
+    polling step does. Returns what the step left behind."""
+    pool = registry.create(PoolConfig(name, 64, 2048))
+    plane = PacketPlane(pool, Mode.POLLING)
+    reg = plane.register("f", handler)
+    batch = []
+    for trace, (length, dst, _stale) in enumerate(items):
+        ref = pool.alloc_frame()  # frame ``trace``
+        pool.write_frame(ref, 0, sample_packet(dst, size=80)[:length])
+        batch.append(PacketDescriptor(ref, 0, length, "in", trace))
+    for desc, (_length, _dst, stale) in zip(batch, items):
+        if stale:
+            pool.free_frame(desc.frame)
+    survivors = [desc.trace_id for desc in plane._run_handlers(reg, batch)]
+    ctx = reg.context
+    return {
+        "region": bytes(pool._view),
+        "survivors": survivors,
+        "counters": (ctx.processed, ctx.mutated, ctx.dropped),
+        "drops": dict(plane.drops),
+        "fault": type(plane._fault),
+        "free": pool.free_count,
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(HANDLER_PARAMS))
+@given(items=bursts)
+@settings(max_examples=40, deadline=None)
+def test_burst_form_matches_per_descriptor_form(kind, items):
+    """Over random bursts of short and full frames, mapped and unmapped
+    destinations and frames freed behind the chain's back, running a
+    handler once per burst and once per descriptor leaves the same frame
+    bytes, survivors, counters, drop reasons and ownership fault, and both
+    agree with what the handler's definition says."""
+    registry = PoolRegistry()
+    try:
+        handler = build_handler(kind, HANDLER_PARAMS[kind])
+        assert handler.burst is not None
+
+        def per_descriptor(ctx, desc):  # no burst form: called per descriptor
+            return handler(ctx, desc)
+
+        burst = run_function(registry, "burst", handler, items)
+        single = run_function(registry, "single", per_descriptor, items)
+    finally:
+        registry.clear()
+    assert burst == single
+
+    min_len = 34 if kind == "l3route" else 14
+    passed = [t for t, (length, _dst, stale) in enumerate(items)
+              if length >= min_len and not stale]
+    mutated = [t for t in passed if kind == "l2fwd" or items[t][1] == MAPPED]
+    short = sum(length < min_len for length, _dst, _stale in items)
+    assert burst["survivors"] == passed
+    assert burst["counters"] == (len(items), len(mutated), short)
+    refused = len(items) - len(passed)
+    assert burst["drops"] == ({"handler": refused} if refused else {})
+    stale = any(stale for _length, _dst, stale in items)
+    assert burst["fault"] is (DoubleFree if stale else type(None))
+    assert burst["free"] == 64 - len(passed)
+    for t in passed:
+        length = items[t][0]
+        want = bytearray(sample_packet(items[t][1], size=80)[:length])
+        if kind == "l2fwd":
+            want[0:6] = NEXT_HOP
+        elif t in mutated:
+            want[30:34] = ROUTED_TO
+        assert burst["region"][t * 2048:t * 2048 + length] == want
+
+
+@pytest.mark.parametrize("broken", ["raises", "misaligned"])
+def test_broken_burst_form_drops_its_whole_burst(pool, broken):
+    """A burst form that raises, or returns a list that does not line up
+    with its burst, has every descriptor of the burst dropped as
+    ``handler``, and each frame goes back to the pool once."""
+    plane = PacketPlane(pool, Mode.POLLING)
+
+    def handler(ctx, desc):
+        return desc
+
+    def burst(ctx, batch):
+        if broken == "raises":
+            raise RuntimeError("burst form failed")
+        return list(batch[:-1])
+
+    handler.burst = burst
+    reg = plane.register("f", handler)
+    batch = [make_packet_desc(pool, sample_packet(), trace) for trace in range(5)]
+    assert plane._run_handlers(reg, batch) == []
+    assert plane.drops == {"handler": 5}
+    assert plane._fault is None
+    assert pool.free_count == pool.config.frame_count

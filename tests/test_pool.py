@@ -12,6 +12,7 @@ import pytest
 
 import shmchain
 
+from shmchain.descriptors import PacketDescriptor
 from shmchain.errors import (
     DoubleFree,
     DuplicatePrefix,
@@ -193,6 +194,45 @@ def test_out_of_range_index_refused_by_every_access(pool, op, index):
     with pytest.raises(OutOfBounds):
         FRAME_OPS[op](pool, FrameRef(index, 1))
     assert pool.free_count == 64
+
+
+def test_frame_views_checks_each_descriptor_of_a_burst(pool):
+    """``frame_views`` gives what ``frame_view`` gives for each good
+    descriptor and ``None`` for each that ``frame_view`` refuses: a freed
+    frame, a reallocated one, an index out of range, a window past the
+    frame or a negative one. The good views are writable windows."""
+    live = pool.alloc_frame()
+    pool.write_frame(live, 0, b"live-bytes")
+    stale = pool.alloc_frame()
+    pool.free_frame(stale)
+    reused = pool.alloc_frame()
+    assert reused.index == stale.index
+    freed = pool.alloc_frame()
+    pool.free_frame(freed)  # nothing is allocated after this free
+    descs = [
+        PacketDescriptor(live, 0, 10, "in", 0),
+        PacketDescriptor(freed, 0, 4, "in", 1),
+        PacketDescriptor(live, 5, 5, "in", 2),
+        PacketDescriptor(stale, 0, 4, "in", 3),
+        PacketDescriptor(FrameRef(64, 1), 0, 4, "in", 4),
+        PacketDescriptor(live, 2040, 9, "in", 5),
+        PacketDescriptor(live, -1, 4, "in", 6),
+        PacketDescriptor(live, 4, -1, "in", 7),
+        PacketDescriptor(reused, 0, 2048, "in", 8),
+    ]
+    views = pool.frame_views(descs)
+    good = [0, 2, 8]
+    assert [i for i, view in enumerate(views) if view is not None] == good
+    for i in good:
+        d = descs[i]
+        assert bytes(views[i]) == bytes(pool.frame_view(d.frame, d.offset, d.length))
+    for i, d in enumerate(descs):
+        if i not in good:
+            with pytest.raises((OutOfBounds, StaleRef)):
+                pool.frame_view(d.frame, d.offset, d.length)
+    views[2][0:5] = b"BYTES"
+    assert pool.read_frame(live, 0, 10) == b"live-BYTES"
+    assert pool.frame_views([]) == []
 
 
 def test_frame_ref_is_a_hashable_value():
