@@ -151,10 +151,7 @@ class PacketPlane(ChainRuntime):
         sent = []
         for desc, view in zip(batch, self.pool.frame_views(batch)):
             if view is None:
-                # its frame may have another owner: free it, keeping the
-                # fault, but never park it on the completion ring
-                self._count_drop("bad_frame", desc)
-                self._free((desc.frame,))
+                self._drop(desc, "bad_frame")
                 continue
             # reading the frame out for the wire is the DMA analog: not a copy
             payload = view.tobytes()
@@ -180,9 +177,11 @@ class PacketPlane(ChainRuntime):
 
     def _drop(self, desc: PacketDescriptor, reason: str) -> None:
         """Count the drop and close its trace, then free the frame (polling)
-        or park it back on the fill ring (event)."""
+        or park it back on the fill ring (event). A frame that fails the
+        pool's checks may have another owner, so it is never parked: it is
+        freed, and the free's fault kept for ``stop``."""
         self._count_drop(reason, desc)
-        if self._mode is POLLING:
+        if self._mode is POLLING or self.pool.frame_views((desc,))[0] is None:
             self._free((desc.frame,))
         else:
             self._recycle(desc.frame)

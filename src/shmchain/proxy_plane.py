@@ -50,7 +50,7 @@ from .http11 import (
     try_parse_request,
 )
 from .pool import FramePool
-from .runtime import ChainRuntime, Mode
+from .runtime import OWNERSHIP_FAULTS, ChainRuntime, Mode
 
 INGEST_COST = CostVector(copies=2, interrupts=2, context_switches=1,
                          protocol_tasks=1, serde_tasks=1)
@@ -416,7 +416,10 @@ class ProxyPlane(ChainRuntime):
                 self._respond(conn, desc.meta.seq, response or BAD_GATEWAY)
 
     def _free_frame(self, desc) -> None:
-        self._free((desc.frame,))
+        try:
+            self.pool.free_frame(desc.frame)
+        except OWNERSHIP_FAULTS as fault:
+            self._keep_fault(fault)
         if self._parked:  # let the io thread hand a parked request this frame
             self._wake()
 

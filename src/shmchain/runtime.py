@@ -104,6 +104,8 @@ from .rings import DEFAULT_RING_CAPACITY, DescriptorRing
 from .routing import DENY, FilterTable, RoutingTable
 
 BURST = 64  # descriptors a polling step takes off each RX ring
+# what freeing a frame that has another owner, or none, raises
+OWNERSHIP_FAULTS = (StaleRef, DoubleFree, OutOfBounds)
 BATCH = 32  # descriptors an event stage takes per wakeup
 
 
@@ -286,10 +288,14 @@ class ChainRuntime:
         with the rest of its burst, goes on."""
         try:
             self.pool.free_frames(refs)
-        except (StaleRef, DoubleFree, OutOfBounds) as fault:
-            with self._count_lock:  # event stages free on their own threads
-                if self._fault is None:
-                    self._fault = fault
+        except OWNERSHIP_FAULTS as fault:
+            self._keep_fault(fault)
+
+    def _keep_fault(self, fault: Exception) -> None:
+        """Keep the first ownership fault met while the chain runs."""
+        with self._count_lock:  # event stages free on their own threads
+            if self._fault is None:
+                self._fault = fault
 
     @staticmethod
     def _drain(ring: DescriptorRing):
@@ -309,22 +315,28 @@ class ChainRuntime:
         burst, the whole burst is dropped. Any other handler, such as a
         user's or a traced wrapper, is called once per descriptor."""
         handler, context, fn_id = reg.handler, reg.context, reg.fn_id
+        passed = []
         burst = getattr(handler, "burst", None)
-        if burst is not None:
-            try:
-                outs = burst(context, batch)
-            except Exception:
-                outs = None
-            if outs is None or len(outs) != len(batch):
-                outs = [None] * len(batch)
-        else:
-            outs = []
+        if burst is None:
+            # one loop, with no list of results in between: the proxy
+            # plane's handlers take this path on every request
             for desc in batch:
                 try:
-                    outs.append(handler(context, desc))
+                    out = handler(context, desc)
                 except Exception:
-                    outs.append(None)
-        passed = []
+                    out = None
+                if out is None:
+                    self._drop(desc, "handler")
+                else:
+                    out.src_fn = fn_id
+                    passed.append(out)
+            return passed
+        try:
+            outs = burst(context, batch)
+        except Exception:
+            outs = None
+        if outs is None or len(outs) != len(batch):
+            outs = [None] * len(batch)
         for desc, out in zip(batch, outs):
             if out is None:
                 self._drop(desc, "handler")

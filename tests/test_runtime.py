@@ -350,6 +350,43 @@ def test_bad_frame_drops_alone_and_stop_raises_its_fault(registry, upstreams):
     assert pool.free_count == pool.config.frame_count
 
 
+def test_event_drop_never_parks_a_bad_frame(registry, upstreams, monkeypatch):
+    """In event mode, ``a`` refuses a descriptor whose frame was freed behind
+    the chain's back, and its drop does not park that frame on the fill
+    ring: the other two packets go out, later ingress takes only good
+    frames until both rings run dry, and stop raises the DoubleFree with
+    every frame back in the pool. The stages run by hand."""
+    pool = registry.create(PoolConfig("rt-bad-event", 16, 2048))
+    plane = build("packet", Mode.EVENT, pool, upstreams)
+    got = []
+    plane.set_sink(lambda payload, desc: got.append(bytes(payload)))
+    monkeypatch.setattr(plane, "_spawn", lambda *args: None)
+    plane.start()
+    a, b = plane._regs["a"], plane._regs["b"]
+    router = plane._router_ep
+    sent = [build_packet(64, seq, 1) for seq in range(3)]
+    for packet in sent:
+        assert plane.ingress(packet)
+    plane._router_step(router.recv_batch(BATCH))
+    batch = a.endpoint.recv_batch(BATCH)
+    pool.free_frame(batch[1].frame)
+    plane._nf_step_event(a, batch)
+    plane._router_step(router.recv_batch(BATCH))
+    plane._nf_step_event(b, b.endpoint.recv_batch(BATCH))
+    plane._router_step(router.recv_batch(BATCH))
+    plane._transmit_event(plane._tx_ep.recv_batch(BATCH))
+    assert got == [rewritten(sent[0]), rewritten(sent[2])]
+    # 8 frames were parked: 5 are left on the fill ring and 2 on the
+    # completion ring, which ingress reaps once the fill ring runs dry
+    offered = [plane.ingress(build_packet(64, seq, 1)) for seq in range(3, 11)]
+    assert offered == [True] * 7 + [False]
+    with pytest.raises(DoubleFree):
+        plane.stop()
+    assert counts(plane) == (11, 2, {"handler": 1, "fill_empty": 1,
+                                     "shutdown": 7})
+    assert pool.free_count == pool.config.frame_count
+
+
 def test_bad_frame_at_egress_drops_alone(registry):
     """A function that never reads its frames hands egress a burst whose
     middle frame was freed behind the chain's back: egress sends the other
