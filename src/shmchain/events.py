@@ -25,8 +25,8 @@ import weakref
 from collections import deque
 
 from .errors import EndpointClosed, InboxFull, InvalidConfig, UnknownDestination
+from .rings import DEFAULT_RING_CAPACITY
 
-DEFAULT_INBOX_CAPACITY = 4096
 MAX_INBOX_CAPACITY = 32768  # bounds the memory one inbox may pin
 
 
@@ -42,7 +42,7 @@ class EventEndpoint:
     pending.
     """
 
-    def __init__(self, fn_id: str, capacity: int = DEFAULT_INBOX_CAPACITY):
+    def __init__(self, fn_id: str, capacity: int = DEFAULT_RING_CAPACITY):
         if not 1 <= capacity <= MAX_INBOX_CAPACITY:
             raise InvalidConfig(
                 f"inbox capacity must be in [1, {MAX_INBOX_CAPACITY}], got {capacity}"

@@ -1,21 +1,20 @@
 """Chain functions: packet-header rewriters, proxy-side metadata functions,
 and the CPU burner used in scalability runs.
 
-A handler is ``handler(ctx, desc) -> desc | None``; ``None`` means drop. Each
-handler touches only frames it currently owns, and only the byte ranges it
-declares through its ``mutates`` attribute, so transport tests can check that
-bodies ride through chains untouched.
+Every handler has one form, ``handler(ctx, batch) -> list``. The chain
+runtime calls it once per burst, as DPDK and VPP run a stage over a whole
+vector of packets, and it returns a list that lines up with ``batch``: the
+descriptor to hand on, or ``None`` for each one refused. Each handler
+touches only frames it currently owns, and only the byte ranges it declares
+through its ``mutates`` attribute, so transport tests can check that bodies
+ride through chains untouched.
 
-A handler may also have a burst form, ``handler.burst(ctx, batch)``, which
-returns a list that lines up with ``batch``: the descriptor to hand on, or
-``None`` for each one refused. The chain runtime calls it once per burst,
-as DPDK and VPP run a stage over a whole vector of packets, and calls any
-handler without one once per descriptor. ``l3route`` and ``l2fwd`` are
-written once, in burst form; their per-descriptor call runs the burst form
-over a burst of one. They reach their frames through ``ctx.views(batch)``,
-which makes the pool's ownership and bounds checks for the whole burst in
-one loop and gives ``None`` for a frame that fails them, so such a
-descriptor is refused without touching the rest of its burst.
+The packet rewriters reach their frames through
+``ctx.pool.frame_views(batch)``, which makes the pool's ownership and bounds
+checks for the whole burst in one loop and gives ``None`` for a frame that
+fails them, so such a descriptor is refused without touching the rest of
+its burst. The proxy-side functions work on each descriptor's parsed
+metadata and refuse a descriptor that has none.
 """
 
 from __future__ import annotations
@@ -41,22 +40,6 @@ class HandlerContext:
     dropped: int = 0
     extra: dict = field(default_factory=dict)
 
-    def views(self, batch) -> list:
-        """A writable window onto each descriptor's bytes in its frame, for a
-        whole burst, checked in one loop; ``None`` for each descriptor whose
-        frame fails the pool's ownership or bounds checks."""
-        return self.pool.frame_views(batch)
-
-
-def _per_descriptor(burst):
-    """The per-descriptor call of a handler written in burst form."""
-
-    def handler(ctx: HandlerContext, desc):
-        return burst(ctx, (desc,))[0]
-
-    handler.burst = burst
-    return handler
-
 
 def make_l3_router(route_map: dict[str, str] | None = None):
     """Rewrite the destination IP of an Ethernet-framed IPv4 packet.
@@ -69,11 +52,11 @@ def make_l3_router(route_map: dict[str, str] | None = None):
     min_len = ETH_HEADER_LEN + IPV4_HEADER_LEN
     lo, hi = IPV4_DST_OFFSET, IPV4_DST_OFFSET + 4
 
-    def burst(ctx: HandlerContext, batch) -> list:
+    def handler(ctx: HandlerContext, batch) -> list:
         out = []
         append = out.append
         mutated = dropped = 0
-        for desc, view in zip(batch, ctx.views(batch)):
+        for desc, view in zip(batch, ctx.pool.frame_views(batch)):
             if desc.length < min_len:
                 dropped += 1
                 append(None)
@@ -90,7 +73,6 @@ def make_l3_router(route_map: dict[str, str] | None = None):
         ctx.dropped += dropped
         return out
 
-    handler = _per_descriptor(burst)
     handler.mutates = ((IPV4_DST_OFFSET, IPV4_DST_OFFSET + 4),)
     handler.kind = "l3route"
     return handler
@@ -101,11 +83,11 @@ def make_l2_forwarder(dst_mac: str = "02:00:00:00:00:02"):
     mac = mac_to_bytes(dst_mac)
     lo, hi = ETH_DST_OFFSET, ETH_DST_OFFSET + 6
 
-    def burst(ctx: HandlerContext, batch) -> list:
+    def handler(ctx: HandlerContext, batch) -> list:
         out = []
         append = out.append
         mutated = dropped = 0
-        for desc, view in zip(batch, ctx.views(batch)):
+        for desc, view in zip(batch, ctx.pool.frame_views(batch)):
             if desc.length < ETH_HEADER_LEN:
                 dropped += 1
                 append(None)
@@ -120,7 +102,6 @@ def make_l2_forwarder(dst_mac: str = "02:00:00:00:00:02"):
         ctx.dropped += dropped
         return out
 
-    handler = _per_descriptor(burst)
     handler.mutates = ((ETH_DST_OFFSET, ETH_DST_OFFSET + 6),)
     handler.kind = "l2fwd"
     return handler
@@ -130,16 +111,22 @@ def make_reverse_proxy(backend_count: int):
     """Round-robin backend selection over a connectionless counter."""
     counter = itertools.count()
 
-    def handler(ctx: HandlerContext, desc):
-        ctx.processed += 1
-        if desc.meta is None:
-            ctx.dropped += 1
-            return None
+    def handler(ctx: HandlerContext, batch) -> list:
         if backend_count < 1:
             raise NoBackends("reverse proxy configured with zero backends")
-        desc.meta.backend_choice = next(counter) % backend_count
-        ctx.mutated += 1
-        return desc
+        out = []
+        dropped = 0
+        for desc in batch:
+            if desc.meta is None:
+                dropped += 1
+                out.append(None)
+            else:
+                desc.meta.backend_choice = next(counter) % backend_count
+                out.append(desc)
+        ctx.processed += len(out)
+        ctx.mutated += len(out) - dropped
+        ctx.dropped += dropped
+        return out
 
     handler.mutates = ()
     handler.kind = "revproxy"
@@ -150,17 +137,25 @@ def make_url_rewriter(prefix_map: dict[str, str] | None = None):
     """Prefix-based path redirection; no matching prefix means identity."""
     prefixes = sorted((prefix_map or {}).items(), key=lambda kv: -len(kv[0]))
 
-    def handler(ctx: HandlerContext, desc):
-        ctx.processed += 1
-        if desc.meta is None:
-            ctx.dropped += 1
-            return None
-        for old, new in prefixes:
-            if desc.meta.path.startswith(old):
-                desc.meta.path = new + desc.meta.path[len(old):]
-                ctx.mutated += 1
-                break
-        return desc
+    def handler(ctx: HandlerContext, batch) -> list:
+        out = []
+        mutated = dropped = 0
+        for desc in batch:
+            meta = desc.meta
+            if meta is None:
+                dropped += 1
+                out.append(None)
+                continue
+            for old, new in prefixes:
+                if meta.path.startswith(old):
+                    meta.path = new + meta.path[len(old):]
+                    mutated += 1
+                    break
+            out.append(desc)
+        ctx.processed += len(out)
+        ctx.mutated += mutated
+        ctx.dropped += dropped
+        return out
 
     handler.mutates = ()
     handler.kind = "urlrewrite"
@@ -172,10 +167,11 @@ def make_prime_burner(limit: int = 50000):
     if limit < 1:
         raise ValueError("limit must be >= 1")
 
-    def handler(ctx: HandlerContext, desc):
-        ctx.processed += 1
-        ctx.extra["last_prime_count"] = atkin_prime_count(limit)
-        return desc
+    def handler(ctx: HandlerContext, batch) -> list:
+        for _desc in batch:
+            ctx.extra["last_prime_count"] = atkin_prime_count(limit)
+        ctx.processed += len(batch)
+        return list(batch)
 
     handler.mutates = ()
     handler.kind = "primeburn"
@@ -228,34 +224,24 @@ def atkin_prime_count(limit: int) -> int:
     return sum(atkin_sieve(limit))
 
 
+def _pairs(kind: str, param: str | None) -> dict[str, str]:
+    """The ``old=new`` pairs of a comma-separated handler parameter."""
+    mapping = {}
+    if param:
+        for pair in param.split(","):
+            old, _, new = pair.partition("=")
+            if not new:
+                raise ValueError(f"{kind} expects old=new pairs, got {pair!r}")
+            mapping[old.strip()] = new.strip()
+    return mapping
+
+
 # handler factories addressable from a chain spec; parameter strings are
 # factory specific ("primeburn:50000", "urlrewrite:/old=/new", ...)
-def _l3route_from_param(param: str | None):
-    mapping = {}
-    if param:
-        for pair in param.split(","):
-            old, _, new = pair.partition("=")
-            if not new:
-                raise ValueError(f"l3route expects old=new pairs, got {pair!r}")
-            mapping[old.strip()] = new.strip()
-    return make_l3_router(mapping)
-
-
-def _urlrewrite_from_param(param: str | None):
-    mapping = {}
-    if param:
-        for pair in param.split(","):
-            old, _, new = pair.partition("=")
-            if not new:
-                raise ValueError(f"urlrewrite expects old=new pairs, got {pair!r}")
-            mapping[old.strip()] = new.strip()
-    return make_url_rewriter(mapping)
-
-
 HANDLER_FACTORIES = {
-    "l3route": _l3route_from_param,
+    "l3route": lambda param: make_l3_router(_pairs("l3route", param)),
     "l2fwd": lambda param: make_l2_forwarder(param) if param else make_l2_forwarder(),
-    "urlrewrite": _urlrewrite_from_param,
+    "urlrewrite": lambda param: make_url_rewriter(_pairs("urlrewrite", param)),
     "primeburn": lambda param: make_prime_burner(int(param)) if param else make_prime_burner(),
     # revproxy needs the upstream count, supplied by the plane builder
     "revproxy": lambda param: make_reverse_proxy(int(param)) if param else None,

@@ -8,18 +8,18 @@ one loop, ``_transmit``: it checks the burst's frames with one
 sink with one retry, closes its trace and counts it. Polling mode allocates
 a frame per packet, routes it onto the entry function's RX ring, and runs
 egress on the chain's worker thread: it transmits a burst, then frees the
-sent frames with one ``free_frames`` call, under one acquire of the pool
-lock. Event mode keeps frames parked on a fill ring, the way receive
-buffers stay posted to a NIC: ingress takes a parked frame, writes the
-packet into it, makes a fresh descriptor for it and sends that to the
-router, which routes it like any other hop, and a packet routed to EGRESS
-is sent on to a TX stage that transmits each batch it receives and parks
-the sent frames on the completion ring. Like AF_XDP's fill and completion
-rings, both rings carry frames, not descriptors.
-Ingress reaps that ring itself: when the fill ring runs dry it moves every
-completion back before it takes a frame, as a NIC driver reaps its
-completion ring before it refills its receive ring, so no thread exists
-only to recycle frames.
+sent frames through the chain's one release path, ``_free``, under one
+acquire of the pool lock. Event mode keeps frames parked on a fill ring,
+the way receive buffers stay posted to a NIC: ingress takes a parked frame,
+writes the packet into it, makes a fresh descriptor for it and sends that
+to the router, which routes it like any other hop, and a packet routed to
+EGRESS is sent on to a TX stage that transmits each batch it receives and
+parks the sent frames on the completion ring. Like AF_XDP's fill and
+completion rings, both rings carry frames, not descriptors.
+Ingress reaps that ring itself: when the fill ring runs dry it moves the
+completions that fit back with one burst, before it takes a frame, as a NIC
+driver reaps its completion ring before it refills its receive ring, so no
+thread exists only to recycle frames.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class PacketPlane(ChainRuntime):
         # parked frames are not in flight: they are freed, not dropped
         if self._nic_rings is not None:
             for ring in (self._nic_rings.fill, self._nic_rings.completion):
-                self._free(list(self._drain(ring)))
+                self._free(ring.burst_dequeue(ring.capacity))
             self._nic_rings = None
 
     # -- ingress ------------------------------------------------------------------
@@ -169,22 +169,18 @@ class PacketPlane(ChainRuntime):
         self.egress_count += len(sent)
         return sent
 
-    def _recycle(self, ref) -> None:
-        with self._fill_lock:
-            parked = self._nic_rings.fill.enqueue(ref)
-        if not parked:
-            self.pool.free_frame(ref)
-
     def _drop(self, desc: PacketDescriptor, reason: str) -> None:
         """Count the drop and close its trace, then free the frame (polling)
-        or park it back on the fill ring (event). A frame that fails the
+        or park it back on the fill ring (event), freeing it when that ring
+        is full. A frame that fails the
         pool's checks may have another owner, so it is never parked: it is
         freed, and the free's fault kept for ``stop``."""
         self._count_drop(reason, desc)
-        if self._mode is POLLING or self.pool.frame_views((desc,))[0] is None:
-            self._free((desc.frame,))
-        else:
-            self._recycle(desc.frame)
+        if self._mode is not POLLING and self.pool.frame_views((desc,))[0] is not None:
+            with self._fill_lock:
+                if self._nic_rings.fill.enqueue(desc.frame):
+                    return
+        self._free((desc.frame,))
 
     # -- stats -------------------------------------------------------------------------
 

@@ -17,11 +17,11 @@ pool keeps one ``memoryview`` of its region for its whole life, and every
 frame access makes its index, ownership and bounds checks once, in
 ``_base``, then slices that view: ``write_frame``, ``read_frame`` and
 ``frame_view`` each do so directly. ``frame_views`` makes the same checks
-for a whole burst of descriptors in one loop, for the burst handlers and
-packet egress. Only the allocator state, the free stack and the generation
+for a whole burst of descriptors in one loop, for the handlers and both
+planes' egress. Only the allocator state, the free stack and the generation
 counters, is under the pool lock, because ingress allocates and egress
-frees on different threads. Polling egress frees a whole burst with
-``free_frames``, under one acquire of that lock.
+frees on different threads. ``free_frames`` frees a whole burst under one
+acquire of that lock, and ``free_frame`` is that call over a burst of one.
 """
 
 from __future__ import annotations
@@ -79,15 +79,6 @@ class FrameRef(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-def _free_fault(index: int, generation: int, current: int) -> Exception:
-    """The fault of freeing ``(index, generation)`` when the frame's
-    generation reads ``current``."""
-    if generation == current - 1 and current % 2 == 0:
-        # this very ref already performed the free
-        return DoubleFree(f"frame {index} gen {generation}")
-    return StaleRef(f"frame {index} gen {generation} vs {current}")
-
-
 class FramePool:
     """Frame allocator over one shared byte region.
 
@@ -139,27 +130,17 @@ class FramePool:
         return _new_tuple(FrameRef, (idx, gen))
 
     def free_frame(self, ref: FrameRef) -> None:
-        if not self._owner:
-            raise NotPoolOwner(self.config.domain_prefix)
-        index, generation = ref
-        if not 0 <= index < self.config.frame_count:
-            raise OutOfBounds(f"frame index {index}")
-        lock = self._lock
-        lock.acquire()
-        try:
-            current = self._gen[index]
-            if generation == current and current % 2 == 1:
-                self._gen[index] = current + 1  # now even: free
-                self._free.append(index)
-                return
-        finally:
-            lock.release()
-        raise _free_fault(index, generation, current)
+        """Free one frame: ``free_frames`` over a burst of one, so the
+        ownership checks exist once."""
+        self.free_frames((ref,))
 
     def free_frames(self, refs) -> None:
         """Free a burst of frames under one lock acquire, as DPDK's
         ``rte_pktmbuf_free_bulk`` does. Every good ref is freed; then the
-        fault ``free_frame`` would raise for the first bad one is raised."""
+        fault of the first bad one is raised: ``OutOfBounds`` for an index
+        outside the pool, ``DoubleFree`` for the frame's last allocation
+        once it is free again, and ``StaleRef`` for any other ref that is
+        not the frame's current allocation."""
         if not self._owner:
             raise NotPoolOwner(self.config.domain_prefix)
         frame_count = self.config.frame_count
@@ -179,7 +160,11 @@ class FramePool:
                     gens[index] = current + 1  # now even: free
                     free.append(index)
                 elif fault is None:
-                    fault = _free_fault(index, generation, current)
+                    if generation == current - 1 and current % 2 == 0:
+                        # this very ref already performed the free
+                        fault = DoubleFree(f"frame {index} gen {generation}")
+                    else:
+                        fault = StaleRef(f"frame {index} gen {generation} vs {current}")
         finally:
             lock.release()
         if fault is not None:

@@ -6,11 +6,15 @@ descriptor straight to the entry function (onto its RX ring, or one event
 hop into its inbox), while the middlebox functions work on the parsed
 metadata. Its egress edge works a burst at a time, on the thread that
 routed the burst out of the chain: the chain's worker in polling mode and
-the relay in event mode. It serializes every (possibly rewritten) request
-of the burst and pipelines them upstream: each backend's requests go out in
-one write on one pooled keep-alive connection, every backend is written to
-before any is read, and then each backend's responses are read in order
-and answered. A burst of one is one plain round trip.
+the relay in event mode. It reads the burst's bodies through one
+``frame_views`` check, as packet egress does, and drops a request whose
+frame fails it as ``bad_frame`` (503 to the client). It serializes every
+other (possibly rewritten) request of the burst and pipelines them
+upstream: each backend's requests go out in one write on one pooled
+keep-alive connection, every backend is written to before any is read, and
+then each backend's responses are read in order and answered. The burst's
+frames go back to the pool with one free. A burst of one is one plain round
+trip.
 
 A client may pipeline: every complete request in a connection's buffer is
 parsed and enters the chain at once, numbered in arrival order. Requests of
@@ -50,7 +54,7 @@ from .http11 import (
     try_parse_request,
 )
 from .pool import FramePool
-from .runtime import OWNERSHIP_FAULTS, ChainRuntime, Mode
+from .runtime import ChainRuntime, Mode
 
 INGEST_COST = CostVector(copies=2, interrupts=2, context_switches=1,
                          protocol_tasks=1, serde_tasks=1)
@@ -235,9 +239,11 @@ class ProxyPlane(ChainRuntime):
         self._upstreams.close_all()
 
     def close(self) -> None:
-        self.stop()
-        self._wake_r.close()
-        self._wake_w.close()
+        try:
+            self.stop()
+        finally:
+            self._wake_r.close()
+            self._wake_w.close()
 
     @property
     def listen_address(self) -> tuple[str, int]:
@@ -379,7 +385,7 @@ class ProxyPlane(ChainRuntime):
         """Count the drop and close its trace, free the frame, and answer the
         client 503 so that its connection goes on."""
         self._count_drop(reason, desc)
-        self._free_frame(desc)
+        self._free((desc.frame,))
         conn = self._conns.get(desc.meta.connection_id) if desc.meta else None
         if conn is not None:
             self._respond(conn, desc.meta.seq,
@@ -390,37 +396,38 @@ class ProxyPlane(ChainRuntime):
     def _egress(self, batch) -> None:
         """Serialize every (possibly rewritten) message of the burst, relay
         the burst upstream, and answer each client with its upstream's
-        bytes."""
-        requests = []
-        for desc in batch:
+        bytes. A message whose frame fails the pool's checks is dropped as
+        ``bad_frame`` and never read."""
+        sent, requests = [], []
+        for desc, view in zip(batch, self.pool.frame_views(batch)):
+            if view is None:
+                self._drop(desc, "bad_frame")
+                continue
             meta = desc.meta
-            body = self.pool.read_frame(desc.frame, desc.offset, desc.length)
             backend = meta.backend_choice if meta.backend_choice is not None else 0
-            requests.append((backend, serialize_request(meta.method, meta.path,
-                                                        meta.headers, body)))
+            requests.append((backend, serialize_request(
+                meta.method, meta.path, meta.headers, view.tobytes())))
+            sent.append(desc)
         responses = self._upstreams.roundtrip(requests)
         ledger = self.ledger
-        for desc in batch:
-            if ledger is not None:
+        if ledger is not None:
+            for desc in sent:
                 ledger.record_vector(desc.trace_id, desc.chain_hops + 1, EGRESS_COST)
-            self._free_frame(desc)
+        self._free([desc.frame for desc in sent])
         # account for the burst before any client can see its response
         with self._count_lock:
-            self.egress_count += len(batch)
+            self.egress_count += len(sent)
             self.upstream_errors += responses.count(None)
-        for desc, response in zip(batch, responses):
+        for desc, response in zip(sent, responses):
             if ledger is not None:
                 ledger.complete(desc.trace_id, "egress")
             conn = self._conns.get(desc.meta.connection_id)
             if conn is not None:
                 self._respond(conn, desc.meta.seq, response or BAD_GATEWAY)
 
-    def _free_frame(self, desc) -> None:
-        try:
-            self.pool.free_frame(desc.frame)
-        except OWNERSHIP_FAULTS as fault:
-            self._keep_fault(fault)
-        if self._parked:  # let the io thread hand a parked request this frame
+    def _free(self, refs) -> None:
+        super()._free(refs)
+        if self._parked:  # let the io thread hand a parked request a frame
             self._wake()
 
     def _respond(self, conn, seq, data: bytes, *, last=False) -> None:

@@ -128,20 +128,18 @@ class NicRingSet:
         return cls(DescriptorRing(capacity), DescriptorRing(capacity))
 
     def cycle(self) -> int:
-        """Move every completed frame back to the fill ring.
+        """Move every completed frame that fits back to the fill ring, with
+        one burst dequeue and one burst enqueue.
 
         Returns the number recycled. When the fill ring has no space at all,
         completion entries are left in place for the next cycle and
         ``FillRingFull`` is raised.
         """
-        moved = 0
-        while len(self.completion):
-            # check space before dequeuing so completion keeps single-producer
-            # discipline (nothing is ever pushed back)
-            if self.fill.free_slots == 0:
-                if moved == 0:
-                    raise FillRingFull("fill ring full, nothing recycled")
-                break
-            self.fill.enqueue(self.completion.dequeue())
-            moved += 1
-        return moved
+        # sized before dequeuing, so that nothing is ever pushed back and
+        # the completion ring keeps its single producer
+        n = min(len(self.completion), self.fill.free_slots)
+        if n == 0:
+            if len(self.completion):
+                raise FillRingFull("fill ring full, nothing recycled")
+            return 0
+        return self.fill.enqueue_burst(self.completion.burst_dequeue(n))

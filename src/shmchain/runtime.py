@@ -18,9 +18,9 @@ that function as the source. The event router splits each batch it receives
 by source and passes each source's descriptors as one burst, in their
 order. The planes' ingress edges pass bursts of one descriptor.
 
-A function runs over a burst in ``_run_handlers``: once for the whole
-burst when its handler has a burst form (``handlers.py``), as DPDK and VPP
-run a stage over a vector of packets, and otherwise once per descriptor.
+A function runs over a burst in ``_run_handlers``, which calls its handler
+once for the whole burst (``handlers.py``), as DPDK and VPP run a stage
+over a vector of packets.
 
 Polling mode runs the whole chain to completion on one worker thread, as
 DPDK runs a core's functions in one loop. Each ``route_step`` visits the
@@ -56,7 +56,8 @@ chain's transport exists, before its threads start), ``_close_edges`` (at
 stop, after the chain's threads are joined), ``_egress(batch)`` (a burst
 routed to EGRESS, on the thread that routed it) and ``_drop``. An edge with
 threads of its own that block outside the chain's transport overrides
-``_wake_edges``, run at stop before the threads are joined.
+``_wake_edges``, run at stop before the threads are joined, and an edge
+that waits for frames to come back extends ``_free``.
 
 Ownership rule: a descriptor, and the frame it points to, has exactly one
 owner at a time. A successful enqueue or send moves it to the receiver. A
@@ -68,9 +69,10 @@ under its reason, closes the descriptor's trace and releases the frame. At
 stop, every descriptor still on a ring or in an inbox is counted as a
 ``shutdown`` drop and freed, so ingress = egress + drops once the chain has
 stopped. A frame found with another owner when it is freed is left to that
-owner: ``_free`` keeps the first ``StaleRef`` or ``DoubleFree`` it meets,
-the rest of the burst goes on, and ``stop`` raises the fault once the chain
-is torn down.
+owner. Every frame the chain gives back, from a drop, from egress, or from
+a ring or inbox emptied at stop, goes through the one ``_free``, which keeps
+the first ``StaleRef`` or ``DoubleFree`` it meets; the rest of the burst
+goes on, and ``stop`` raises the fault once the chain is torn down.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ from .errors import (
 from .events import EventEndpoint
 from .handlers import HandlerContext
 from .pool import FramePool
-from .rings import DEFAULT_RING_CAPACITY, DescriptorRing
+from .rings import DescriptorRing
 from .routing import DENY, FilterTable, RoutingTable
 
 BURST = 64  # descriptors a polling step takes off each RX ring
@@ -236,7 +238,7 @@ class ChainRuntime:
                      for desc in endpoint.drain_remaining()]
         if self._mode is POLLING:
             for reg in self._regs.values():
-                in_flight.extend(self._drain(reg.rx))
+                in_flight.extend(reg.rx.burst_dequeue(reg.rx.capacity))
         # nobody is answered, as the stages have stopped
         for desc in in_flight:
             self._count_drop("shutdown", desc)
@@ -276,67 +278,40 @@ class ChainRuntime:
         return {label: thread.native_id for label, thread in self._threads.items()}
 
     def _new_endpoint(self, label: str) -> EventEndpoint:
-        # an inbox holds as many descriptors as a ring
-        endpoint = EventEndpoint(label, capacity=DEFAULT_RING_CAPACITY)
+        endpoint = EventEndpoint(label)
         self._endpoints.append(endpoint)
         return endpoint
 
     def _free(self, refs) -> None:
-        """Free frames this chain owns, under one pool lock acquire. A frame
-        that has another owner is left to it: the first such fault is kept
-        for ``stop`` to raise once the chain is torn down, and the caller,
-        with the rest of its burst, goes on."""
+        """Free a burst of frames this chain owns, under one pool lock
+        acquire: the chain's one release path. A frame that has another
+        owner is left to it: the first such fault is kept for ``stop`` to
+        raise once the chain is torn down, and the caller, with the rest of
+        its burst, goes on."""
         try:
             self.pool.free_frames(refs)
         except OWNERSHIP_FAULTS as fault:
-            self._keep_fault(fault)
-
-    def _keep_fault(self, fault: Exception) -> None:
-        """Keep the first ownership fault met while the chain runs."""
-        with self._count_lock:  # event stages free on their own threads
-            if self._fault is None:
-                self._fault = fault
-
-    @staticmethod
-    def _drain(ring: DescriptorRing):
-        """Take every descriptor off a ring whose stages have stopped."""
-        while (desc := ring.dequeue()) is not None:
-            yield desc
+            with self._count_lock:  # event stages free on their own threads
+                if self._fault is None:
+                    self._fault = fault
 
     # -- function stage ---------------------------------------------------------
 
     def _run_handlers(self, reg: Registration, batch) -> list:
-        """Run one function over a burst. Returns the descriptors to hand on,
-        in order; each one its handler refused or raised on is dropped as
-        ``handler``.
-
-        A handler with a burst form is called once for the whole burst; if
-        that call raises, or returns a list that does not line up with the
-        burst, the whole burst is dropped. Any other handler, such as a
-        user's or a traced wrapper, is called once per descriptor."""
-        handler, context, fn_id = reg.handler, reg.context, reg.fn_id
-        passed = []
-        burst = getattr(handler, "burst", None)
-        if burst is None:
-            # one loop, with no list of results in between: the proxy
-            # plane's handlers take this path on every request
-            for desc in batch:
-                try:
-                    out = handler(context, desc)
-                except Exception:
-                    out = None
-                if out is None:
-                    self._drop(desc, "handler")
-                else:
-                    out.src_fn = fn_id
-                    passed.append(out)
-            return passed
+        """Run one function over a burst: one call of its handler, which
+        returns a list lined up with the burst. Returns the descriptors to
+        hand on, in order; each one the handler refused is dropped as
+        ``handler``. If the call raises, or what it returns does not line
+        up with the burst, the whole burst is dropped."""
+        fn_id = reg.fn_id
         try:
-            outs = burst(context, batch)
+            outs = reg.handler(reg.context, batch)
+            aligned = len(outs) == len(batch)
         except Exception:
-            outs = None
-        if outs is None or len(outs) != len(batch):
-            outs = [None] * len(batch)
+            aligned = False
+        if not aligned:
+            outs = (None,) * len(batch)
+        passed = []
         for desc, out in zip(batch, outs):
             if out is None:
                 self._drop(desc, "handler")

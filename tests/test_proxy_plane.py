@@ -9,7 +9,7 @@ import pytest
 from shmchain.audit import AuditLedger, verify
 from shmchain.bench import StaticUpstream
 from shmchain.descriptors import EGRESS, INGRESS_ID
-from shmchain.errors import InvalidConfig, ParseError
+from shmchain.errors import DoubleFree, InvalidConfig, ParseError
 from shmchain.handlers import make_reverse_proxy, make_url_rewriter
 from shmchain.http11 import (
     read_response,
@@ -47,8 +47,8 @@ def make_gate_plane(pool, upstreams, mode):
     config = BrokerConfig(upstreams=[s.address for s in upstreams], mode=mode)
     plane = ProxyPlane(pool, config, name="px")
     plane.register("lb", make_reverse_proxy(len(upstreams)))
-    plane.register("gate", lambda _ctx, desc:
-                   None if "/drop/" in desc.meta.path else desc)
+    plane.register("gate", lambda _ctx, batch:
+                   [None if "/drop/" in desc.meta.path else desc for desc in batch])
     plane.set_entry("lb")
     plane.set_route("lb", "gate")
     plane.set_route("gate", EGRESS)
@@ -479,6 +479,46 @@ def test_pipelined_drop_answers_in_order(registry, upstreams, mode):
     assert x_path(responses[2][1]) == "/keep/2"
     assert dict(plane.drops) == {"handler": 1}
     assert plane.ingest_count == plane.egress_count + sum(plane.drops.values())
+    assert pool.free_count == pool.config.frame_count
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_bad_frame_at_egress_answers_503_and_the_plane_goes_on(registry, upstreams,
+                                                              mode):
+    """A function frees one request's frame and still hands the request on.
+    Egress drops that request alone as ``bad_frame``, without reading the
+    frame, and answers it 503; a later request still gets its 200, every
+    request is counted once, and close raises the DoubleFree that the drop's
+    free met, with every frame back in the pool."""
+    pool = registry.create(PoolConfig(f"bad-egress-{mode.value}", 16, 4096))
+    config = BrokerConfig(upstreams=[upstreams[0].address], mode=mode)
+    plane = ProxyPlane(pool, config, name="bad-egress")
+
+    def spoil(ctx, batch):
+        for desc in batch:
+            if desc.meta.path == "/bad":
+                ctx.pool.free_frame(desc.frame)
+        return list(batch)
+
+    plane.register("spoil", spoil)
+    plane.set_entry("spoil")
+    plane.set_route("spoil", EGRESS)
+    plane.start()
+    try:
+        with socket.create_connection(plane.listen_address, timeout=5) as sock:
+            pipeline(sock, ["/bad"])
+            (bad, _raw), = read_responses(sock, 1)
+            pipeline(sock, ["/good"])
+            (good, raw), = read_responses(sock, 1)
+    except BaseException:
+        plane.close()
+        raise
+    with pytest.raises(DoubleFree):
+        plane.close()
+    assert (bad, good, x_path(raw)) == (503, 200, "/good")
+    assert dict(plane.drops) == {"bad_frame": 1}
+    assert plane.ingest_count == plane.egress_count + sum(plane.drops.values())
+    assert plane.egress_count == 1 and plane.upstream_errors == 0
     assert pool.free_count == pool.config.frame_count
 
 

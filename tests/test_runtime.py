@@ -7,6 +7,7 @@ need."""
 import socket
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -48,9 +49,10 @@ def upstreams():
 
 
 def slowed(handler, delay):
-    def slow(ctx, desc):
-        time.sleep(delay)
-        return handler(ctx, desc)
+    """``handler`` taking ``delay`` seconds per descriptor."""
+    def slow(ctx, batch):
+        time.sleep(delay * len(batch))
+        return handler(ctx, batch)
     return slow
 
 
@@ -394,7 +396,7 @@ def test_bad_frame_at_egress_drops_alone(registry):
     the DoubleFree its free met, with every frame back in the pool."""
     pool = registry.create(PoolConfig("rt-bad-egress", 64, 2048))
     plane = PacketPlane(pool, Mode.POLLING, name="rt")
-    plane.register("a", lambda ctx, desc: desc)
+    plane.register("a", lambda ctx, batch: list(batch))
     plane.set_entry("a")
     plane.set_route("a", EGRESS)
     got = []
@@ -416,13 +418,29 @@ def test_bad_frame_at_egress_drops_alone(registry):
     assert pool.free_count == pool.config.frame_count
 
 
-def test_route_step_makes_few_python_calls_per_packet(registry, upstreams):
+def traced(fn, calls):
+    """A pass-through wrapper shaped like a tracer's: no attributes of its
+    own. Counts its calls per wrapped function in ``calls``."""
+    def wrapper(*args, **kwargs):
+        calls[fn.kind] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_route_step_makes_few_python_calls_per_packet(registry, upstreams,
+                                                      wrapped):
     """One step of a full burst through ``l3route`` and ``l2fwd`` runs each
     handler and egress once per burst: at most 4 Python-level calls per
     packet, the sink's included, counted with ``sys.setprofile``. Per
-    descriptor it took about 12."""
-    pool = registry.create(PoolConfig("rt-calls", 256, 2048))
+    descriptor it took about 12. Handlers wrapped as a tracer wraps them
+    take the same path: one wrapper call per function per step."""
+    pool = registry.create(PoolConfig(f"rt-calls-{wrapped}", 256, 2048))
     plane = build("packet", Mode.POLLING, pool, upstreams)
+    wrapper_calls = Counter()
+    if wrapped:
+        for reg in plane._regs.values():
+            reg.handler = traced(reg.handler, wrapper_calls)
     got = []
 
     def sink(payload, desc):
@@ -450,6 +468,7 @@ def test_route_step_makes_few_python_calls_per_packet(registry, upstreams):
         plane.stop()
     assert moved == 2 * BURST and len(got) == BURST
     assert calls <= 4 * BURST, f"{calls / BURST:.2f} calls per packet"
+    assert wrapper_calls == ({"l3route": 1, "l2fwd": 1} if wrapped else {})
 
 
 def test_router_batch_routes_each_source_in_its_order(registry, upstreams,
