@@ -427,20 +427,15 @@ def traced(fn, calls):
     return wrapper
 
 
-@pytest.mark.parametrize("wrapped", [False, True])
-def test_route_step_makes_few_python_calls_per_packet(registry, upstreams,
-                                                      wrapped):
-    """One step of a full burst through ``l3route`` and ``l2fwd`` runs each
-    handler and egress once per burst: at most 4 Python-level calls per
-    packet, the sink's included, counted with ``sys.setprofile``. Per
-    descriptor it took about 12. Handlers wrapped as a tracer wraps them
-    take the same path: one wrapper call per function per step."""
-    pool = registry.create(PoolConfig(f"rt-calls-{wrapped}", 256, 2048))
+def calls_in_one_step(registry, upstreams, name, wrap):
+    """Python-level calls, the sink's included, counted with
+    ``sys.setprofile``, that one polling step makes to run a full burst
+    through the packet chain of ``build``, each handler wrapped in
+    ``wrap``."""
+    pool = registry.create(PoolConfig(name, 256, 2048))
     plane = build("packet", Mode.POLLING, pool, upstreams)
-    wrapper_calls = Counter()
-    if wrapped:
-        for reg in plane._regs.values():
-            reg.handler = traced(reg.handler, wrapper_calls)
+    for reg in plane._regs.values():
+        reg.handler = wrap(reg.handler)
     got = []
 
     def sink(payload, desc):
@@ -467,8 +462,21 @@ def test_route_step_makes_few_python_calls_per_packet(registry, upstreams,
     finally:
         plane.stop()
     assert moved == 2 * BURST and len(got) == BURST
-    assert calls <= 4 * BURST, f"{calls / BURST:.2f} calls per packet"
-    assert wrapper_calls == ({"l3route": 1, "l2fwd": 1} if wrapped else {})
+    return calls
+
+
+def test_route_step_makes_few_python_calls_per_packet(registry, upstreams):
+    """One step of a full burst through ``l3route`` and ``l2fwd`` runs each
+    handler and egress once per burst: at most 4 Python-level calls per
+    packet, the sink's included. Per descriptor it took about 12. Handlers
+    wrapped as a tracer wraps them take the same path: one wrapper call per
+    function per step."""
+    wrapper_calls = Counter()
+    for name, wrap in (("plain", lambda fn: fn),
+                       ("wrapped", lambda fn: traced(fn, wrapper_calls))):
+        calls = calls_in_one_step(registry, upstreams, f"rt-calls-{name}", wrap)
+        assert calls <= 4 * BURST, f"{name}: {calls / BURST:.2f} calls per packet"
+    assert wrapper_calls == {"l3route": 1, "l2fwd": 1}
 
 
 def test_router_batch_routes_each_source_in_its_order(registry, upstreams,
