@@ -136,10 +136,14 @@ class NicRingSet:
         ``FillRingFull`` is raised.
         """
         # sized before dequeuing, so that nothing is ever pushed back and
-        # the completion ring keeps its single producer
-        n = min(len(self.completion), self.fill.free_slots)
-        if n == 0:
-            if len(self.completion):
-                raise FillRingFull("fill ring full, nothing recycled")
+        # the completion ring keeps its single producer. The producer may
+        # post more while this runs, so its length is read once: a second
+        # read could see a completion that the first did not, and report a
+        # fill ring with room as full.
+        pending = len(self.completion)
+        if pending == 0:
             return 0
+        n = min(pending, self.fill.free_slots)
+        if n == 0:
+            raise FillRingFull("fill ring full, nothing recycled")
         return self.fill.enqueue_burst(self.completion.burst_dequeue(n))

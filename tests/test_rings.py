@@ -97,6 +97,26 @@ def test_cycle_partial_when_fill_tightens():
     assert len(rs.completion) == 2
 
 
+def test_cycle_with_room_never_reports_full_when_a_completion_lands_mid_cycle():
+    """The completion ring's producer runs on another thread: a frame it
+    posts while ``cycle`` runs is left for the next cycle, and an empty fill
+    ring is never reported full."""
+
+    class LateCompletion(DescriptorRing):
+        def __len__(self):
+            n = super().__len__()
+            if not self.posted:
+                self.posted = True
+                self.enqueue("late")  # lands right after the length is read
+            return n
+
+    rs = NicRingSet(LateCompletion(4), DescriptorRing(4))
+    rs.completion.posted = False
+    assert rs.cycle() == 0
+    assert rs.cycle() == 1
+    assert rs.fill.burst_dequeue(4) == ["late"]
+
+
 def test_enqueue_burst_onto_nearly_full_ring_keeps_the_rest():
     ring = DescriptorRing(8)
     for i in range(5):
