@@ -17,6 +17,25 @@ Event category semantics used by every instrumented site:
 * protocol task: one pass of the host transport stack at broker ingress/egress
 * serde task: one HTTP parse or serialize
 * l2l3 task: one L2/L3 forwarding decision outside the chain functions
+
+What a crossing between two event-driven functions costs is decided here,
+for the ``beta`` and ``delta`` models and the chains that run them. Each
+stage routes its own survivors and sends them straight into the next
+function's inbox from its own thread, as eBPF's SK_MSG redirect runs inside
+the sender's own send; no thread sits between two functions. So:
+
+* a descriptor move costs the receiver's wakeup, one interrupt and one
+  context switch, charged to the step into the receiver (``to_fn``);
+* the sender's side costs nothing (``from_fn`` is zero), because the send
+  runs in the sender's own context. A from-function step is never recorded
+  on its own, as no receive stands behind it;
+* ``beta``'s ingress is the NIC's delivery interrupt only: the hop into
+  the first function is that function's ``to_fn``;
+* every egress step is what it was with a router between the functions.
+
+Per trace, ``beta`` then costs 2+N interrupts and 1+N context switches for
+N functions, and ``delta`` 3+N and 2+N; through a router each function
+cost two crossings, 3+2N interrupts and 2+2N context switches in both.
 """
 
 from __future__ import annotations
@@ -176,8 +195,8 @@ _MODELS = [
            ingress=ZERO, to_fn=ZERO, from_fn=ZERO, egress=ZERO),
     _chain("beta", "event-driven NIC path + event-driven descriptor hops",
            _L2L3_CATS, "l2l3_shm",
-           ingress=_cv(interrupts=2, ctx=1),
-           to_fn=_cv(interrupts=1, ctx=1), from_fn=_cv(interrupts=1, ctx=1),
+           ingress=_cv(interrupts=1),
+           to_fn=_cv(interrupts=1, ctx=1), from_fn=ZERO,
            egress=_cv(interrupts=1, ctx=1)),
     _chain("gamma", "kernel-stack broker + polling descriptor rings",
            _SHM_L4L7_CATS, "l4l7_shm",
@@ -187,7 +206,7 @@ _MODELS = [
     _chain("delta", "kernel-stack broker + event-driven descriptor hops",
            _SHM_L4L7_CATS, "l4l7_shm",
            ingress=_cv(copies=2, interrupts=2, ctx=1, protocol=1, serde=1),
-           to_fn=_cv(interrupts=1, ctx=1), from_fn=_cv(interrupts=1, ctx=1),
+           to_fn=_cv(interrupts=1, ctx=1), from_fn=ZERO,
            egress=_cv(copies=2, interrupts=1, ctx=1, protocol=1, serde=1)),
     # Plane-to-plane bridging alternatives.
     PipelineModel("unified_hw", "NIC-switch handoff between planes",

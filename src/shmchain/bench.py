@@ -222,34 +222,6 @@ class CollectorSink:
                 self.corrupt += 1
 
 
-class RateLimitedSink:
-    """Load target with a configured capacity; the oracle for search tests."""
-
-    def __init__(self, capacity_pps: float):
-        self.capacity = capacity_pps
-        self._burst = max(4.0, capacity_pps * 0.01)
-        self._allowance = self._burst
-        self._last = time.monotonic()
-        self.delivered = 0
-        self.dropped = 0
-
-    def ingress(self, payload: bytes, flow=None) -> bool:
-        now = time.monotonic()
-        self._allowance = min(self._burst,
-                              self._allowance + (now - self._last) * self.capacity)
-        self._last = now
-        if self._allowance >= 1.0:
-            self._allowance -= 1.0
-            self.delivered += 1
-            return True
-        self.dropped += 1
-        return False
-
-    @property
-    def running(self) -> bool:
-        return True
-
-
 _run_seq_base = itertools.count(1)
 
 PACE_TICK_S = 0.002  # a paced offer loop wakes once per tick

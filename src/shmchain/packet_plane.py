@@ -11,15 +11,16 @@ egress on the chain's worker thread: it transmits a burst, then frees the
 sent frames through the chain's one release path, ``_free``, under one
 acquire of the pool lock. Event mode keeps frames parked on a fill ring,
 the way receive buffers stay posted to a NIC: ingress takes a parked frame,
-writes the packet into it, makes a fresh descriptor for it and sends that
-to the router, which routes it like any other hop, and a packet routed to
-EGRESS is sent on to a TX stage that transmits each batch it receives and
-parks the sent frames on the completion ring. Like AF_XDP's fill and
-completion rings, both rings carry frames, not descriptors.
-Ingress reaps that ring itself: when the fill ring runs dry it moves the
-completions that fit back with one burst, before it takes a frame, as a NIC
-driver reaps its completion ring before it refills its receive ring, so no
-thread exists only to recycle frames.
+writes the packet into it, makes a fresh descriptor for it and routes that
+itself, with one event hop into the entry function's inbox, and each stage
+routes its own survivors on. A packet routed to EGRESS takes one more hop,
+into a TX stage that transmits each batch it receives and parks the sent
+frames on the completion ring. Like AF_XDP's fill and completion rings,
+both rings carry frames, not descriptors. Ingress reaps that ring itself:
+when the fill ring runs dry it moves the completions that fit back with one
+burst, before it takes a frame, as a NIC driver reaps its completion ring
+before it refills its receive ring, so no thread exists only to recycle
+frames.
 """
 
 from __future__ import annotations
@@ -79,9 +80,11 @@ class PacketPlane(ChainRuntime):
     # -- ingress ------------------------------------------------------------------
 
     def ingress(self, payload: bytes, flow: FlowKey | None = None) -> bool:
-        """Place one packet into shared memory and hand its descriptor to the
-        chain. The payload write is the emulated DMA: audited as zero copies.
-        Returns False when the packet had to be dropped (backpressure)."""
+        """Place one packet into shared memory and route its descriptor to
+        the entry function. The payload write is the emulated DMA: audited as
+        zero copies. Returns False when the packet was dropped: it was too
+        large, no frame was free, or the entry filter or a full RX ring or
+        inbox refused it."""
         if not self._started:
             raise PlaneUnavailable(self.name)
         self.ingress_count += 1
@@ -89,38 +92,25 @@ class PacketPlane(ChainRuntime):
             self._count_drop("oversize")
             return False
         if self._mode is POLLING:
-            return self._ingress_polling(payload, flow)
-        return self._ingress_event(payload, flow)
-
-    def _ingress_polling(self, payload: bytes, flow) -> bool:
-        ref = self.pool.try_alloc_frame()
+            ref, reason = self.pool.try_alloc_frame(), "pool_exhausted"
+        else:
+            ref, reason = self._nic_rings.fill.dequeue(), "fill_empty"
+            if ref is None:
+                # reap the completion ring, the only way a sent frame comes back
+                with self._fill_lock:
+                    self._nic_rings.cycle()
+                ref = self._nic_rings.fill.dequeue()
         if ref is None:
-            self._count_drop("pool_exhausted")
+            self._count_drop(reason)
             return False
         self.pool.write_frame(ref, 0, payload)
         desc = PacketDescriptor(ref, 0, len(payload), INGRESS_ID,
                                 next(self._trace_ids), flow=flow)
-        return self._route(INGRESS_ID, (desc,)) == 1
-
-    def _ingress_event(self, payload: bytes, flow) -> bool:
-        fill = self._nic_rings.fill
-        ref = fill.dequeue()
-        if ref is None:
-            # reap the completion ring, the only way a sent frame comes back
-            with self._fill_lock:
-                self._nic_rings.cycle()
-            ref = fill.dequeue()
-            if ref is None:
-                self._count_drop("fill_empty")
-                return False
-        self.pool.write_frame(ref, 0, payload)
-        desc = PacketDescriptor(ref, 0, len(payload), INGRESS_ID,
-                                next(self._trace_ids), flow=flow)
-        if self.ledger is not None:
-            # delivery event that kicks the kernel-side redirect
+        if self.ledger is not None and self._mode is not POLLING:
+            # the NIC's delivery interrupt; the hop into the entry function,
+            # made here in this context, is audited as that function's wakeup
             self.ledger.record(desc.trace_id, 0, INTERRUPTS, 1)
-        # the router, not this thread, routes it to the entry function
-        return self._send(desc, self._router_ep)
+        return self._route(INGRESS_ID, (desc,)) == 1
 
     # -- egress and drops -------------------------------------------------------------
 

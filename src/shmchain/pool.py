@@ -238,10 +238,6 @@ class FramePool:
         with self._lock:
             return len(self._free)
 
-    @property
-    def in_flight_count(self) -> int:
-        return self.config.frame_count - self.free_count
-
     def close(self) -> None:
         if self.closed:
             return

@@ -6,9 +6,9 @@ descriptor straight to the entry function (onto its RX ring, or one event
 hop into its inbox), while the middlebox functions work on the parsed
 metadata. Its egress edge works a burst at a time, on the thread that
 routed the burst out of the chain: the chain's worker in polling mode and
-the relay in event mode. It reads the burst's bodies through one
-``frame_views`` check, as packet egress does, and drops a request whose
-frame fails it as ``bad_frame`` (503 to the client). It serializes every
+the last function's stage thread in event mode. It reads the burst's
+bodies through one ``frame_views`` check, as packet egress does, and drops
+a request whose frame fails it as ``bad_frame`` (503 to the client). It serializes every
 other (possibly rewritten) request of the burst and pipelines them
 upstream: each backend's requests go out in one write on one pooled
 keep-alive connection, every backend is written to before any is read, and
@@ -196,7 +196,6 @@ class UpstreamPool:
 class ProxyPlane(ChainRuntime):
     """One middlebox chain behind a listening broker."""
 
-    ROUTER_LABEL = "relay"
     STAGE_LABEL = "mf"
 
     def __init__(self, pool: FramePool, config: BrokerConfig,
@@ -355,10 +354,14 @@ class ProxyPlane(ChainRuntime):
 
         Socket read into the broker buffer and buffer into the frame are the
         two audited ingest copies; pool pressure parks the request, and stops
-        parsing its connection, instead of dropping it (stream semantics).
+        parsing its connection, instead of dropping it (stream semantics). A
+        body larger than a frame is ingested and dropped as ``oversize``, as
+        the packet plane counts it, and answered 413.
         """
         body = request.body
         if len(body) > self.pool.config.frame_size:
+            self.ingest_count += 1
+            self._count_drop("oversize")
             self._respond(conn, seq, simple_response(413, "Payload Too Large"))
             return
         try:
@@ -468,17 +471,6 @@ class ProxyPlane(ChainRuntime):
             except OSError:
                 conn.closed = True
                 return
-
-    # -- client helper --------------------------------------------------------------------
-
-    def http_roundtrip(self, method="GET", path="/", headers=(), body=b"",
-                       timeout=5.0):
-        """One blocking request against this broker; returns (status, body, raw)."""
-        request = serialize_request(method, path, list(headers), body)
-        with socket.create_connection(self.listen_address, timeout=timeout) as sock:
-            sock.sendall(request)
-            raw, status, resp_body, _ = read_response(sock)
-        return status, resp_body, raw
 
     def stats(self) -> dict:
         return {

@@ -13,10 +13,9 @@ hop or ``filtered`` when the filter refuses it, hands it to the plane's
 ``_egress(batch)`` when it is routed to EGRESS, and otherwise puts it onto
 the next function's RX ring with one burst enqueue (polling, dropping the
 tail that does not fit as ``ring_full``) or sends each descriptor there
-(event). The polling step passes the burst a function has just run with
-that function as the source. The event router splits each batch it receives
-by source and passes each source's descriptors as one burst, in their
-order. The planes' ingress edges pass bursts of one descriptor.
+(event). Each stage, in either mode, passes the burst it has just run with
+itself as the source, on the thread that ran it; the planes' ingress edges
+pass bursts of one descriptor.
 
 A function runs over a burst in ``_run_handlers``, which calls its handler
 once for the whole burst (``handlers.py``), as DPDK and VPP run a stage
@@ -34,15 +33,17 @@ is copied, so a chain hop costs nothing on the audited path. Only a polling
 chain has RX rings: the mode is fixed when the chain is built, so
 ``register`` gives a function a ring only in polling mode.
 
-Event mode gives every function, and the router, a thread blocked on its
-event endpoint until a delivery arrives; each wakeup runs the stage once
-over the whole batch it received. Every move between functions
-passes through the router's endpoint, and each send, made by the one
-``_send``, records one interrupt plus one context switch on the audited
-path: the model's per-hop cost. The real eventfd signal goes only to a
-receiver blocked on an empty inbox; one that is awake takes the descriptor
-with its next batch. A send goes straight to the inbox object of the hop
-that routing picked; nothing is looked up by name.
+Event mode gives every function a thread blocked on its event endpoint
+until a delivery arrives; each wakeup runs the stage once over the whole
+batch it received and routes the survivors on from that thread, straight
+into the next function's inbox, as eBPF's SK_MSG redirect runs inside the
+sender's own send. No thread sits between two functions. Each send, made
+by the one ``_send``, records one interrupt plus one context switch on the
+audited path: the receiver's wakeup, the model's per-hop cost
+(``audit.py``). The real eventfd signal goes only to a receiver blocked on
+an empty inbox; one that is awake takes the descriptor with its next
+batch. A send goes straight to the inbox object of the hop that routing
+picked; nothing is looked up by name.
 
 The sizes are constants, the same for every chain: each ring and each event
 inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling step
@@ -60,10 +61,12 @@ threads of its own that block outside the chain's transport overrides
 that waits for frames to come back extends ``_free``.
 
 Ownership rule: a descriptor, and the frame it points to, has exactly one
-owner at a time. A successful enqueue or send moves it to the receiver. A
-failed one leaves it with the sender, as ``DescriptorRing.enqueue`` and
-``EventEndpoint.deliver`` do, and as ``DescriptorRing.enqueue_burst`` does
-with the tail of a burst that did not fit. The sender hands each such
+owner at a time. A successful enqueue or send moves it to the receiver;
+until then the stage that ran it, or the ingress edge that made it, owns
+it, since no thread sits between the two. A failed one leaves it with the
+sender, as ``DescriptorRing.enqueue`` and ``EventEndpoint.deliver`` do, and
+as ``DescriptorRing.enqueue_burst`` does with the tail of a burst that did
+not fit. The sender hands each such
 descriptor to its plane's one ``_drop(desc, reason)``, which counts the drop
 under its reason, closes the descriptor's trace and releases the frame. At
 stop, every descriptor still on a ring or in an inbox is counted as a
@@ -133,7 +136,6 @@ class Registration:
 class ChainRuntime:
     """One chain of functions between a plane's ingress and egress edges."""
 
-    ROUTER_LABEL = "router"
     STAGE_LABEL = "nf"
 
     def __init__(self, pool: FramePool, mode: Mode, ledger: AuditLedger | None,
@@ -153,7 +155,6 @@ class ChainRuntime:
         self.drops: Counter = Counter()
         self._count_lock = threading.Lock()
         self._fault: Exception | None = None  # the first one ``_free`` met
-        self._router_ep: EventEndpoint | None = None  # event mode, built at start
         self._endpoints: list[EventEndpoint] = []
         # what the endpoints closed at stop had counted
         self._closed_event_counts = {"event_hops": 0, "event_wakeups": 0}
@@ -208,15 +209,12 @@ class ChainRuntime:
             self._start_edges()
             self._spawn("worker", self._worker)
         else:
-            self._router_ep = self._new_endpoint(self.ROUTER_LABEL)
             for reg in self._regs.values():
                 reg.endpoint = self._new_endpoint(reg.fn_id)
             self._start_edges()
             for reg in self._regs.values():
                 self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}", self._serve,
                             reg.endpoint, functools.partial(self._nf_step_event, reg))
-            self._spawn(self.ROUTER_LABEL, self._serve, self._router_ep,
-                        self._router_step)
 
     def stop(self) -> None:
         """Stop every stage, then drop every descriptor still in flight.
@@ -407,18 +405,7 @@ class ChainRuntime:
             step(batch)
 
     def _nf_step_event(self, reg: Registration, batch) -> None:
-        router = self._router_ep
-        for out in self._run_handlers(reg, batch):
-            self._send(out, router)
-
-    def _router_step(self, batch) -> None:
-        """Route a received batch one source at a time, each source's
-        descriptors as one burst in their order."""
-        by_src: dict[str, list] = {}
-        for desc in batch:
-            by_src.setdefault(desc.src_fn, []).append(desc)
-        for src, burst in by_src.items():
-            self._route(src, burst)
+        self._route(reg.fn_id, self._run_handlers(reg, batch))
 
     # -- drops ----------------------------------------------------------------------
 

@@ -6,7 +6,6 @@ from shmchain.bench import (
     CollectorSink,
     HttpLoadConfig,
     PktgenConfig,
-    RateLimitedSink,
     StaticUpstream,
     build_packet,
     cpu_sample,
@@ -18,6 +17,34 @@ from shmchain.bench import (
     pktgen_run,
 )
 from shmchain.errors import InvalidConfig, InvalidTolerance, NeverLossFree
+
+
+class RateLimitedSink:
+    """Load target with a configured capacity; the oracle for search tests."""
+
+    def __init__(self, capacity_pps: float):
+        self.capacity = capacity_pps
+        self._burst = max(4.0, capacity_pps * 0.01)
+        self._allowance = self._burst
+        self._last = time.monotonic()
+        self.delivered = 0
+        self.dropped = 0
+
+    def ingress(self, payload: bytes, flow=None) -> bool:
+        now = time.monotonic()
+        self._allowance = min(self._burst,
+                              self._allowance + (now - self._last) * self.capacity)
+        self._last = now
+        if self._allowance >= 1.0:
+            self._allowance -= 1.0
+            self.delivered += 1
+            return True
+        self.dropped += 1
+        return False
+
+    @property
+    def running(self) -> bool:
+        return True
 
 
 def test_packet_layout_roundtrip():

@@ -10,8 +10,8 @@ from shmchain.verify_runs import RUNNABLE_MODELS
 def test_audit_predict_matches_golden(capsys):
     assert main(["--json", "audit", "predict", "delta"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["totals"] == {"copies": 4, "interrupts": 7,
-                             "context_switches": 6, "protocol_tasks": 2,
+    assert out["totals"] == {"copies": 4, "interrupts": 5,
+                             "context_switches": 4, "protocol_tasks": 2,
                              "serde_tasks": 2, "l2l3_tasks": 0}
 
 
@@ -73,7 +73,7 @@ def test_bench_l4l7_short(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, threads", [
     (["bench-l2l3", "--mode", "event", "--rate", "3000"],
-     {"nf.r1", "nf.f1", "router", "tx"}),
+     {"nf.r1", "nf.f1", "tx"}),
     (["bench-l4l7", "--mode", "polling", "--concurrency", "2"],
      {"worker", "io"}),
 ])

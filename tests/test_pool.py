@@ -37,7 +37,7 @@ FRAME_OPS = {
 def test_create_pool_all_frames_free(registry):
     pool = registry.create(PoolConfig("mn0", 64, 2048))
     assert pool.free_count == 64
-    assert pool.in_flight_count == 0
+    assert pool.config.frame_count - pool.free_count == 0
 
 
 @pytest.mark.parametrize("count,size", [(1, 2048), (0, 2048), (4, 64), (4, 100),

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from httpclient import http_roundtrip
+
 from shmchain.audit import AuditLedger, verify
 from shmchain.bench import StaticUpstream
 from shmchain.descriptors import EGRESS, INGRESS_ID
@@ -212,13 +214,13 @@ def test_roundtrip_and_rewrites(registry, upstreams, mode):
     plane = make_plane(pool, upstreams, mode)
     plane.start()
     try:
-        status, body, _ = plane.http_roundtrip("GET", "/old/a.html")
+        status, body, _ = http_roundtrip(plane, "GET", "/old/a.html")
         assert status == 200
         # round robin alternates backends
         statuses = set()
         bodies = []
         for _ in range(4):
-            _s, b, _r = plane.http_roundtrip("GET", "/old/b")
+            _s, b, _r = http_roundtrip(plane, "GET", "/old/b")
             bodies.append(bytes(b))
         assert any(b.startswith(b"body-zero") for b in bodies)
         assert any(b.startswith(b"body-one") for b in bodies)
@@ -238,8 +240,8 @@ def test_audit_totals_match_model(registry, upstreams, mode, model):
     plane.start()
     try:
         for i in range(150):
-            status, _b, _r = plane.http_roundtrip("POST", f"/old/{i}",
-                                                  body=b"payload-" + bytes([65 + i % 26]))
+            status, _b, _r = http_roundtrip(plane, "POST", f"/old/{i}",
+                                            body=b"payload-" + bytes([65 + i % 26]))
             assert status == 200
     finally:
         plane.close()
@@ -253,7 +255,7 @@ def test_body_rides_through_untouched(registry, upstreams):
     plane.start()
     try:
         body = bytes(range(256)) * 4
-        status, resp_body, _ = plane.http_roundtrip("POST", "/old/echo", body=body)
+        status, resp_body, _ = http_roundtrip(plane, "POST", "/old/echo", body=body)
         assert status == 200
         # the stub echoes the request body after its own banner
         assert resp_body.endswith(body)
@@ -409,7 +411,7 @@ def test_upstream_down_gives_502(registry):
     plane.set_route("lb", EGRESS)
     plane.start()
     try:
-        status, _body, _ = plane.http_roundtrip("GET", "/x", timeout=10)
+        status, _body, _ = http_roundtrip(plane, "GET", "/x", timeout=10)
         assert status == 502
         assert plane.upstream_errors == 1
         assert pool.free_count == pool.config.frame_count
@@ -434,7 +436,7 @@ def test_silent_upstream_gives_502(registry):
     plane.start()
     try:
         t0 = time.monotonic()
-        status, _body, _ = plane.http_roundtrip("GET", "/x", timeout=10)
+        status, _body, _ = http_roundtrip(plane, "GET", "/x", timeout=10)
         elapsed = time.monotonic() - t0
         assert status == 502
         assert 0.25 <= elapsed < 3.0  # the read timed out; nothing refused it
@@ -633,11 +635,37 @@ def test_ingress_filter_denies_in_both_modes(registry, upstreams, mode):
     plane.set_filter(INGRESS_ID, "lb", "deny")
     plane.start()
     try:
-        status, _body, _raw = plane.http_roundtrip("GET", "/old/x")
+        status, _body, _raw = http_roundtrip(plane, "GET", "/old/x")
     finally:
         plane.close()
     assert status == 503
     assert dict(plane.drops) == {"filtered": 1}
+    assert pool.free_count == pool.config.frame_count
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_oversize_body_is_answered_413_and_counted_as_a_drop(registry,
+                                                             upstreams, mode):
+    """A POST whose body does not fit a frame is answered 413 and counted as
+    ingested and dropped as ``oversize``, as the packet plane counts it; a
+    later request on the same connection still gets its 200."""
+    pool = registry.create(PoolConfig(f"oversize-{mode.value}", 16, 2048))
+    plane = make_plane(pool, upstreams, mode)
+    plane.start()
+    try:
+        with socket.create_connection(plane.listen_address, timeout=5) as sock:
+            sock.sendall(serialize_request("POST", "/old/big", [("Host", "t")],
+                                           b"x" * (2048 + 1)))
+            (big, _raw), = read_responses(sock, 1)
+            pipeline(sock, ["/old/small"])
+            (small, raw), = read_responses(sock, 1)
+    finally:
+        plane.close()
+    assert (big, small, x_path(raw)) == (413, 200, "/new/small")
+    stats = plane.stats()
+    assert stats["drops"] == {"oversize": 1}
+    assert (stats["ingest"], stats["egress"]) == (2, 1)
+    assert stats["ingest"] == stats["egress"] + sum(stats["drops"].values())
     assert pool.free_count == pool.config.frame_count
 
 

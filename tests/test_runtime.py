@@ -11,6 +11,8 @@ from collections import Counter
 
 import pytest
 
+from httpclient import http_roundtrip
+
 from shmchain.audit import AuditLedger
 from shmchain.bench import StaticUpstream, build_packet
 from shmchain.descriptors import EGRESS, INGRESS_ID, PacketDescriptor
@@ -30,13 +32,13 @@ from shmchain.runtime import BATCH, BURST, Mode
 
 K = 20
 # every thread a two-function plane runs: in polling mode the one worker
-# that runs the chain; in event mode one per function, the router (the relay
-# in the broker) and packet TX; and the broker's io in both modes
+# that runs the chain; in event mode one per function, each routing its own
+# survivors, and packet TX; and the broker's io in both modes
 THREADS = {
     ("packet", Mode.POLLING): {"worker"},
-    ("packet", Mode.EVENT): {"nf.a", "nf.b", "router", "tx"},
+    ("packet", Mode.EVENT): {"nf.a", "nf.b", "tx"},
     ("proxy", Mode.POLLING): {"worker", "io"},
-    ("proxy", Mode.EVENT): {"mf.a", "mf.b", "relay", "io"},
+    ("proxy", Mode.EVENT): {"mf.a", "mf.b", "io"},
 }
 
 
@@ -117,8 +119,8 @@ def check_refusal(registry, upstreams, kind, mode, where):
 
     def offer(seq, refused):
         if kind == "packet":
-            # only polling ingress routes, so only it sees its own refusal
-            early = refused and where == "ingress" and mode is Mode.POLLING
+            # ingress routes, so it sees its own refusal
+            early = refused and where == "ingress"
             assert plane.ingress(build_packet(64, seq, 1)) is not early
             return
         sock = socket.create_connection(plane.listen_address, timeout=5)
@@ -244,19 +246,18 @@ def test_event_hop_into_closed_inbox_drops_as_shutdown(registry, upstreams):
     plane.start()
     try:
         plane._regs["b"].endpoint.close()
-        status, _body, _raw = plane.http_roundtrip("GET", "/old/0",
-                                                   [("Host", "rt")])
+        status, _body, _raw = http_roundtrip(plane, "GET", "/old/0",
+                                             [("Host", "rt")])
         assert status == 503
         assert plane.stats()["drops"] == {"shutdown": 1}
         assert pool.free_count == pool.config.frame_count
     finally:
         plane.close()
     assert ledger.completed_ids("drop") == [0]
-    # two hops were made, ingest into a and a into the relay; the third,
-    # the relay into b, was refused
+    # one hop was made, ingest into a; the second, a into b, was refused
     total = ledger.trace_total(0)
-    assert total.interrupts == INGEST_COST.interrupts + 2
-    assert total.context_switches == INGEST_COST.context_switches + 2
+    assert total.interrupts == INGEST_COST.interrupts + 1
+    assert total.context_switches == INGEST_COST.context_switches + 1
 
 
 @pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
@@ -270,8 +271,8 @@ def test_stats_count_event_hops_and_wakeups(registry, upstreams, mode):
     plane.start()
     try:
         for i in range(n):
-            status, _body, _raw = plane.http_roundtrip("GET", f"/old/{i}",
-                                                       [("Host", "rt")])
+            status, _body, _raw = http_roundtrip(plane, "GET", f"/old/{i}",
+                                                 [("Host", "rt")])
             assert status == 200
     finally:
         plane.close()
@@ -279,8 +280,8 @@ def test_stats_count_event_hops_and_wakeups(registry, upstreams, mode):
     if mode is Mode.POLLING:
         assert stats["event_hops"] == stats["event_wakeups"] == 0
     else:
-        # ingest into a, a into the relay, the relay into b, b into the relay
-        assert stats["event_hops"] == 4 * n
+        # ingest into a and a into b; b egresses on its own thread
+        assert stats["event_hops"] == 2 * n
         assert 1 <= stats["event_wakeups"] <= stats["event_hops"]
 
 
@@ -365,17 +366,13 @@ def test_event_drop_never_parks_a_bad_frame(registry, upstreams, monkeypatch):
     monkeypatch.setattr(plane, "_spawn", lambda *args: None)
     plane.start()
     a, b = plane._regs["a"], plane._regs["b"]
-    router = plane._router_ep
     sent = [build_packet(64, seq, 1) for seq in range(3)]
     for packet in sent:
         assert plane.ingress(packet)
-    plane._router_step(router.recv_batch(BATCH))
     batch = a.endpoint.recv_batch(BATCH)
     pool.free_frame(batch[1].frame)
     plane._nf_step_event(a, batch)
-    plane._router_step(router.recv_batch(BATCH))
     plane._nf_step_event(b, b.endpoint.recv_batch(BATCH))
-    plane._router_step(router.recv_batch(BATCH))
     plane._transmit_event(plane._tx_ep.recv_batch(BATCH))
     assert got == [rewritten(sent[0]), rewritten(sent[2])]
     # 8 frames were parked: 5 are left on the fill ring and 2 on the
@@ -479,41 +476,36 @@ def test_route_step_makes_few_python_calls_per_packet(registry, upstreams):
     assert wrapper_calls == {"l3route": 1, "l2fwd": 1}
 
 
-def test_router_batch_routes_each_source_in_its_order(registry, upstreams,
-                                                      monkeypatch):
-    """One router batch holds descriptors that left ingress and ``a``,
-    interleaved: the router hands each source's descriptors to its next hop
-    in their order, and the ledger holds one hop per successful send. The
-    stages run by hand: start spawns no thread."""
-    pool = registry.create(PoolConfig("rt-router-batch", 64, 2048))
+def test_event_stage_sends_its_survivors_straight_on(registry, upstreams,
+                                                     monkeypatch):
+    """Ingress sends each packet straight into the entry function's inbox,
+    and a stage's step sends its survivors straight into the next one's, in
+    their order, with no thread between them; the ledger holds one hop per
+    successful send. The stages run by hand: start spawns no thread."""
+    pool = registry.create(PoolConfig("rt-direct-send", 64, 2048))
     plane = build("packet", Mode.EVENT, pool, upstreams)
     plane.ledger = ledger = AuditLedger()
     monkeypatch.setattr(plane, "_spawn", lambda *args: None)
     plane.start()
     a, b = plane._regs["a"], plane._regs["b"]
-    router = plane._router_ep
     try:
         for seq in range(6):
             assert plane.ingress(build_packet(64, seq, 1))
-        plane._router_step(router.recv_batch(BATCH))  # traces 0-5 into a
+        # read in place: stop drops what the inboxes hold as shutdown
+        assert [d.trace_id for d in a.endpoint._inbox] == list(range(6))
         plane._nf_step_event(a, a.endpoint.recv_batch(3))  # 0-2 out of a
+        assert [d.trace_id for d in b.endpoint._inbox] == [0, 1, 2]
         for seq in range(6, 9):
             assert plane.ingress(build_packet(64, seq, 1))
+        assert [d.trace_id for d in a.endpoint._inbox] == list(range(3, 9))
         plane._nf_step_event(a, a.endpoint.recv_batch(3))  # 3-5 out of a
-        batch = router.recv_batch(BATCH)
-        assert [(d.src_fn, d.trace_id) for d in batch] == (
-            [("a", t) for t in range(3)] + [(INGRESS_ID, t) for t in range(6, 9)]
-            + [("a", t) for t in range(3, 6)])
-        plane._router_step(batch)
-        # read in place: stop drops what the inboxes hold as shutdown
         assert [d.trace_id for d in b.endpoint._inbox] == list(range(6))
         assert [d.trace_id for d in a.endpoint._inbox] == [6, 7, 8]
         hops = plane.stats()["event_hops"]
     finally:
         plane.stop()
-    # traces 0-5: ingress, the router into a, a out, the router into b;
-    # traces 6-8: ingress and the router into a
-    assert hops == 6 * 4 + 3 * 2
+    # traces 0-5: ingress into a and a into b; traces 6-8: ingress into a
+    assert hops == 6 * 2 + 3 * 1
     assert plane.stats()["drops"] == {"shutdown": 9}
     assert sum(ledger.trace_total(t).context_switches for t in range(9)) == hops
     assert pool.free_count == pool.config.frame_count
@@ -544,11 +536,11 @@ def test_burst_into_nearly_full_ring_drops_only_the_tail(registry, upstreams):
     offer(k + m)
     burst = a_rx.burst_dequeue(1024)  # what a's step will take, in order
     assert a_rx.enqueue_burst(burst) == len(burst) == k + m
-    in_use = pool.in_flight_count
+    free = pool.free_count
     assert plane.route_step() == k + BURST
     assert plane.stats()["drops"] == {"ring_full": m}
     assert plane.stats()["egress"] == BURST
-    assert pool.in_flight_count == in_use - m - BURST
+    assert pool.free_count == free + m + BURST
     on_b = b_rx.burst_dequeue(1024)
     assert [d.trace_id for d in on_b[-k:]] == [d.trace_id for d in burst[:k]]
     assert b_rx.enqueue_burst(on_b) == len(on_b)  # still in flight at stop
