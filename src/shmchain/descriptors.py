@@ -61,7 +61,6 @@ class PacketDescriptor:
     frame: FrameRef
     offset: int
     length: int
-    src_fn: str
     trace_id: int
     flow: FlowKey | None = None
     meta: HttpExchangeMeta | None = None

@@ -104,8 +104,8 @@ class PacketPlane(ChainRuntime):
             self._count_drop(reason)
             return False
         self.pool.write_frame(ref, 0, payload)
-        desc = PacketDescriptor(ref, 0, len(payload), INGRESS_ID,
-                                next(self._trace_ids), flow=flow)
+        desc = PacketDescriptor(ref, 0, len(payload), next(self._trace_ids),
+                                flow=flow)
         if self.ledger is not None and self._mode is not POLLING:
             # the NIC's delivery interrupt; the hop into the entry function,
             # made here in this context, is audited as that function's wakeup

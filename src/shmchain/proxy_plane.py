@@ -380,8 +380,8 @@ class ProxyPlane(ChainRuntime):
         if self.ledger is not None:
             self.ledger.record_vector(trace_id, 0, INGEST_COST)
         self.ingest_count += 1
-        desc = PacketDescriptor(ref, 0, len(body), INGRESS_ID, trace_id,
-                                flow=conn.flow, meta=meta)
+        desc = PacketDescriptor(ref, 0, len(body), trace_id, flow=conn.flow,
+                                meta=meta)
         self._route(INGRESS_ID, (desc,))
 
     def _drop(self, desc, reason) -> None:

@@ -45,6 +45,20 @@ an empty inbox; one that is awake takes the descriptor with its next
 batch. A send goes straight to the inbox object of the hop that routing
 picked; nothing is looked up by name.
 
+Placement: ``start`` confines the thread that calls it to one CPU, the
+highest of its allowed set, before the plane spawns a thread, and every
+thread the plane spawns inherits that CPU, as DPDK's ``rte_eal_init``
+places its main lcore. The plane's threads and the thread that offers it
+traffic share one interpreter lock and never run Python at the same time,
+so spreading them over CPUs buys nothing: each handoff of the lock would
+be a cross-CPU wakeup that drags every shared object's cache lines along.
+A caller whose set is already one CPU is left alone. Threads the caller
+starts while a plane runs inherit its CPU too, as they would under
+``taskset``. ``stop``, once the plane's threads are joined, gives the
+starting thread its old set back, unless that set has changed since
+``start`` placed it: so one thread that starts two planes gets its whole
+set back whichever it stops first.
+
 The sizes are constants, the same for every chain: each ring and each event
 inbox holds ``DEFAULT_RING_CAPACITY`` (1024) descriptors, a polling step
 takes up to ``BURST`` (64) off each RX ring, and an event stage takes up to
@@ -155,6 +169,8 @@ class ChainRuntime:
         self.drops: Counter = Counter()
         self._count_lock = threading.Lock()
         self._fault: Exception | None = None  # the first one ``_free`` met
+        # (native id, old set, placed set) of the thread ``start`` placed
+        self._placed: tuple[int, set[int], set[int]] | None = None
         self._endpoints: list[EventEndpoint] = []
         # what the endpoints closed at stop had counted
         self._closed_event_counts = {"event_hops": 0, "event_wakeups": 0}
@@ -203,18 +219,23 @@ class ChainRuntime:
             return
         if self._entry is None:
             raise PlaneUnavailable(f"{self.name}: no entry function")
+        self._place_caller()
         self._stop.clear()
         self._started = True
-        if self._mode is POLLING:
-            self._start_edges()
-            self._spawn("worker", self._worker)
-        else:
-            for reg in self._regs.values():
-                reg.endpoint = self._new_endpoint(reg.fn_id)
-            self._start_edges()
-            for reg in self._regs.values():
-                self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}", self._serve,
-                            reg.endpoint, functools.partial(self._nf_step_event, reg))
+        try:
+            if self._mode is POLLING:
+                self._start_edges()
+                self._spawn("worker", self._worker)
+            else:
+                for reg in self._regs.values():
+                    reg.endpoint = self._new_endpoint(reg.fn_id)
+                self._start_edges()
+                for reg in self._regs.values():
+                    self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}", self._serve,
+                                reg.endpoint, functools.partial(self._nf_step_event, reg))
+        except BaseException:
+            self._unplace()
+            raise
 
     def stop(self) -> None:
         """Stop every stage, then drop every descriptor still in flight.
@@ -232,6 +253,7 @@ class ChainRuntime:
         for thread in self._threads.values():
             thread.join(timeout=5)
         self._threads.clear()
+        self._unplace()
         in_flight = [desc for endpoint in self._endpoints
                      for desc in endpoint.drain_remaining()]
         if self._mode is POLLING:
@@ -265,6 +287,28 @@ class ChainRuntime:
     @property
     def running(self) -> bool:
         return self._started
+
+    def _place_caller(self) -> None:
+        """Confine the calling thread to the highest CPU of its set, which
+        the threads it spawns next inherit; see Placement above."""
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) > 1:
+            placed = {max(cpus)}
+            os.sched_setaffinity(0, placed)
+            self._placed = (threading.get_native_id(), cpus, placed)
+
+    def _unplace(self) -> None:
+        """Give the thread ``start`` placed its old set back, unless its set
+        has changed since."""
+        placed, self._placed = self._placed, None
+        if placed is None:
+            return
+        tid, cpus, mine = placed
+        try:
+            if os.sched_getaffinity(tid) == mine:
+                os.sched_setaffinity(tid, cpus)
+        except OSError:  # the thread has exited
+            pass
 
     def _spawn(self, label: str, target, *args) -> None:
         thread = threading.Thread(target=target, args=args,
@@ -301,7 +345,6 @@ class ChainRuntime:
         hand on, in order; each one the handler refused is dropped as
         ``handler``. If the call raises, or what it returns does not line
         up with the burst, the whole burst is dropped."""
-        fn_id = reg.fn_id
         try:
             outs = reg.handler(reg.context, batch)
             aligned = len(outs) == len(batch)
@@ -314,7 +357,6 @@ class ChainRuntime:
             if out is None:
                 self._drop(desc, "handler")
             else:
-                out.src_fn = fn_id
                 passed.append(out)
         return passed
 

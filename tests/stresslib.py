@@ -156,11 +156,10 @@ def stress_event_pingpong(round_trips: int, timeout: float = 30.0) -> dict:
 
 
 class _FakeDesc:
-    __slots__ = ("trace_id", "src_fn", "frame")
+    __slots__ = ("trace_id", "frame")
 
     def __init__(self, trace_id):
         self.trace_id = trace_id
-        self.src_fn = "s"
         self.frame = None
 
 

@@ -308,11 +308,10 @@ def test_criterion_5d_adaptive_batching():
     import threading
 
     class D:
-        __slots__ = ("trace_id", "src_fn", "frame")
+        __slots__ = ("trace_id", "frame")
 
         def __init__(self, i):
             self.trace_id = i
-            self.src_fn = "s"
             self.frame = None
 
     drained = [0]

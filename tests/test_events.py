@@ -12,9 +12,9 @@ from shmchain.events import EventEndpoint
 from shmchain.packet_plane import PacketPlane
 
 
-def make_desc(pool, src="a", trace=0):
+def make_desc(pool, trace=0):
     ref = pool.alloc_frame()
-    return PacketDescriptor(ref, 0, 0, src, trace)
+    return PacketDescriptor(ref, 0, 0, trace)
 
 
 class CountingOs:
@@ -191,7 +191,7 @@ def test_fifo_per_sender(big_pool):
 
     def sender(name):
         for i in range(n):
-            desc = make_desc(pool, src=name, trace=(name, i))
+            desc = make_desc(pool, trace=(name, i))
             while True:
                 try:
                     endpoint.deliver(desc)

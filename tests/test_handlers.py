@@ -39,13 +39,13 @@ def trial_division_count(limit: int) -> int:
 def make_packet_desc(pool, payload: bytes, trace=0):
     ref = pool.alloc_frame()
     pool.write_frame(ref, 0, payload)
-    return PacketDescriptor(ref, 0, len(payload), "in", trace)
+    return PacketDescriptor(ref, 0, len(payload), trace)
 
 
 def make_meta_desc(pool, path="/x", method="GET"):
     ref = pool.alloc_frame()
     meta = HttpExchangeMeta(method, path, "HTTP/1.1", [], None, 0)
-    return PacketDescriptor(ref, 0, 0, "in", 0, meta=meta)
+    return PacketDescriptor(ref, 0, 0, 0, meta=meta)
 
 
 def sample_packet(dst_ip=b"\x0a\x00\x00\x05", size=64) -> bytes:
@@ -245,7 +245,7 @@ def run_function(registry, name, handler, items, burst_size):
         pool.write_frame(ref, 0, sample_packet(dst, size=80)[:length])
         meta = (None if path is None else
                 HttpExchangeMeta("GET", path, "HTTP/1.1", [], None, 0, seq=trace))
-        batch.append(PacketDescriptor(ref, 0, length, "in", trace, meta=meta))
+        batch.append(PacketDescriptor(ref, 0, length, trace, meta=meta))
     for desc, (_length, _dst, stale, _path) in zip(batch, items):
         if stale:
             pool.free_frame(desc.frame)

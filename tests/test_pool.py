@@ -210,15 +210,15 @@ def test_frame_views_checks_each_descriptor_of_a_burst(pool):
     freed = pool.alloc_frame()
     pool.free_frame(freed)  # nothing is allocated after this free
     descs = [
-        PacketDescriptor(live, 0, 10, "in", 0),
-        PacketDescriptor(freed, 0, 4, "in", 1),
-        PacketDescriptor(live, 5, 5, "in", 2),
-        PacketDescriptor(stale, 0, 4, "in", 3),
-        PacketDescriptor(FrameRef(64, 1), 0, 4, "in", 4),
-        PacketDescriptor(live, 2040, 9, "in", 5),
-        PacketDescriptor(live, -1, 4, "in", 6),
-        PacketDescriptor(live, 4, -1, "in", 7),
-        PacketDescriptor(reused, 0, 2048, "in", 8),
+        PacketDescriptor(live, 0, 10, 0),
+        PacketDescriptor(freed, 0, 4, 1),
+        PacketDescriptor(live, 5, 5, 2),
+        PacketDescriptor(stale, 0, 4, 3),
+        PacketDescriptor(FrameRef(64, 1), 0, 4, 4),
+        PacketDescriptor(live, 2040, 9, 5),
+        PacketDescriptor(live, -1, 4, 6),
+        PacketDescriptor(live, 4, -1, 7),
+        PacketDescriptor(reused, 0, 2048, 8),
     ]
     views = pool.frame_views(descs)
     good = [0, 2, 8]

@@ -1,11 +1,13 @@
 """The chain runtime under both planes and both modes: a refused hop drops
 each descriptor exactly once, wherever the chain refuses it, a descriptor
 still in flight at stop is counted as a shutdown drop, every frame comes
-back to the pool at stop, and no plane runs more threads than its stages
-need."""
+back to the pool at stop, no plane runs more threads than its stages
+need, and a plane runs on one CPU with the thread that started it."""
 
+import os
 import socket
 import sys
+import threading
 import time
 from collections import Counter
 
@@ -220,7 +222,7 @@ def test_stop_raises_ownership_fault_after_full_teardown(registry, upstreams):
     pool.free_frame(freed)
     rx = plane._regs["b"].rx
     for seq, ref in enumerate((freed, live)):
-        assert rx.enqueue(PacketDescriptor(ref, 0, 64, "a", seq))
+        assert rx.enqueue(PacketDescriptor(ref, 0, 64, seq))
     with pytest.raises(DoubleFree):
         plane.stop()
     assert not plane.running
@@ -557,3 +559,137 @@ def test_burst_into_nearly_full_ring_drops_only_the_tail(registry, upstreams):
                      "shutdown": b_rx.capacity - 2 * BURST}
     assert ingress == egress + sum(drops.values())
     assert pool.free_count == pool.config.frame_count
+
+
+# -- placement -------------------------------------------------------------------
+
+
+@pytest.fixture
+def caller_cpus():
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("the caller's CPU set holds one CPU: there is nothing to place")
+    return cpus
+
+
+def shut(plane):
+    if isinstance(plane, ProxyPlane):
+        plane.close()
+    else:
+        plane.stop()
+
+
+def assert_placed(plane, cpus):
+    """The caller and every thread of ``plane`` share one CPU of ``cpus``."""
+    placed = os.sched_getaffinity(0)
+    assert len(placed) == 1 and placed < cpus
+    for label, tid in plane.thread_ids().items():
+        assert os.sched_getaffinity(tid) == placed, label
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+@pytest.mark.parametrize("kind", ["packet", "proxy"])
+def test_plane_runs_on_one_cpu_with_its_caller(registry, upstreams,
+                                               caller_cpus, kind, mode):
+    pool = registry.create(PoolConfig(f"rt-place-{kind}-{mode.value}", 64, 2048))
+    plane = build(kind, mode, pool, upstreams)
+    plane.start()
+    try:
+        assert_placed(plane, caller_cpus)
+    finally:
+        shut(plane)
+    assert os.sched_getaffinity(0) == caller_cpus
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in_order", "reversed"])
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+@pytest.mark.parametrize("kind", ["packet", "proxy"])
+def test_two_planes_give_their_starter_its_whole_set_back(
+        registry, upstreams, caller_cpus, kind, mode, reverse):
+    planes = [build(kind, mode, registry.create(PoolConfig(
+        f"rt-two-{kind}-{mode.value}-{reverse}-{i}", 64, 2048)), upstreams)
+        for i in range(2)]
+    for plane in planes:
+        plane.start()
+    try:
+        for plane in planes:
+            assert_placed(plane, caller_cpus)
+    finally:
+        for plane in reversed(planes) if reverse else planes:
+            shut(plane)
+    assert os.sched_getaffinity(0) == caller_cpus
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+@pytest.mark.parametrize("kind", ["packet", "proxy"])
+def test_stop_on_another_thread_gives_the_starter_its_set_back(
+        registry, upstreams, caller_cpus, kind, mode):
+    pool = registry.create(PoolConfig(f"rt-other-{kind}-{mode.value}", 64, 2048))
+    plane = build(kind, mode, pool, upstreams)
+    plane.start()
+    try:
+        stopper = threading.Thread(target=shut, args=(plane,))
+        stopper.start()
+        stopper.join(timeout=10)
+        assert not stopper.is_alive() and not plane.running
+    finally:
+        shut(plane)
+    assert os.sched_getaffinity(0) == caller_cpus
+
+
+def test_stop_leaves_a_set_the_caller_changed_meanwhile(registry, upstreams,
+                                                        caller_cpus):
+    pool = registry.create(PoolConfig("rt-changed", 64, 2048))
+    plane = build("packet", Mode.POLLING, pool, upstreams)
+    plane.start()
+    try:
+        chosen = {min(caller_cpus)}
+        os.sched_setaffinity(0, chosen)
+        plane.stop()
+        assert os.sched_getaffinity(0) == chosen
+    finally:
+        plane.stop()
+        os.sched_setaffinity(0, caller_cpus)
+
+
+def test_stop_gives_the_set_back_and_raises_the_kept_fault(registry, upstreams,
+                                                           caller_cpus):
+    """The scenario of ``test_bad_frame_drops_alone_and_stop_raises_its_fault``:
+    stop raises the DoubleFree it kept, and the caller has its set back."""
+    pool = registry.create(PoolConfig("rt-place-fault", 64, 2048))
+    plane = build("packet", Mode.POLLING, pool, upstreams)
+    plane.set_sink(lambda payload, desc: None)
+    plane.start()
+    halt_stages(plane)
+    for seq in range(3):
+        assert plane.ingress(build_packet(64, seq, 1))
+    a_rx = plane._regs["a"].rx
+    burst = a_rx.burst_dequeue(BURST)
+    pool.free_frame(burst[1].frame)
+    assert a_rx.enqueue_burst(burst) == 3
+    plane.route_step()
+    with pytest.raises(DoubleFree):
+        plane.stop()
+    assert os.sched_getaffinity(0) == caller_cpus
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_start_on_a_taken_port_leaves_the_set_as_it_was(registry, upstreams,
+                                                        caller_cpus, mode):
+    taken = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    taken.bind(("127.0.0.1", 0))
+    taken.listen(1)
+    pool = registry.create(PoolConfig(f"rt-taken-{mode.value}", 64, 2048))
+    plane = ProxyPlane(pool, BrokerConfig(listen=taken.getsockname(),
+                                          upstreams=[s.address for s in upstreams],
+                                          mode=mode), name="rt")
+    plane.register("a", make_reverse_proxy(len(upstreams)))
+    plane.set_entry("a")
+    plane.set_route("a", EGRESS)
+    try:
+        with pytest.raises(OSError):
+            plane.start()
+        assert os.sched_getaffinity(0) == caller_cpus
+    finally:
+        plane.close()
+        taken.close()

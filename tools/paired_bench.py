@@ -277,9 +277,11 @@ def run_traces(dirs: dict[str, Path], workloads: list[str], seconds: float) -> d
 
 def _host() -> str:
     cpus = len(os.sched_getaffinity(0))
-    return (f"{cpus} vCPU, Python {platform.python_version()}, unpinned; pairs "
-            "alternate order (parent first on odd seeds); host_steal_share is "
-            "steal over all CPU time in /proc/stat during the run")
+    return (f"{cpus} vCPU, Python {platform.python_version()}, no CPU pin from "
+            "outside (each plane places itself and the thread that starts it "
+            "on one CPU); pairs alternate order (parent first on odd seeds); "
+            "host_steal_share is steal over all CPU time in /proc/stat during "
+            "the run")
 
 
 def main(argv=None) -> int:
