@@ -5,15 +5,19 @@ its descriptor to the chain; egress reads the frame out to the sink, the
 DMA the other way, and recycles the frame. Both modes transmit a burst in
 one loop, ``_transmit``: it checks the burst's frames with one
 ``frame_views`` call, then for each packet reads it out, hands it to the
-sink with one retry, closes its trace and counts it. Polling mode allocates
-a frame per packet, routes it onto the entry function's RX ring, and runs
-egress on the chain's worker thread: it transmits a burst, then frees the
-sent frames through the chain's one release path, ``_free``, under one
-acquire of the pool lock. Event mode keeps frames parked on a fill ring,
-the way receive buffers stay posted to a NIC: ingress takes a parked frame,
-writes the packet into it, makes a fresh descriptor for it and routes that
-itself, with one event hop into the entry function's inbox, and each stage
-routes its own survivors on. A packet routed to EGRESS takes one more hop,
+sink with one retry, closes its trace and counts it. Polling ingress
+allocates a frame per packet and writes the packet into it in one call,
+``try_alloc_frame(payload)``, then hands its descriptor to the chain's
+entry hop, ``_enter``: one filter check and one enqueue onto the entry
+function's RX ring. That is six Python calls per packet, ``ingress``
+included. Polling mode runs egress on the chain's worker thread: it
+transmits a burst, then frees the sent frames through the chain's one
+release path, ``_free``, under one acquire of the pool lock. Event mode
+keeps frames parked on a fill ring, the way receive buffers stay posted to
+a NIC: ingress takes a parked frame, writes the packet into it, makes a
+fresh descriptor for it and hands that to ``_enter`` itself, for one event
+hop into the entry function's inbox, and each stage routes its own
+survivors on. A packet routed to EGRESS takes one more hop,
 into a TX stage that transmits each batch it receives and parks the sent
 frames on the completion ring. Like AF_XDP's fill and completion rings,
 both rings carry frames, not descriptors. Ingress reaps that ring itself:
@@ -28,7 +32,7 @@ from __future__ import annotations
 import threading
 
 from .audit import INTERRUPTS, AuditLedger
-from .descriptors import INGRESS_ID, FlowKey, PacketDescriptor
+from .descriptors import FlowKey, PacketDescriptor
 from .errors import PlaneUnavailable
 from .events import EventEndpoint
 from .pool import FramePool
@@ -51,6 +55,7 @@ class PacketPlane(ChainRuntime):
         # ingress = egress + drops + in flight
         self.ingress_count = 0
         self.egress_count = 0
+        self._frame_size = pool.config.frame_size
         self._nic_rings: NicRingSet | None = None  # event mode, built at start
         self._tx_ep: EventEndpoint | None = None  # event mode, built at start
         # the fill ring is fed by the ingress reap and by every drop path
@@ -80,37 +85,44 @@ class PacketPlane(ChainRuntime):
     # -- ingress ------------------------------------------------------------------
 
     def ingress(self, payload: bytes, flow: FlowKey | None = None) -> bool:
-        """Place one packet into shared memory and route its descriptor to
+        """Place one packet into shared memory and hand its descriptor to
         the entry function. The payload write is the emulated DMA: audited as
         zero copies. Returns False when the packet was dropped: it was too
         large, no frame was free, or the entry filter or a full RX ring or
-        inbox refused it."""
+        inbox refused it.
+
+        Polling ingress allocates and writes the frame with one
+        ``try_alloc_frame(payload)`` and builds the descriptor with
+        positional arguments, keywords costing more per call."""
         if not self._started:
             raise PlaneUnavailable(self.name)
         self.ingress_count += 1
-        if len(payload) > self.pool.config.frame_size:
+        if len(payload) > self._frame_size:
             self._count_drop("oversize")
             return False
         if self._mode is POLLING:
-            ref, reason = self.pool.try_alloc_frame(), "pool_exhausted"
-        else:
-            ref, reason = self._nic_rings.fill.dequeue(), "fill_empty"
+            ref = self.pool.try_alloc_frame(payload)
             if ref is None:
-                # reap the completion ring, the only way a sent frame comes back
-                with self._fill_lock:
-                    self._nic_rings.cycle()
-                ref = self._nic_rings.fill.dequeue()
+                self._count_drop("pool_exhausted")
+                return False
+            return self._enter(PacketDescriptor(ref, 0, len(payload),
+                                                next(self._trace_ids), flow))
+        ref = self._nic_rings.fill.dequeue()
         if ref is None:
-            self._count_drop(reason)
-            return False
+            # reap the completion ring, the only way a sent frame comes back
+            with self._fill_lock:
+                self._nic_rings.cycle()
+            ref = self._nic_rings.fill.dequeue()
+            if ref is None:
+                self._count_drop("fill_empty")
+                return False
         self.pool.write_frame(ref, 0, payload)
-        desc = PacketDescriptor(ref, 0, len(payload), next(self._trace_ids),
-                                flow=flow)
-        if self.ledger is not None and self._mode is not POLLING:
+        desc = PacketDescriptor(ref, 0, len(payload), next(self._trace_ids), flow)
+        if self.ledger is not None:
             # the NIC's delivery interrupt; the hop into the entry function,
             # made here in this context, is audited as that function's wakeup
             self.ledger.record(desc.trace_id, 0, INTERRUPTS, 1)
-        return self._route(INGRESS_ID, (desc,)) == 1
+        return self._enter(desc)
 
     # -- egress and drops -------------------------------------------------------------
 

@@ -18,10 +18,13 @@ frame access makes its index, ownership and bounds checks once, in
 ``_base``, then slices that view: ``write_frame``, ``read_frame`` and
 ``frame_view`` each do so directly. ``frame_views`` makes the same checks
 for a whole burst of descriptors in one loop, for the handlers and both
-planes' egress. Only the allocator state, the free stack and the generation
-counters, is under the pool lock, because ingress allocates and egress
-frees on different threads. ``free_frames`` frees a whole burst under one
-acquire of that lock, and ``free_frame`` is that call over a burst of one.
+planes' egress. ``try_alloc_frame(payload)`` allocates a frame and writes
+a payload at its start in one call, for ingress; it makes no ownership
+check, since nobody else can hold a frame it has just allocated. Only the
+allocator state, the free stack and the generation counters, is under the
+pool lock, because ingress allocates and egress frees on different
+threads. ``free_frames`` frees a whole burst under one acquire of that
+lock, and ``free_frame`` is that call over a burst of one.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ class FramePool:
         self._owner = owner
         # one view for the pool's life; every frame access slices it
         self._view = memoryview(region)
+        self._frame_size = config.frame_size
         self._lock = threading.Lock()
         self._gen = [0] * config.frame_count
         # LIFO free stack; index 0 is handed out first.
@@ -108,13 +112,24 @@ class FramePool:
             raise PoolExhausted(self.config.domain_prefix)
         return ref
 
-    def try_alloc_frame(self) -> FrameRef | None:
-        """Exception-free allocation for drop-on-exhaustion hot paths."""
+    def try_alloc_frame(self, payload=None) -> FrameRef | None:
+        """Exception-free allocation for drop-on-exhaustion hot paths: None
+        when no frame is free.
+
+        With ``payload``, the new frame also gets it written at offset 0, as
+        a NIC writes a packet into a buffer it already holds: allocation
+        and write are one call. A frame just taken off the free stack has
+        no other owner, so the write makes none of ``_base``'s ownership
+        checks. A payload larger than a frame raises ``OutOfBounds`` before
+        anything is allocated."""
         if not self._owner:
             raise NotPoolOwner(
                 f"pool {self.config.domain_prefix!r} attached read/write only; "
                 "allocation belongs to the creating process"
             )
+        fsz = self._frame_size
+        if payload is not None and len(payload) > fsz:
+            raise OutOfBounds(f"payload of {len(payload)} bytes, frame_size {fsz}")
         # acquire/release costs half of a ``with`` block
         lock = self._lock
         lock.acquire()
@@ -126,6 +141,9 @@ class FramePool:
             self._gen[idx] = gen
         finally:
             lock.release()
+        if payload is not None:
+            base = idx * fsz
+            self._view[base:base + len(payload)] = payload
         # FrameRef(idx, gen) without the Python frame of its generated __new__
         return _new_tuple(FrameRef, (idx, gen))
 

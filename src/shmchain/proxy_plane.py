@@ -1,9 +1,10 @@
 """Proxy plane: the L4/L7 edges of a chain run by :class:`ChainRuntime`.
 
 The broker terminates real TCP connections and parses HTTP/1.1 requests.
-Its ingress edge moves each message body into a pool frame and routes the
-descriptor straight to the entry function (onto its RX ring, or one event
-hop into its inbox), while the middlebox functions work on the parsed
+Its ingress edge moves each message body into a pool frame, allocated and
+written in one ``try_alloc_frame`` call, and hands the descriptor to the
+chain's entry hop, ``_enter``: onto the entry function's RX ring, or one
+event hop into its inbox. The middlebox functions work on the parsed
 metadata. Its egress edge works a burst at a time, on the thread that
 routed the burst out of the chain: the chain's worker in polling mode and
 the last function's stage thread in event mode. It reads the burst's
@@ -40,12 +41,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .audit import AuditLedger, CostVector
-from .descriptors import INGRESS_ID, FlowKey, HttpExchangeMeta, PacketDescriptor
+from .descriptors import FlowKey, HttpExchangeMeta, PacketDescriptor
 from .errors import (
     InvalidConfig,
     ParseError,
     PlaneUnavailable,
-    PoolExhausted,
 )
 from .http11 import (
     read_response,
@@ -350,13 +350,16 @@ class ProxyPlane(ChainRuntime):
     # -- broker ingest ------------------------------------------------------------
 
     def _ingest(self, conn, seq, request) -> None:
-        """Move one parsed message into shared memory and start its trace.
+        """Move one parsed message into shared memory, start its trace and
+        hand its descriptor to the entry function through ``_enter``.
 
         Socket read into the broker buffer and buffer into the frame are the
-        two audited ingest copies; pool pressure parks the request, and stops
-        parsing its connection, instead of dropping it (stream semantics). A
-        body larger than a frame is ingested and dropped as ``oversize``, as
-        the packet plane counts it, and answered 413.
+        two audited ingest copies; the frame is allocated and the body
+        written into it with one ``try_alloc_frame(body)``. Pool pressure,
+        a None from that call, parks the request, and stops parsing its
+        connection, instead of dropping it (stream semantics). A body larger
+        than a frame is ingested and dropped as ``oversize``, as the packet
+        plane counts it, and answered 413.
         """
         body = request.body
         if len(body) > self.pool.config.frame_size:
@@ -364,13 +367,11 @@ class ProxyPlane(ChainRuntime):
             self._count_drop("oversize")
             self._respond(conn, seq, simple_response(413, "Payload Too Large"))
             return
-        try:
-            ref = self.pool.alloc_frame()
-        except PoolExhausted:
+        ref = self.pool.try_alloc_frame(body)
+        if ref is None:
             conn.parked = True
             self._parked.append((conn, seq, request))
             return
-        self.pool.write_frame(ref, 0, body)
         trace_id = next(self._trace_ids)
         meta = HttpExchangeMeta(
             method=request.method, path=request.target, version=request.version,
@@ -382,7 +383,7 @@ class ProxyPlane(ChainRuntime):
         self.ingest_count += 1
         desc = PacketDescriptor(ref, 0, len(body), trace_id, flow=conn.flow,
                                 meta=meta)
-        self._route(INGRESS_ID, (desc,))
+        self._enter(desc)
 
     def _drop(self, desc, reason) -> None:
         """Count the drop and close its trace, free the frame, and answer the

@@ -68,7 +68,7 @@ class DescriptorRing:
             n = room
             descs = descs[:n]
         start = head & self._mask
-        if n == 1:  # an ingress burst: a plain store beats a slice
+        if n == 1:  # a lone packet's burst: a plain store beats a slice
             self._slots[start] = descs[0]
         elif start + n <= self.capacity:
             self._slots[start:start + n] = descs

@@ -4,18 +4,26 @@ threads that move descriptors between chain functions.
 A chain is a set of registered functions, an entry function, a routing
 table and a deny-by-default filter table.
 
-One route step, ``_route(src, batch)``, decides every move in both modes.
-It takes a burst of descriptors that all left one source: a burst from
-ingress goes to the entry function, any other to its source's routing-table
-next hop. It makes one next-hop lookup and the chain's one filter check for
-the whole burst, and then drops the burst ``no_route`` when there is no next
-hop or ``filtered`` when the filter refuses it, hands it to the plane's
+One route step, ``_route(src, batch)``, decides every move between two
+functions, or out of the chain, in both modes. It takes a burst of
+descriptors that all left one function, and makes one routing-table
+next-hop lookup and the chain's one filter check for the whole burst. It
+then drops the burst ``no_route`` when there is no next hop or
+``filtered`` when the filter refuses it, hands it to the plane's
 ``_egress(batch)`` when it is routed to EGRESS, and otherwise puts it onto
 the next function's RX ring with one burst enqueue (polling, dropping the
 tail that does not fit as ``ring_full``) or sends each descriptor there
 (event). Each stage, in either mode, passes the burst it has just run with
-itself as the source, on the thread that ran it; the planes' ingress edges
-pass bursts of one descriptor.
+itself as the source, on the thread that ran it.
+
+The ingress edges of both planes do not route: their next hop is always
+the entry function. Each hands its one new descriptor to ``_enter(desc)``,
+the chain's one entry hop, as a DPDK poll-mode driver hands a received
+mbuf to the first function with one ring enqueue. It makes one filter
+check on ``(INGRESS_ID, entry)``, dropping a refused descriptor as
+``filtered``, and then one ``enqueue`` onto the entry function's RX ring
+(polling, dropping it as ``ring_full`` when that fails) or one event hop
+into its inbox (event).
 
 A function runs over a burst in ``_run_handlers``, which calls its handler
 once for the whole burst (``handlers.py``), as DPDK and VPP run a stage
@@ -234,7 +242,10 @@ class ChainRuntime:
                     self._spawn(f"{self.STAGE_LABEL}.{reg.fn_id}", self._serve,
                                 reg.endpoint, functools.partial(self._nf_step_event, reg))
         except BaseException:
-            self._unplace()
+            # a plane that failed to start is stopped: its endpoints closed
+            # and forgotten, any thread it spawned joined, its edges closed
+            # and its caller's CPU set given back, so a retry starts afresh
+            self._halt()
             raise
 
     def stop(self) -> None:
@@ -246,6 +257,14 @@ class ChainRuntime:
         raises the first such fault; the plane is stopped either way."""
         if not self._started:
             return
+        self._halt()
+        fault, self._fault = self._fault, None
+        if fault is not None:
+            raise fault
+
+    def _halt(self) -> None:
+        """Tear down what ``start`` set up, whether or not it finished: the
+        body of ``stop``, less the fault it raises."""
         self._stop.set()
         for endpoint in self._endpoints:
             endpoint.close()
@@ -267,9 +286,6 @@ class ChainRuntime:
         self._closed_event_counts = self.event_counts()
         self._endpoints = []
         self._started = False
-        fault, self._fault = self._fault, None
-        if fault is not None:
-            raise fault
 
     def event_counts(self) -> dict[str, int]:
         """Event hops delivered, and blocking receives that returned work,
@@ -384,11 +400,29 @@ class ChainRuntime:
 
     # -- routing ----------------------------------------------------------------------
 
+    def _enter(self, desc) -> bool:
+        """Move one descriptor from an ingress edge to the entry function,
+        in either mode: one filter check, then one ring enqueue or one event
+        hop. Returns whether it moved; a refused descriptor is dropped
+        here."""
+        entry = self._entry
+        if not self.filters.check(INGRESS_ID, entry):
+            self._drop(desc, "filtered")
+            return False
+        reg = self._regs[entry]
+        if self._mode is EVENT:
+            return self._send(desc, reg.endpoint)
+        desc.chain_hops += 1
+        if reg.rx.enqueue(desc):
+            return True
+        self._drop(desc, "ring_full")
+        return False
+
     def _route(self, src: str, batch) -> int:
-        """Move a burst of descriptors that all left ``src`` to its next hop,
-        in either mode. Returns how many moved on; each refused descriptor is
-        dropped here."""
-        nxt = self._entry if src == INGRESS_ID else self.routes.next_hop(src)
+        """Move a burst of descriptors that all left function ``src`` to its
+        next hop, in either mode. Returns how many moved on; each refused
+        descriptor is dropped here. Ingress goes through ``_enter``."""
+        nxt = self.routes.next_hop(src)
         if nxt is None:
             moved, reason = 0, "no_route"
         elif not self.filters.check(src, nxt):

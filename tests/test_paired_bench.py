@@ -128,3 +128,54 @@ def test_self_shares_hold_when_one_traced_side_ran_slower(paired_bench):
     entry = {"parent": {"metrics": parent}, "change": {"metrics": change}}
     text = "\n".join(paired_bench.format_trace("w", entry))
     assert "pool            2.000 ( 25.0%) ->    2.400 ( 25.0%)" in text
+
+
+def _pairs(parent_values, change_values):
+    return [{"seed": i + 1,
+             "parent": {"correct": True, "failed": 0, "host_steal_share": 0.01,
+                        "metrics": {"cpu_us_per_op": p}},
+             "change": {"correct": True, "failed": 0, "host_steal_share": 0.01,
+                        "metrics": {"cpu_us_per_op": c}}}
+            for i, (p, c) in enumerate(zip(parent_values, change_values))]
+
+
+def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_beyond_the_iqr(paired_bench):
+    """Parent runs 10..19 have an IQR of 12.25..16.75, 4.5 wide, around a
+    median of 14.5. A change 8 lower in every pair, or in all but one, shows
+    its gain. One 8 lower in only 8 pairs does not, nor does one 4 lower in
+    every pair, whose gap stays inside the IQR's width."""
+    parent = [10.0 + i for i in range(10)]
+
+    def verdict(change, direction="lower", base=parent):
+        return paired_bench.summarize_metric(_pairs(base, change), "cpu_us_per_op",
+                                             direction, 0.25)
+
+    lower = [p - 8 for p in parent]
+    shown = verdict(lower)
+    assert shown["parent_iqr"] == [12.25, 16.75]
+    assert shown["change_wins"] == "10/10" and shown["gain_shown"]
+    nine = verdict([10.0] + lower[1:])  # a tie is not a win
+    assert nine["change_wins"] == "9/10" and nine["gain_shown"]
+    eight = verdict([10.0, 11.0] + lower[2:])
+    assert eight["change_median"] == 8.5  # a gap of 6, beyond the IQR
+    assert eight["change_wins"] == "8/10" and not eight["gain_shown"]
+    small = verdict([p - 4 for p in parent])
+    assert small["change_wins"] == "10/10" and not small["gain_shown"]
+    # where higher is better, the same runs read the other way round
+    assert verdict(parent, "higher", base=lower)["gain_shown"]
+
+
+def test_within_bound_compares_change_worse_by_with_the_bound(paired_bench):
+    parent = [100.0] * 10
+    benchmark = {"end_to_end": [{"name": "cpu_us_per_op", "better": "lower",
+                                 "bound": 0.1}]}
+    at_bound = paired_bench.summarize_workload(
+        _pairs(parent, [110.0] * 10), benchmark)["cpu_us_per_op"]
+    assert at_bound["change_worse_by"] == 0.1 and at_bound["within_bound"]
+    beyond = paired_bench.summarize_workload(
+        _pairs(parent, [110.5] * 10), benchmark)
+    assert beyond["cpu_us_per_op"]["change_worse_by"] == 0.105
+    assert not beyond["cpu_us_per_op"]["within_bound"]
+    assert not beyond["cpu_us_per_op"]["gain_shown"]
+    text = "\n".join(paired_bench.format_summary("w", beyond))
+    assert "gain shown no  within bound no" in text

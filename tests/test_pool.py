@@ -79,6 +79,10 @@ def test_capacity_and_exhaustion(registry):
     pool.alloc_frame()
     with pytest.raises(PoolExhausted):
         pool.alloc_frame()
+    # the drop-on-exhaustion form answers None, with or without a payload
+    assert pool.try_alloc_frame() is None
+    assert pool.try_alloc_frame(b"late") is None
+    assert pool.free_count == 0
 
 
 def test_alloc_free_alloc_same_index_new_generation(pool):
@@ -158,6 +162,29 @@ def test_free_frames_empty_burst_does_nothing(pool):
     pool.free_frames(())
     assert pool.free_count == 63
     pool.write_frame(live, 0, b"live")  # the live ref is untouched
+
+
+def test_fused_alloc_writes_the_payload_at_offset_0(pool):
+    """``try_alloc_frame(payload)`` writes the payload at the start of the
+    frame it allocates, and nothing past it; a payload of a whole frame
+    fits."""
+    used = pool.alloc_frame()
+    pool.write_frame(used, 0, b"\xee" * 2048)
+    pool.free_frame(used)
+    ref = pool.try_alloc_frame(b"hello")
+    assert ref.index == used.index and pool.free_count == 63
+    views = pool.frame_views([PacketDescriptor(ref, 0, 5, 0),
+                              PacketDescriptor(ref, 5, 1, 0)])
+    assert [bytes(view) for view in views] == [b"hello", b"\xee"]
+    whole = pool.try_alloc_frame(b"\x01" * 2048)
+    assert pool.read_frame(whole, 0, 2048) == b"\x01" * 2048
+
+
+def test_fused_alloc_refuses_an_oversize_payload_before_allocating(pool):
+    with pytest.raises(OutOfBounds):
+        pool.try_alloc_frame(b"x" * 2049)
+    assert pool.free_count == 64
+    assert pool.try_alloc_frame(b"x").index == 0  # the stack is untouched
 
 
 def test_write_read_round_trip(pool):
@@ -414,6 +441,8 @@ def test_secondary_attach_cannot_allocate(tmp_path):
         handle = other.attach("shared1")
         with pytest.raises(NotPoolOwner):
             handle.alloc_frame()
+        with pytest.raises(NotPoolOwner):
+            handle.try_alloc_frame(b"payload")
         with pytest.raises(NotPoolOwner):
             handle.free_frames([FrameRef(0, 1)])
         handle.close()

@@ -478,6 +478,45 @@ def test_route_step_makes_few_python_calls_per_packet(registry, upstreams):
     assert wrapper_calls == {"l3route": 1, "l2fwd": 1}
 
 
+def test_polling_ingress_makes_few_python_calls_per_packet(registry, upstreams):
+    """A burst of polling ingresses makes at most 6 Python-level calls per
+    packet: ``ingress``, the fused ``try_alloc_frame``, the descriptor's
+    ``__init__``, ``_enter``, its one filter check and one ring enqueue. It
+    made 8 when the write and the route were calls of their own. Every
+    packet lands on the entry function's RX ring, written at the start of
+    its frame."""
+    pool = registry.create(PoolConfig("rt-ingress-calls", 256, 2048))
+    plane = build("packet", Mode.POLLING, pool, upstreams)
+    plane.start()
+    packets = [build_packet(64, seq, 1) for seq in range(BURST)]
+    accepted = []
+    calls = 0
+
+    def count_calls(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    try:
+        halt_stages(plane)
+        ingress = plane.ingress
+        sys.setprofile(count_calls)
+        try:
+            for packet in packets:
+                accepted.append(ingress(packet))
+        finally:
+            sys.setprofile(None)
+        queued = plane._regs["a"].rx.burst_dequeue(BURST)
+        assert [bytes(view) for view in pool.frame_views(queued)] == packets
+        assert all(desc.chain_hops == 1 for desc in queued)
+        assert plane._regs["a"].rx.enqueue_burst(queued) == BURST
+    finally:
+        plane.stop()
+    assert all(accepted)
+    assert calls <= 6 * BURST, f"{calls / BURST:.2f} calls per packet"
+    assert pool.free_count == pool.config.frame_count
+
+
 def test_event_stage_sends_its_survivors_straight_on(registry, upstreams,
                                                      monkeypatch):
     """Ingress sends each packet straight into the entry function's inbox,
@@ -675,7 +714,10 @@ def test_stop_gives_the_set_back_and_raises_the_kept_fault(registry, upstreams,
 
 @pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
 def test_start_on_a_taken_port_leaves_the_set_as_it_was(registry, upstreams,
-                                                        caller_cpus, mode):
+                                                        mode):
+    """A ``start`` that raises leaves the plane stopped, with no thread and
+    the caller's set as it was, so a second ``start`` fails the same way."""
+    cpus = os.sched_getaffinity(0)
     taken = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     taken.bind(("127.0.0.1", 0))
     taken.listen(1)
@@ -686,10 +728,15 @@ def test_start_on_a_taken_port_leaves_the_set_as_it_was(registry, upstreams,
     plane.register("a", make_reverse_proxy(len(upstreams)))
     plane.set_entry("a")
     plane.set_route("a", EGRESS)
+    threads = threading.active_count()
     try:
-        with pytest.raises(OSError):
-            plane.start()
-        assert os.sched_getaffinity(0) == caller_cpus
+        for _attempt in range(2):
+            with pytest.raises(OSError):
+                plane.start()
+            assert os.sched_getaffinity(0) == cpus
+            assert not plane.running
+            assert plane.thread_ids() == {} and plane._endpoints == []
+            assert threading.active_count() == threads
     finally:
         plane.close()
         taken.close()

@@ -32,6 +32,12 @@ so over all pairs and again, under ``low_steal``, over the pairs where both
 runs saw less than ``STEAL_MAX`` of the host's CPU time stolen. No run is
 ever dropped from the file.
 
+Two verdicts close each metric's summary. ``gain_shown``: the change won
+at least ``GAIN_WIN_SHARE`` of the pairs, and its median beats the
+parent's by more than the width of the parent's interquartile range.
+``within_bound``: ``change_worse_by`` is at most the metric's ``bound``
+from ``BENCHMARK.json``.
+
 The second form recomputes and prints the summaries of a ``BENCH_*.json``
 file from its raw runs.
 """
@@ -54,6 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_KEYS = ("correct", "attempted", "failed", "host_steal_share", "errors")
 PAIRS = 10  # seeds 1..PAIRS, one pair each
 STEAL_MAX = 0.05  # host steal share below which a pair counts as calm
+GAIN_WIN_SHARE = 0.9  # share of pairs a claimed gain must win
 
 
 def load_benchmark(root: Path = ROOT) -> dict:
@@ -69,9 +76,9 @@ def _better(direction: str, change: float, parent: float) -> bool:
 
 def summarize_metric(pairs: list[dict], name: str, direction: str,
                      bound: float) -> dict | None:
-    """Medians, parent IQR, relative change, win share and median per-pair
-    ratio (change over parent) of one metric over the pairs in which both
-    sides reported it."""
+    """Medians, parent IQR, relative change, win share, median per-pair
+    ratio (change over parent) and the two verdicts of one metric over the
+    pairs in which both sides reported it."""
     both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name])
             for p in pairs
             if name in p["parent"].get("metrics", {})
@@ -89,14 +96,21 @@ def summarize_metric(pairs: list[dict], name: str, direction: str,
     quartiles = (statistics.quantiles(parent, n=4, method="inclusive")
                  if len(parent) > 1 else [parent[0]] * 3)
     ratios = [c / p for p, c in both if p]
+    worse = round(worse, 4)
+    gain = change_median - parent_median
+    if direction == "lower":
+        gain = -gain
     return {
         "parent_median": parent_median,
         "change_median": change_median,
-        "change_worse_by": round(worse, 4),
+        "change_worse_by": worse,
         "bound": bound,
         "change_wins": f"{wins}/{len(both)}",
         "parent_iqr": [quartiles[0], quartiles[2]],
         "pair_ratio_median": statistics.median(ratios) if ratios else None,
+        "gain_shown": (wins / len(both) >= GAIN_WIN_SHARE
+                       and gain > quartiles[2] - quartiles[0]),
+        "within_bound": worse <= bound,
     }
 
 
@@ -134,6 +148,10 @@ def summarize_workload(pairs: list[dict], benchmark: dict) -> dict:
     return summary
 
 
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def format_summary(workload: str, summary: dict) -> list[str]:
     lines = [f"{workload}: failed ops parent {summary['failed_ops']['parent']}, "
              f"change {summary['failed_ops']['change']}, "
@@ -152,7 +170,9 @@ def format_summary(workload: str, summary: dict) -> list[str]:
                 f"    {name:14s} {m['parent_median']:12.6g} -> {m['change_median']:12.6g}"
                 f"  worse by {m['change_worse_by']:+.2%}  wins {m['change_wins']:>5s}"
                 f"  parent IQR {lo:.6g}..{hi:.6g}"
-                f"  pair ratio {'n/a' if ratio is None else format(ratio, '.4f')}")
+                f"  pair ratio {'n/a' if ratio is None else format(ratio, '.4f')}"
+                f"  gain shown {_yes(m['gain_shown'])}"
+                f"  within bound {_yes(m['within_bound'])}")
     return lines
 
 
