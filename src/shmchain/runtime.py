@@ -18,8 +18,8 @@ itself as the source, on the thread that ran it.
 
 The ingress edges of both planes do not route: their next hop is always
 the entry function. Each hands its one new descriptor to ``_enter(desc)``,
-the chain's one entry hop, as a DPDK poll-mode driver hands a received
-mbuf to the first function with one ring enqueue. It makes one filter
+the chain's one entry hop, as DPDK's receive loop hands a received mbuf
+to the first function with one ring enqueue. It makes one filter
 check on ``(INGRESS_ID, entry)``, dropping a refused descriptor as
 ``filtered``, and then one ``enqueue`` onto the entry function's RX ring
 (polling, dropping it as ``ring_full`` when that fails) or one event hop
