@@ -32,6 +32,7 @@ from .classifier import BifurcationRule, PlaneTarget
 from .descriptors import EGRESS
 from .errors import CycleDetected, SpecSyntaxError, UnresolvedReference
 from .handlers import HANDLER_FACTORIES
+from .routing import RoutingTable
 
 _PLANE_KINDS = ("packet", "proxy")
 _MODES = ("polling", "event")
@@ -258,7 +259,7 @@ def _validate(spec: ChainSpec) -> None:
         if plane.entry not in names:
             raise UnresolvedReference(
                 f"plane.{plane.name}: entry {plane.entry!r} not declared")
-        route_map = {}
+        routes = RoutingTable()  # the table the plane will build
         for frm, to in plane.routes:
             if frm not in names:
                 raise UnresolvedReference(
@@ -266,16 +267,10 @@ def _validate(spec: ChainSpec) -> None:
             if to != EGRESS and to not in names:
                 raise UnresolvedReference(
                     f"plane.{plane.name}: route to undeclared {to!r}")
-            route_map[frm] = to
-        for start in route_map:
-            seen = {start}
-            cur = route_map[start]
-            while cur != EGRESS and cur in route_map:
-                if cur in seen:
-                    raise CycleDetected(
-                        f"plane.{plane.name}: route loop through {cur!r}")
-                seen.add(cur)
-                cur = route_map[cur]
+            try:
+                routes.set_route(frm, to)
+            except CycleDetected as err:
+                raise CycleDetected(f"plane.{plane.name}: {err}") from None
         for src, dst, _verdict in plane.filters:
             for fn in (src, dst):
                 if fn not in names and fn != EGRESS:
@@ -350,6 +345,10 @@ def build_planes(spec: ChainSpec, *, registry=None, ledgers=None):
     for name, pdecl in spec.planes.items():
         pool = pools[pdecl.pool]
         ledger = ledgers.get(name)
+        # built first, so that a handler that cannot be built leaves no plane
+        handlers = [build_handler(fn.handler, fn.param,
+                                  backend_count=len(pdecl.upstreams) or None)
+                    for fn in pdecl.functions]
         if pdecl.kind == "packet":
             plane = PacketPlane(pool, Mode(pdecl.mode), ledger, name=name)
         else:
@@ -359,9 +358,7 @@ def build_planes(spec: ChainSpec, *, registry=None, ledgers=None):
                 mode=Mode(pdecl.mode),
             )
             plane = ProxyPlane(pool, config, ledger, name=name)
-        for fn in pdecl.functions:
-            handler = build_handler(fn.handler, fn.param,
-                                    backend_count=len(pdecl.upstreams) or None)
+        for fn, handler in zip(pdecl.functions, handlers):
             plane.register(fn.name, handler)
         plane.set_entry(pdecl.entry)
         for frm, to in pdecl.routes:

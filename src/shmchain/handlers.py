@@ -107,13 +107,14 @@ def make_l2_forwarder(dst_mac: str = "02:00:00:00:00:02"):
     return handler
 
 
-def make_reverse_proxy(backend_count: int):
-    """Round-robin backend selection over a connectionless counter."""
+def make_reverse_proxy(backend_count: int | None):
+    """Round-robin backend selection over a connectionless counter. Raises
+    ``NoBackends`` at once when there is no backend to choose."""
+    if backend_count is None or backend_count < 1:
+        raise NoBackends(f"reverse proxy configured with {backend_count} backends")
     counter = itertools.count()
 
     def handler(ctx: HandlerContext, batch) -> list:
-        if backend_count < 1:
-            raise NoBackends("reverse proxy configured with zero backends")
         out = []
         dropped = 0
         for desc in batch:
@@ -236,23 +237,20 @@ def _pairs(kind: str, param: str | None) -> dict[str, str]:
     return mapping
 
 
-# handler factories addressable from a chain spec; parameter strings are
-# factory specific ("primeburn:50000", "urlrewrite:/old=/new", ...)
+# handler factories addressable from a chain spec, each called with the
+# spec's parameter string ("primeburn:50000", "urlrewrite:/old=/new", ...)
+# and the plane's upstream count, which revproxy takes when it has no
+# parameter
 HANDLER_FACTORIES = {
-    "l3route": lambda param: make_l3_router(_pairs("l3route", param)),
-    "l2fwd": lambda param: make_l2_forwarder(param) if param else make_l2_forwarder(),
-    "urlrewrite": lambda param: make_url_rewriter(_pairs("urlrewrite", param)),
-    "primeburn": lambda param: make_prime_burner(int(param)) if param else make_prime_burner(),
-    # revproxy needs the upstream count, supplied by the plane builder
-    "revproxy": lambda param: make_reverse_proxy(int(param)) if param else None,
+    "l3route": lambda param, _: make_l3_router(_pairs("l3route", param)),
+    "l2fwd": lambda param, _: make_l2_forwarder(param) if param else make_l2_forwarder(),
+    "urlrewrite": lambda param, _: make_url_rewriter(_pairs("urlrewrite", param)),
+    "primeburn": lambda param, _: make_prime_burner(int(param)) if param else make_prime_burner(),
+    "revproxy": lambda param, backends: make_reverse_proxy(int(param) if param else backends),
 }
 
 
 def build_handler(name: str, param: str | None, backend_count: int | None = None):
     if name not in HANDLER_FACTORIES:
         raise KeyError(f"unknown handler {name!r}")
-    if name == "revproxy" and param is None:
-        if backend_count is None:
-            raise ValueError("revproxy needs a backend count")
-        return make_reverse_proxy(backend_count)
-    return HANDLER_FACTORIES[name](param)
+    return HANDLER_FACTORIES[name](param, backend_count)

@@ -13,31 +13,33 @@ function's RX ring. That is six Python calls per packet, ``ingress``
 included. Polling mode runs egress on the chain's worker thread: it
 transmits a burst, then frees the sent frames through the chain's one
 release path, ``_free``, under one acquire of the pool lock. Event mode
-keeps frames parked on a fill ring, the way receive buffers stay posted to
-a NIC: ingress takes a parked frame, writes the packet into it, makes a
+keeps frames posted on a fill ring, the way receive buffers stay posted to
+a NIC: ingress takes a posted frame, writes the packet into it, makes a
 fresh descriptor for it and hands that to ``_enter`` itself, for one event
 hop into the entry function's inbox, and each stage routes its own
-survivors on. A packet routed to EGRESS takes one more hop,
-into a TX stage that transmits each batch it receives and parks the sent
-frames on the completion ring. Like AF_XDP's fill and completion rings,
-both rings carry frames, not descriptors. Ingress reaps that ring itself:
-when the fill ring runs dry it moves the completions that fit back with one
-burst, before it takes a frame, as a NIC driver reaps its completion ring
-before it refills its receive ring, so no thread exists only to recycle
-frames.
+survivors on. A packet routed to EGRESS takes one more hop, into a TX
+stage that transmits each batch it receives and posts the sent frames on
+the completion ring. Like AF_XDP's fill and completion rings, both rings
+carry frames, not descriptors, and the ingress thread is the one producer
+and the one consumer of the fill ring. When the fill ring runs dry,
+ingress reaps the completion ring into it with one burst, then tops it up
+to ``BURST`` frames from the pool, as a NIC driver reaps its completion
+ring and refills its receive ring from its mempool; so no thread exists
+only to recycle frames, and the plane can hold every frame of the pool in
+flight. A packet that finds both rings dry and the pool empty is dropped as
+``pool_exhausted``, as in polling mode. In both modes a dropped packet's
+frame goes back to the pool through the chain's one ``_drop``.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .audit import INTERRUPTS, AuditLedger
 from .descriptors import FlowKey, PacketDescriptor
 from .errors import PlaneUnavailable
 from .events import EventEndpoint
 from .pool import FramePool
-from .rings import DEFAULT_RING_CAPACITY, NicRingSet
-from .runtime import POLLING, ChainRuntime, Mode
+from .rings import NicRingSet
+from .runtime import BURST, POLLING, ChainRuntime, Mode
 
 
 def _null_sink(payload: bytes, desc) -> None:
@@ -51,15 +53,9 @@ class PacketPlane(ChainRuntime):
                  ledger: AuditLedger | None = None, *, name: str = "pkt"):
         super().__init__(pool, mode, ledger, name=name)
         self._sink = _null_sink
-        # every offered packet, refused ones included, so that
-        # ingress = egress + drops + in flight
-        self.ingress_count = 0
-        self.egress_count = 0
         self._frame_size = pool.config.frame_size
         self._nic_rings: NicRingSet | None = None  # event mode, built at start
         self._tx_ep: EventEndpoint | None = None  # event mode, built at start
-        # the fill ring is fed by the ingress reap and by every drop path
-        self._fill_lock = threading.Lock()
 
     def set_sink(self, sink) -> None:
         self._sink = sink
@@ -71,12 +67,10 @@ class PacketPlane(ChainRuntime):
             return
         self._tx_ep = self._new_endpoint("tx")
         self._nic_rings = NicRingSet.new()
-        for _ in range(min(self.pool.config.frame_count // 2, DEFAULT_RING_CAPACITY)):
-            self._nic_rings.fill.enqueue(self.pool.alloc_frame())
         self._spawn("tx", self._serve, self._tx_ep, self._transmit_event)
 
     def _close_edges(self) -> None:
-        # parked frames are not in flight: they are freed, not dropped
+        # posted frames are not in flight: they are freed, not dropped
         if self._nic_rings is not None:
             for ring in (self._nic_rings.fill, self._nic_rings.completion):
                 self._free(ring.burst_dequeue(ring.capacity))
@@ -107,14 +101,21 @@ class PacketPlane(ChainRuntime):
                 return False
             return self._enter(PacketDescriptor(ref, 0, len(payload),
                                                 next(self._trace_ids), flow))
-        ref = self._nic_rings.fill.dequeue()
+        rings = self._nic_rings
+        fill = rings.fill
+        ref = fill.dequeue()
         if ref is None:
-            # reap the completion ring, the only way a sent frame comes back
-            with self._fill_lock:
-                self._nic_rings.cycle()
-            ref = self._nic_rings.fill.dequeue()
+            # reap the sent frames, then top up to a burst from the pool
+            rings.cycle()
+            alloc = self.pool.try_alloc_frame
+            for _ in range(BURST - len(fill)):
+                spare = alloc()
+                if spare is None:
+                    break
+                fill.enqueue(spare)
+            ref = fill.dequeue()
             if ref is None:
-                self._count_drop("fill_empty")
+                self._count_drop("pool_exhausted")
                 return False
         self.pool.write_frame(ref, 0, payload)
         desc = PacketDescriptor(ref, 0, len(payload), next(self._trace_ids), flow)
@@ -124,7 +125,7 @@ class PacketPlane(ChainRuntime):
             self.ledger.record(desc.trace_id, 0, INTERRUPTS, 1)
         return self._enter(desc)
 
-    # -- egress and drops -------------------------------------------------------------
+    # -- egress -------------------------------------------------------------
 
     def _egress(self, batch) -> None:
         if self._mode is POLLING:
@@ -135,12 +136,13 @@ class PacketPlane(ChainRuntime):
                 self._send(desc, self._tx_ep)
 
     def _transmit_event(self, batch) -> None:
-        """The TX stage's step: transmit the batch, then park the sent
-        frames on the completion ring for ingress to reap."""
+        """The TX stage's step: transmit the batch, then post the sent
+        frames on the completion ring for ingress to reap, freeing those
+        that do not fit."""
         sent = self._transmit(batch)
-        parked = self._nic_rings.completion.enqueue_burst(sent)
-        if parked < len(sent):
-            self._free(sent[parked:])
+        posted = self._nic_rings.completion.enqueue_burst(sent)
+        if posted < len(sent):
+            self._free(sent[posted:])
 
     def _transmit(self, batch) -> list:
         """Hand a burst to the sink in one loop: read each packet out of its
@@ -170,28 +172,3 @@ class PacketPlane(ChainRuntime):
             sent.append(desc.frame)
         self.egress_count += len(sent)
         return sent
-
-    def _drop(self, desc: PacketDescriptor, reason: str) -> None:
-        """Count the drop and close its trace, then free the frame (polling)
-        or park it back on the fill ring (event), freeing it when that ring
-        is full. A frame that fails the
-        pool's checks may have another owner, so it is never parked: it is
-        freed, and the free's fault kept for ``stop``."""
-        self._count_drop(reason, desc)
-        if self._mode is not POLLING and self.pool.frame_views((desc,))[0] is not None:
-            with self._fill_lock:
-                if self._nic_rings.fill.enqueue(desc.frame):
-                    return
-        self._free((desc.frame,))
-
-    # -- stats -------------------------------------------------------------------------
-
-    def stats(self) -> dict:
-        return {
-            "mode": self._mode.value,
-            "ingress": self.ingress_count,
-            "egress": self.egress_count,
-            "drops": dict(self.drops),
-            "pool_free": self.pool.free_count,
-            **self.event_counts(),
-        }

@@ -197,6 +197,8 @@ class ProxyPlane(ChainRuntime):
     """One middlebox chain behind a listening broker."""
 
     STAGE_LABEL = "mf"
+    INGRESS_KEY = "ingest"  # the broker benchmark reads this key
+    EDGE_COUNTERS = ("parse_errors", "upstream_errors")
 
     def __init__(self, pool: FramePool, config: BrokerConfig,
                  ledger: AuditLedger | None = None, *, name: str = "proxy"):
@@ -204,8 +206,6 @@ class ProxyPlane(ChainRuntime):
         super().__init__(pool, config.mode, ledger, name=name)
         self.config = config
         self._conn_ids = itertools.count()
-        self.ingest_count = 0
-        self.egress_count = 0
         self.parse_errors = 0
         self.upstream_errors = 0
         self._conns: dict[int, _ClientConn] = {}
@@ -363,7 +363,7 @@ class ProxyPlane(ChainRuntime):
         """
         body = request.body
         if len(body) > self.pool.config.frame_size:
-            self.ingest_count += 1
+            self.ingress_count += 1
             self._count_drop("oversize")
             self._respond(conn, seq, simple_response(413, "Payload Too Large"))
             return
@@ -380,16 +380,15 @@ class ProxyPlane(ChainRuntime):
         )
         if self.ledger is not None:
             self.ledger.record_vector(trace_id, 0, INGEST_COST)
-        self.ingest_count += 1
+        self.ingress_count += 1
         desc = PacketDescriptor(ref, 0, len(body), trace_id, flow=conn.flow,
                                 meta=meta)
         self._enter(desc)
 
     def _drop(self, desc, reason) -> None:
-        """Count the drop and close its trace, free the frame, and answer the
-        client 503 so that its connection goes on."""
-        self._count_drop(reason, desc)
-        self._free((desc.frame,))
+        """Drop as the chain does, then answer the client 503 so that its
+        connection goes on."""
+        super()._drop(desc, reason)
         conn = self._conns.get(desc.meta.connection_id) if desc.meta else None
         if conn is not None:
             self._respond(conn, desc.meta.seq,
@@ -472,15 +471,3 @@ class ProxyPlane(ChainRuntime):
             except OSError:
                 conn.closed = True
                 return
-
-    def stats(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "ingest": self.ingest_count,
-            "egress": self.egress_count,
-            "drops": dict(self.drops),
-            "parse_errors": self.parse_errors,
-            "upstream_errors": self.upstream_errors,
-            "pool_free": self.pool.free_count,
-            **self.event_counts(),
-        }

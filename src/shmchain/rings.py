@@ -116,7 +116,7 @@ class DescriptorRing:
 class NicRingSet:
     """Ring pair for event-driven ingress emulation.
 
-    ``fill`` holds frames parked for the next incoming packet;
+    ``fill`` holds frames posted for the next incoming packet;
     ``completion`` holds transmitted frames awaiting recycling.
     """
 

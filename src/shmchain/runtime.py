@@ -76,11 +76,14 @@ takes up to ``BURST`` (64) off each RX ring, and an event stage takes up to
 The planes supply only their edges: where traffic enters the chain and
 where it leaves. A subclass implements ``_start_edges`` (run once the
 chain's transport exists, before its threads start), ``_close_edges`` (at
-stop, after the chain's threads are joined), ``_egress(batch)`` (a burst
-routed to EGRESS, on the thread that routed it) and ``_drop``. An edge with
+stop, after the chain's threads are joined) and ``_egress(batch)`` (a burst
+routed to EGRESS, on the thread that routed it). ``_drop`` has a default
+for both planes, which an edge that answers a client extends. An edge with
 threads of its own that block outside the chain's transport overrides
 ``_wake_edges``, run at stop before the threads are joined, and an edge
-that waits for frames to come back extends ``_free``.
+that waits for frames to come back extends ``_free``. Each edge counts
+what it takes in and lets out in ``ingress_count`` and ``egress_count``,
+which ``stats`` reports with the drops.
 
 Ownership rule: a descriptor, and the frame it points to, has exactly one
 owner at a time. A successful enqueue or send moves it to the receiver;
@@ -89,8 +92,8 @@ it, since no thread sits between the two. A failed one leaves it with the
 sender, as ``DescriptorRing.enqueue`` and ``EventEndpoint.deliver`` do, and
 as ``DescriptorRing.enqueue_burst`` does with the tail of a burst that did
 not fit. The sender hands each such
-descriptor to its plane's one ``_drop(desc, reason)``, which counts the drop
-under its reason, closes the descriptor's trace and releases the frame. At
+descriptor to the chain's one ``_drop(desc, reason)``, which counts the drop
+under its reason, closes the descriptor's trace and frees the frame. At
 stop, every descriptor still on a ring or in an inbox is counted as a
 ``shutdown`` drop and freed, so ingress = egress + drops once the chain has
 stopped. A frame found with another owner when it is freed is left to that
@@ -159,6 +162,9 @@ class ChainRuntime:
     """One chain of functions between a plane's ingress and egress edges."""
 
     STAGE_LABEL = "nf"
+    # the ``stats`` key of ``ingress_count``, and the edge's own counters
+    INGRESS_KEY = "ingress"
+    EDGE_COUNTERS: tuple[str, ...] = ()
 
     def __init__(self, pool: FramePool, mode: Mode, ledger: AuditLedger | None,
                  *, name: str):
@@ -174,6 +180,10 @@ class ChainRuntime:
         self._threads: dict[str, threading.Thread] = {}
         self._stop = threading.Event()
         self._started = False
+        # every offered packet or request, refused ones included, so that
+        # ingress = egress + drops + in flight
+        self.ingress_count = 0
+        self.egress_count = 0
         self.drops: Counter = Counter()
         self._count_lock = threading.Lock()
         self._fault: Exception | None = None  # the first one ``_free`` met
@@ -296,6 +306,17 @@ class ChainRuntime:
             counts["event_hops"] += endpoint.delivered
             counts["event_wakeups"] += endpoint.wakeups
         return counts
+
+    def stats(self) -> dict:
+        return {
+            "mode": self._mode.value,
+            self.INGRESS_KEY: self.ingress_count,
+            "egress": self.egress_count,
+            "drops": dict(self.drops),
+            **{name: getattr(self, name) for name in self.EDGE_COUNTERS},
+            "pool_free": self.pool.free_count,
+            **self.event_counts(),
+        }
 
     def _wake_edges(self) -> None:
         """Unblock the edges' own threads at stop; the default has none."""
@@ -484,6 +505,11 @@ class ChainRuntime:
         self._route(reg.fn_id, self._run_handlers(reg, batch))
 
     # -- drops ----------------------------------------------------------------------
+
+    def _drop(self, desc, reason: str) -> None:
+        """Count the drop, close its trace and free its frame."""
+        self._count_drop(reason, desc)
+        self._free((desc.frame,))
 
     def _count_drop(self, reason: str, desc=None) -> None:
         """Count one drop and close the trace of its descriptor, if it got

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from shmchain.chainspec import (
     ChainSpec,
+    build_planes,
     FunctionSpec,
     PlaneSpec,
     PoolSpec,
@@ -11,7 +12,12 @@ from shmchain.chainspec import (
     render_spec,
 )
 from shmchain.classifier import BifurcationRule, PlaneTarget
-from shmchain.errors import CycleDetected, SpecSyntaxError, UnresolvedReference
+from shmchain.errors import (
+    CycleDetected,
+    NoBackends,
+    SpecSyntaxError,
+    UnresolvedReference,
+)
 
 VALID = """\
 [pool.packet]
@@ -107,6 +113,26 @@ route.lb = EGRESS
 """
     with pytest.raises(UnresolvedReference):
         parse_spec(text)
+
+
+def test_revproxy_with_zero_backends_fails_when_the_plane_is_built(registry):
+    """``revproxy:0`` is refused by ``build_planes``, before the plane can
+    start and answer every request 503."""
+    text = """\
+[pool.p]
+prefix = spec-lb0
+
+[plane.px]
+kind = proxy
+pool = p
+mode = event
+upstreams = 127.0.0.1:9
+function.lb = revproxy:0
+entry = lb
+route.lb = EGRESS
+"""
+    with pytest.raises(NoBackends):
+        build_planes(parse_spec(text), registry=registry)
 
 
 def test_render_parse_round_trip_fixed():

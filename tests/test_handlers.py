@@ -128,10 +128,8 @@ class TestReverseProxy:
             assert desc.meta.backend_choice == 0
 
     def test_zero_backends_raises(self, pool):
-        ctx = HandlerContext(pool, "lb")
-        handler = make_reverse_proxy(0)
         with pytest.raises(NoBackends):
-            handler(ctx, [make_meta_desc(pool)])
+            make_reverse_proxy(0)
 
     def test_missing_meta_dropped(self, pool):
         ctx = HandlerContext(pool, "lb")

@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 import zlib
 
@@ -169,9 +170,9 @@ def test_pool_exhaustion_counts_drop(registry):
 
 
 def test_event_ingress_reaps_completions_when_fill_ring_runs_dry(registry):
-    """A 16-frame pool parks 8 frames on the fill ring, so a flood drains it
-    at once: ingress must reap sent frames from the completion ring itself
-    and count a refusal with both rings empty as ``fill_empty``."""
+    """A flood drains a 16-frame pool at once: ingress must reap sent frames
+    from the completion ring itself, and count a refusal with both rings
+    dry and the pool empty as ``pool_exhausted``."""
     from shmchain.pool import PoolConfig
 
     pool = registry.create(PoolConfig("reap", 16, 2048))
@@ -194,9 +195,45 @@ def test_event_ingress_reaps_completions_when_fill_ring_runs_dry(registry):
         sys.setswitchinterval(interval)
     # every refusal was offered again, so each one is an extra offer
     assert plane.egress_count == 2000
-    assert set(plane.drops) == {"fill_empty"}
-    assert plane.ingress_count == 2000 + plane.drops["fill_empty"]
+    assert set(plane.drops) == {"pool_exhausted"}
+    assert plane.ingress_count == 2000 + plane.drops["pool_exhausted"]
     assert sorted(trace for _, trace in sink.items) == list(range(2000))
+    assert pool.free_count == pool.config.frame_count
+
+
+def test_event_plane_holds_every_pool_frame_in_flight(registry):
+    """Event ingress refills its fill ring from the pool, so a 16-frame
+    plane whose sink blocks takes 16 packets in flight and refuses the 17th
+    as ``pool_exhausted``. Once the sink is released all 16 go out, and stop
+    leaves every frame free."""
+    from shmchain.pool import PoolConfig
+
+    pool = registry.create(PoolConfig("inflight", 16, 2048))
+    sink = ListSink()
+    release = threading.Event()
+
+    def blocked_sink(payload, desc):
+        release.wait(10)
+        sink(payload, desc)
+
+    plane = two_nf_plane(pool, Mode.EVENT)
+    plane.set_sink(blocked_sink)
+    plane.start()
+    try:
+        accepted = [plane.ingress(build_packet(64, seq, 5)) for seq in range(17)]
+        assert accepted == [True] * 16 + [False]
+        assert dict(plane.drops) == {"pool_exhausted": 1}
+        release.set()
+        deadline = time.time() + 15
+        while not settled(plane):
+            assert time.time() < deadline, plane.stats()
+            time.sleep(0.005)
+    finally:
+        release.set()
+        plane.stop()
+    assert plane.egress_count == 16
+    assert dict(plane.drops) == {"pool_exhausted": 1}
+    assert sorted(trace for _, trace in sink.items) == list(range(16))
     assert pool.free_count == pool.config.frame_count
 
 

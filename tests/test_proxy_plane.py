@@ -363,7 +363,7 @@ def test_pipelined_requests_share_one_upstream_connection(registry, mode):
     assert [(s, x_path(raw)) for s, raw in responses] == [
         (200, f"/{i}") for i in range(n)]
     assert backend.paths == [[f"/{i}" for i in range(n)]]
-    assert plane.ingest_count == plane.egress_count == n
+    assert plane.ingress_count == plane.egress_count == n
     assert plane.upstream_errors == 0 and not plane.drops
     assert pool.free_count == pool.config.frame_count
 
@@ -392,7 +392,7 @@ def test_dead_backend_gives_502_per_request(registry, upstreams, mode):
     assert [x_path(raw) for _s, raw in responses[::2]] == [
         f"/{i}" for i in range(0, n, 2)]
     assert plane.upstream_errors == n // 2
-    assert plane.ingest_count == plane.egress_count == n
+    assert plane.ingress_count == plane.egress_count == n
     assert pool.free_count == pool.config.frame_count
 
 
@@ -480,7 +480,7 @@ def test_pipelined_drop_answers_in_order(registry, upstreams, mode):
     assert x_path(responses[0][1]) == "/keep/0"
     assert x_path(responses[2][1]) == "/keep/2"
     assert dict(plane.drops) == {"handler": 1}
-    assert plane.ingest_count == plane.egress_count + sum(plane.drops.values())
+    assert plane.ingress_count == plane.egress_count + sum(plane.drops.values())
     assert pool.free_count == pool.config.frame_count
 
 
@@ -519,7 +519,7 @@ def test_bad_frame_at_egress_answers_503_and_the_plane_goes_on(registry, upstrea
         plane.close()
     assert (bad, good, x_path(raw)) == (503, 200, "/good")
     assert dict(plane.drops) == {"bad_frame": 1}
-    assert plane.ingest_count == plane.egress_count + sum(plane.drops.values())
+    assert plane.ingress_count == plane.egress_count + sum(plane.drops.values())
     assert plane.egress_count == 1 and plane.upstream_errors == 0
     assert pool.free_count == pool.config.frame_count
 
@@ -561,7 +561,7 @@ def test_pipelined_connections_stress_answer_in_order(registry, upstreams, mode)
             == [(503, None) if "/drop/" in p else (200, p) for p in sent]
     dropped = sum("/drop/" in p for sent in paths for p in sent)
     assert dict(plane.drops) == {"handler": dropped}
-    assert plane.ingest_count == plane.egress_count + dropped
+    assert plane.ingress_count == plane.egress_count + dropped
     assert pool.free_count == pool.config.frame_count
 
 

@@ -80,9 +80,7 @@ def build(kind, mode, pool, upstreams, entry_delay=0.0):
 
 
 def counts(plane):
-    stats = plane.stats()
-    ingress = stats["ingress"] if "ingress" in stats else stats["ingest"]
-    return ingress, stats["egress"], dict(stats["drops"])
+    return plane.ingress_count, plane.egress_count, dict(plane.drops)
 
 
 def wait_settled(plane, offered):
@@ -194,7 +192,7 @@ def test_stop_counts_in_flight_as_shutdown(registry, upstreams, kind, mode):
                 serialize_request("GET", f"/old/{seq}", [("Host", "rt")], b"")
                 for seq in range(offered)))
             deadline = time.time() + 10
-            while plane.ingest_count < offered:
+            while plane.ingress_count < offered:
                 assert time.time() < deadline, plane.stats()
                 time.sleep(0.001)
         finally:
@@ -357,9 +355,10 @@ def test_bad_frame_drops_alone_and_stop_raises_its_fault(registry, upstreams):
 
 def test_event_drop_never_parks_a_bad_frame(registry, upstreams, monkeypatch):
     """In event mode, ``a`` refuses a descriptor whose frame was freed behind
-    the chain's back, and its drop does not park that frame on the fill
-    ring: the other two packets go out, later ingress takes only good
-    frames until both rings run dry, and stop raises the DoubleFree with
+    the chain's back, and its drop frees that frame through the pool's
+    checks instead of posting it on the fill ring: the free meets the
+    DoubleFree, the other two packets go out, later ingress takes good
+    frames until the pool runs dry, and stop raises the DoubleFree with
     every frame back in the pool. The stages run by hand."""
     pool = registry.create(PoolConfig("rt-bad-event", 16, 2048))
     plane = build("packet", Mode.EVENT, pool, upstreams)
@@ -377,14 +376,15 @@ def test_event_drop_never_parks_a_bad_frame(registry, upstreams, monkeypatch):
     plane._nf_step_event(b, b.endpoint.recv_batch(BATCH))
     plane._transmit_event(plane._tx_ep.recv_batch(BATCH))
     assert got == [rewritten(sent[0]), rewritten(sent[2])]
-    # 8 frames were parked: 5 are left on the fill ring and 2 on the
-    # completion ring, which ingress reaps once the fill ring runs dry
-    offered = [plane.ingress(build_packet(64, seq, 1)) for seq in range(3, 11)]
-    assert offered == [True] * 7 + [False]
+    # the first ingress posted all 16 frames: 13 are left on the fill ring,
+    # 2 on the completion ring, and the bad one is back in the pool, where
+    # the refill takes it once the fill ring runs dry
+    offered = [plane.ingress(build_packet(64, seq, 1)) for seq in range(3, 20)]
+    assert offered == [True] * 16 + [False]
     with pytest.raises(DoubleFree):
         plane.stop()
-    assert counts(plane) == (11, 2, {"handler": 1, "fill_empty": 1,
-                                     "shutdown": 7})
+    assert counts(plane) == (20, 2, {"handler": 1, "pool_exhausted": 1,
+                                     "shutdown": 16})
     assert pool.free_count == pool.config.frame_count
 
 
