@@ -24,10 +24,16 @@ from .errors import (
     InvalidConfig,
     InvalidTolerance,
     NeverLossFree,
+    ParseError,
     PlaneUnavailable,
     UnsupportedPlatform,
 )
-from .http11 import read_response, serialize_request, simple_response
+from .http11 import (
+    KeepAliveClient,
+    serialize_request,
+    simple_response,
+    try_parse_request,
+)
 
 PACKET_SIZES = (64, 128, 256, 512, 1024, 1500)
 
@@ -390,14 +396,13 @@ class StaticUpstream:
             worker.start()
 
     def _serve(self, conn: socket.socket) -> None:
-        from .http11 import try_parse_request
         conn.settimeout(5.0)
         buf = bytearray()
         try:
             while not self._stop.is_set():
                 try:
                     request, consumed = try_parse_request(buf)
-                except Exception:
+                except ParseError:
                     break
                 if request is None:
                     data = conn.recv(65536)
@@ -439,38 +444,24 @@ def http_load(config: HttpLoadConfig, address: tuple[str, int]) -> BenchReport:
         errors = 0
         timeouts = 0
         latencies = []
-        sock = None
+        client = KeepAliveClient(address, HTTP_TIMEOUT_S)
         while not stop.is_set():
+            t0 = time.monotonic_ns()
             try:
-                if sock is None:
-                    sock = socket.create_connection(address, timeout=HTTP_TIMEOUT_S)
-                    sock.settimeout(HTTP_TIMEOUT_S)
-                t0 = time.monotonic_ns()
-                sock.sendall(request)
-                _raw, status, _body, reusable = read_response(sock)
-                latencies.append(time.monotonic_ns() - t0)
-                if status == 200:
-                    ok += 1
-                else:
-                    errors += 1
-                if not reusable:
-                    sock.close()
-                    sock = None
+                _raw, status, _body = client.request(request)
             except socket.timeout:
                 timeouts += 1
-                if sock is not None:
-                    sock.close()
-                sock = None
-            except OSError:
+                continue
+            except (OSError, ParseError):
                 errors += 1
-                if sock is not None:
-                    sock.close()
-                sock = None
-                if stop.is_set():
-                    break
-                time.sleep(0.01)
-        if sock is not None:
-            sock.close()
+                stop.wait(0.01)
+                continue
+            latencies.append(time.monotonic_ns() - t0)
+            if status == 200:
+                ok += 1
+            else:
+                errors += 1
+        client.close()
         with lock:
             results.append((ok, errors, timeouts, latencies))
 
@@ -605,35 +596,27 @@ def unified_run(packet_target, collector: CollectorSink, proxy_address,
     traffic flows.
     """
     http_bytes = []  # (t_ns, bytes) per completed request
+    http_failed = 0
     http_lock = threading.Lock()
     stop_http = threading.Event()
 
     def http_worker():
+        nonlocal http_failed
         request = serialize_request("GET", "/unified", [("Host", "bench")],
                                     bytes(UNIFIED_HTTP_BODY))
-        sock = None
+        client = KeepAliveClient(proxy_address, HTTP_TIMEOUT_S)
         while not stop_http.is_set():
             try:
-                if sock is None:
-                    sock = socket.create_connection(proxy_address, timeout=5)
-                    sock.settimeout(5)
-                sock.sendall(request)
-                raw, _status, _body, reusable = read_response(sock)
+                raw, _status, _body = client.request(request)
+            except (OSError, ParseError):
                 with http_lock:
-                    http_bytes.append((time.monotonic_ns(),
-                                       len(raw) + len(request)))
-                if not reusable:
-                    sock.close()
-                    sock = None
-                time.sleep(UNIFIED_HTTP_PACE_S)
-            except OSError:
-                if sock is not None:
-                    sock.close()
-                sock = None
-                if not stop_http.is_set():
-                    time.sleep(0.05)
-        if sock is not None:
-            sock.close()
+                    http_failed += 1
+                stop_http.wait(0.05)
+                continue
+            with http_lock:
+                http_bytes.append((time.monotonic_ns(), len(raw) + len(request)))
+            time.sleep(UNIFIED_HTTP_PACE_S)
+        client.close()
 
     factory = PacketFactory(UNIFIED_PACKET_SIZE, 7)
     t0_ns = time.monotonic_ns()
@@ -670,4 +653,5 @@ def unified_run(packet_target, collector: CollectorSink, proxy_address,
     report = UnifiedReport(list(range(n_secs)), l2l3, l4l7, step_at)
     report.extras["l2l3_offered"] = offered
     report.extras["http_requests"] = len(http_bytes)
+    report.extras["http_failed"] = http_failed
     return report

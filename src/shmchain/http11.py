@@ -1,6 +1,7 @@
 """Minimal HTTP/1.1 framing: request parsing, request/response serialization,
-and blocking response reads, pipelined ones included. Content-Length framing
-only; chunked transfer is rejected.
+blocking response reads, pipelined ones included, and a keep-alive client.
+One head parser frames requests and responses alike. Content-Length framing
+only; a Transfer-Encoding is rejected in either direction.
 """
 
 from __future__ import annotations
@@ -24,52 +25,37 @@ class HttpRequest:
     body: bytes
 
     def header(self, name: str) -> str | None:
-        lname = name.lower()
-        for key, value in self.headers:
-            if key.lower() == lname:
-                return value
-        return None
+        return _find(self.headers, name.lower())
 
 
-def try_parse_request(buf) -> tuple[HttpRequest | None, int]:
-    """Parse one request from the head of ``buf``.
-
-    Returns (request, consumed bytes), or (None, 0) when more data is needed.
-    Raises ParseError on malformed input.
-    """
+def _parse_head(buf):
+    """Frame the message at the head of ``buf``: None while its head is not
+    whole, else (start line, header fields, body start, body end). Raises
+    ParseError on a head too large, a malformed header line, a
+    Transfer-Encoding, or a Content-Length that is not ASCII digits."""
     head_end = buf.find(b"\r\n\r\n")
     if head_end < 0:
         if len(buf) > MAX_HEADER_BYTES:
             raise ParseError("header section too large")
-        return None, 0
-    head = bytes(buf[:head_end]).decode("latin-1")
-    lines = head.split("\r\n")
-    parts = lines[0].split(" ")
-    if len(parts) != 3 or not parts[0].isalpha() or not parts[2].startswith("HTTP/1."):
-        raise ParseError(f"malformed request line: {lines[0]!r}")
-    method, target, version = parts[0].upper(), parts[1], parts[2]
-    if not target:
-        raise ParseError("empty request target")
+        return None
+    lines = bytes(buf[:head_end]).decode("latin-1").split("\r\n")
     headers: list[tuple[str, str]] = []
     for line in lines[1:]:
         name, sep, value = line.partition(":")
-        if not sep or not name.strip():
+        name = name.strip()
+        if not sep or not name:
             raise ParseError(f"malformed header line: {line!r}")
-        headers.append((name.strip(), value.strip()))
-    te = _find(headers, "transfer-encoding")
-    if te is not None:
+        headers.append((name, value.strip()))
+    if _find(headers, "transfer-encoding") is not None:
         raise ParseError("transfer-encoding not supported")
     length_text = _find(headers, "content-length")
     body_len = 0
     if length_text is not None:
-        if not length_text.isdigit():
+        # str.isdigit alone passes "²", which int rejects
+        if not (length_text.isascii() and length_text.isdigit()):
             raise ParseError(f"bad content-length: {length_text!r}")
         body_len = int(length_text)
-    total = head_end + 4 + body_len
-    if len(buf) < total:
-        return None, 0
-    body = bytes(buf[head_end + 4:total])
-    return HttpRequest(method, target, version, headers, body), total
+    return lines[0], headers, head_end + 4, head_end + 4 + body_len
 
 
 def _find(headers, lname):
@@ -77,6 +63,29 @@ def _find(headers, lname):
         if key.lower() == lname:
             return value
     return None
+
+
+def try_parse_request(buf) -> tuple[HttpRequest | None, int]:
+    """Parse one request from the head of ``buf``.
+
+    Returns (request, consumed bytes), or (None, 0) when more data is needed.
+    Raises ParseError on malformed input, a bad request line as soon as the
+    head is whole.
+    """
+    head = _parse_head(buf)
+    if head is None:
+        return None, 0
+    request_line, headers, body_start, total = head
+    parts = request_line.split(" ")
+    if len(parts) != 3 or not parts[0].isalpha() or not parts[2].startswith("HTTP/1."):
+        raise ParseError(f"malformed request line: {request_line!r}")
+    method, target, version = parts[0].upper(), parts[1], parts[2]
+    if not target:
+        raise ParseError("empty request target")
+    if len(buf) < total:
+        return None, 0
+    body = bytes(buf[body_start:total])
+    return HttpRequest(method, target, version, headers, body), total
 
 
 def serialize_request(method: str, target: str, headers, body: bytes,
@@ -123,39 +132,56 @@ def read_response(sock: socket.socket, buf: bytearray | None = None
     keep = buf is not None
     if buf is None:
         buf = bytearray()
-    while True:
-        head_end = buf.find(b"\r\n\r\n")
-        if head_end >= 0:
-            break
-        if len(buf) > MAX_HEADER_BYTES:
-            raise ParseError("response head too large")
+    head = None
+    while head is None or len(buf) < total:
+        if head is None:
+            head = _parse_head(buf)
+            if head is not None:
+                status_line, headers, body_start, total = head
+                code = status_line.partition(" ")[2].partition(" ")[0]
+                if not (code.isascii() and code.isdigit()):
+                    raise ParseError(f"malformed status line: {status_line!r}")
+                if _find(headers, "content-length") is None:
+                    raise ParseError("response missing content-length")
+                continue
         chunk = sock.recv(65536)
         if not chunk:
-            raise ParseError("connection closed before response head")
-        buf += chunk
-    head = bytes(buf[:head_end]).decode("latin-1")
-    lines = head.split("\r\n")
-    status_parts = lines[0].split(" ", 2)
-    if len(status_parts) < 2 or not status_parts[1].isdigit():
-        raise ParseError(f"malformed status line: {lines[0]!r}")
-    status = int(status_parts[1])
-    headers = []
-    for line in lines[1:]:
-        name, sep, value = line.partition(":")
-        if sep:
-            headers.append((name.strip(), value.strip()))
-    length_text = _find(headers, "content-length")
-    if length_text is None or not length_text.isdigit():
-        raise ParseError("response missing content-length")
-    body_len = int(length_text)
-    total = head_end + 4 + body_len
-    while len(buf) < total:
-        chunk = sock.recv(65536)
-        if not chunk:
-            raise ParseError("connection closed mid body")
+            raise ParseError("connection closed mid body" if head else
+                             "connection closed before response head")
         buf += chunk
     raw = bytes(buf[:total])
     del buf[:total]
     connection = (_find(headers, "connection") or "keep-alive").lower()
     reusable = connection != "close" and (keep or not buf)
-    return raw, status, raw[head_end + 4:], reusable
+    return raw, int(code), raw[body_start:], reusable
+
+
+class KeepAliveClient:
+    """A blocking keep-alive client of one address, one request at a time.
+    It connects on first use and again after a non-reusable response; a
+    failed send, receive or framing closes it and raises (OSError or
+    ParseError)."""
+
+    def __init__(self, address: tuple[str, int], timeout: float):
+        self.address = address
+        self.timeout = timeout
+        self._sock: socket.socket | None = None
+
+    def request(self, data: bytes) -> tuple[bytes, int, bytes]:
+        """Send one serialized request; returns (raw, status, body)."""
+        if self._sock is None:
+            self._sock = socket.create_connection(self.address, timeout=self.timeout)
+        try:
+            self._sock.sendall(data)
+            raw, status, body, reusable = read_response(self._sock)
+        except (OSError, ParseError):
+            self.close()
+            raise
+        if not reusable:
+            self.close()
+        return raw, status, body
+
+    def close(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None

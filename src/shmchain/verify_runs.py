@@ -16,6 +16,7 @@ from .chainspec import build_planes, parse_spec
 from .classifier import HandoffAdapter
 from .descriptors import EGRESS
 from .errors import ShmChainError
+from .http11 import KeepAliveClient, serialize_request
 from .packet_plane import PacketPlane
 from .pool import PoolRegistry
 from .proxy_plane import ProxyPlane
@@ -87,27 +88,14 @@ def run_packet_traffic(plane: PacketPlane, packets: int,
 
 
 def run_proxy_traffic(plane: ProxyPlane, requests: int) -> int:
-    import socket
-
-    from .http11 import read_response, serialize_request
-
-    done = 0
-    sock = socket.create_connection(plane.listen_address, timeout=10)
-    sock.settimeout(10)
+    client = KeepAliveClient(plane.listen_address, 10)
     try:
         for i in range(requests):
-            request = serialize_request("GET", f"/old/{i}", [("Host", "verify")],
-                                        b"x" * 32)
-            sock.sendall(request)
-            _raw, status, _body, reusable = read_response(sock)
-            done += 1
-            if not reusable:
-                sock.close()
-                sock = socket.create_connection(plane.listen_address, timeout=10)
-                sock.settimeout(10)
+            client.request(serialize_request("GET", f"/old/{i}",
+                                             [("Host", "verify")], b"x" * 32))
     finally:
-        sock.close()
-    return done
+        client.close()
+    return requests
 
 
 def run_audit_traffic(model_id: str, packets: int = 300,

@@ -1,3 +1,5 @@
+import socket
+import threading
 import time
 
 import pytest
@@ -128,6 +130,41 @@ def test_http_load_against_stub():
         assert report.latency is not None
     finally:
         stub.stop()
+
+
+def test_http_load_counts_requests_a_closing_server_never_answers(monkeypatch):
+    """A server that reads each request and closes without an answer: every
+    request the load sends is offered and dropped, and no worker dies."""
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        while True:
+            try:
+                conn, _addr = server.accept()
+            except OSError:
+                return
+            with conn:
+                conn.settimeout(1)
+                try:
+                    conn.recv(65536)
+                except OSError:
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        report = http_load(HttpLoadConfig(concurrency=2, duration=0.5),
+                           server.getsockname())
+    finally:
+        server.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        server.close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert died == []
+    assert report.offered == report.dropped > 0
+    assert report.delivered == 0
 
 
 def test_http_load_config_bounds():

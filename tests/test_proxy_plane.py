@@ -14,6 +14,7 @@ from shmchain.descriptors import EGRESS, INGRESS_ID
 from shmchain.errors import DoubleFree, InvalidConfig, ParseError
 from shmchain.handlers import make_reverse_proxy, make_url_rewriter
 from shmchain.http11 import (
+    MAX_HEADER_BYTES,
     read_response,
     serialize_request,
     simple_response,
@@ -94,10 +95,12 @@ class ScriptedBackend:
     once a connection has sent ``gather`` requests, and only a connection's
     first ``keep``; the last of those says ``Connection: close`` if
     ``close``. Then it stops writing and reads the connection until the
-    client hangs up."""
+    client hangs up. A path in ``answers`` is answered with its raw bytes
+    instead."""
 
-    def __init__(self, keep=None, close=False, gather=1):
+    def __init__(self, keep=None, close=False, gather=1, answers=None):
         self.keep, self.close, self.gather = keep, close, gather
+        self.answers = answers or {}
         self.paths: list[list[str]] = []
         self._server = socket.create_server(("127.0.0.1", 0))
         self.address = self._server.getsockname()
@@ -133,7 +136,8 @@ class ScriptedBackend:
                     headers = [("X-Path", paths[answered - 1])]
                     if last and self.close:
                         headers.append(("Connection", "close"))
-                    sock.sendall(simple_response(200, "OK", extra_headers=headers))
+                    sock.sendall(self.answers.get(paths[answered - 1]) or
+                                 simple_response(200, "OK", extra_headers=headers))
                     if last:
                         sock.shutdown(socket.SHUT_WR)
                 try:
@@ -151,6 +155,19 @@ class ScriptedBackend:
         for thread in self._threads:
             thread.join(timeout=10)
             assert not thread.is_alive()
+
+
+def assert_threads_alive(plane):
+    alive = {thread.native_id for thread in threading.enumerate()}
+    dead = {label for label, tid in plane.thread_ids().items() if tid not in alive}
+    assert not dead, f"plane threads died: {sorted(dead)}"
+
+
+def fake_socket(chunks):
+    """A socket stand-in whose ``recv`` returns ``chunks`` in turn, then
+    b"" as a closed connection does."""
+    chunks = list(chunks)
+    return SimpleNamespace(recv=lambda _size: chunks.pop(0) if chunks else b"")
 
 
 class TestHttpWire:
@@ -206,6 +223,51 @@ class TestHttpWire:
         data = serialize_request("POST", "/y", [("Host", "h")], b"12345")
         assert b"Content-Length: 5" in data
         assert data.endswith(b"12345")
+
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b"GET /" + b"x" * MAX_HEADER_BYTES, id="head-too-large"),
+        pytest.param(b"GET /x\r\n\r\n", id="malformed-request-line"),
+        pytest.param(b"GET /x FTP/1.1\r\n\r\n", id="not-http-1"),
+        pytest.param(b"GET  HTTP/1.1\r\n\r\n", id="empty-target"),
+        pytest.param(b"GET /x HTTP/1.1\r\nHost t\r\n\r\n", id="header-without-colon"),
+        pytest.param(b"GET /x HTTP/1.1\r\n: t\r\n\r\n", id="header-without-name"),
+        pytest.param(b"POST /x HTTP/1.1\r\nTransfer-Encoding: identity\r\n"
+                     b"Content-Length: 0\r\n\r\n", id="transfer-encoding"),
+        pytest.param(b"POST /x HTTP/1.1\r\nContent-Length: 1x\r\n\r\n",
+                     id="content-length-not-digits"),
+        pytest.param(b"POST /x HTTP/1.1\r\nContent-Length: \xb2\r\n\r\nab",
+                     id="content-length-non-ascii-digit"),
+    ])
+    def test_malformed_request_is_a_parse_error(self, raw):
+        with pytest.raises(ParseError):
+            try_parse_request(raw)
+
+    @pytest.mark.parametrize("chunks", [
+        pytest.param([b"HTTP/1.1 200 OK\r\n" + b"x" * MAX_HEADER_BYTES],
+                     id="head-too-large"),
+        pytest.param([b"HTTP/1.1\r\nContent-Length: 0\r\n\r\n"],
+                     id="malformed-status-line"),
+        pytest.param([b"HTTP/1.1 OK\r\nContent-Length: 0\r\n\r\n"],
+                     id="status-not-digits"),
+        pytest.param([b"HTTP/1.1 \xb200 OK\r\nContent-Length: 0\r\n\r\n"],
+                     id="status-non-ascii-digit"),
+        pytest.param([b"HTTP/1.1 200 OK\r\nX-Up u0\r\nContent-Length: 0\r\n\r\n"],
+                     id="header-without-colon"),
+        pytest.param([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+                      b"Content-Length: 0\r\n\r\n"], id="transfer-encoding"),
+        pytest.param([b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n"],
+                     id="content-length-not-digits"),
+        pytest.param([b"HTTP/1.1 200 OK\r\nContent-Length: \xb2\r\n\r\nab"],
+                     id="content-length-non-ascii-digit"),
+        pytest.param([b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n"],
+                     id="no-content-length"),
+        pytest.param([b"HTTP/1.1 200 OK\r\nContent-"], id="closed-before-head"),
+        pytest.param([b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n", b"ab"],
+                     id="closed-mid-body"),
+    ])
+    def test_malformed_response_is_a_parse_error(self, chunks):
+        with pytest.raises(ParseError):
+            read_response(fake_socket(chunks), bytearray())
 
 
 @pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
@@ -277,6 +339,52 @@ def test_parse_error_resets_connection(registry, upstreams):
         assert plane.parse_errors == 1
     finally:
         plane.close()
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_non_ascii_content_length_is_answered_400_and_the_broker_goes_on(
+        registry, upstreams, mode):
+    """A request whose Content-Length is "²" gets a 400, not a dead io
+    thread: a fresh connection then gets its 200."""
+    pool = registry.create(PoolConfig(f"sup-req-{mode.value}", 16, 4096))
+    plane = make_plane(pool, upstreams, mode)
+    plane.start()
+    try:
+        with socket.create_connection(plane.listen_address, timeout=5) as sock:
+            sock.sendall(b"POST /old/x HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: \xb2\r\n\r\nab")
+            (status, _raw), = read_responses(sock, 1)
+        assert status == 400
+        assert http_roundtrip(plane, "GET", "/old/y")[0] == 200
+        assert_threads_alive(plane)
+    finally:
+        plane.close()
+    assert plane.parse_errors == 1
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_non_ascii_content_length_upstream_is_answered_502_and_the_broker_goes_on(
+        registry, mode):
+    """An upstream response whose Content-Length is "²" is answered 502, not
+    by a dead egress thread: the next request gets its 200."""
+    backend = ScriptedBackend(answers={
+        "/bad": b"HTTP/1.1 200 OK\r\nContent-Length: \xb2\r\n\r\n"})
+    pool = registry.create(PoolConfig(f"sup-resp-{mode.value}", 16, 4096))
+    config = BrokerConfig(upstreams=[backend.address], mode=mode)
+    plane = ProxyPlane(pool, config, name="sup-resp")
+    plane.register("lb", make_reverse_proxy(1))
+    plane.set_entry("lb")
+    plane.set_route("lb", EGRESS)
+    plane.start()
+    try:
+        assert http_roundtrip(plane, "GET", "/bad")[0] == 502
+        assert http_roundtrip(plane, "GET", "/good")[0] == 200
+        assert_threads_alive(plane)
+    finally:
+        plane.close()
+        backend.stop()
+    assert plane.upstream_errors == 1
+    assert pool.free_count == pool.config.frame_count
 
 
 class TestUpstreamPool:
