@@ -446,8 +446,9 @@ def http_load(config: HttpLoadConfig, address: tuple[str, int]) -> BenchReport:
         latencies = []
         client = KeepAliveClient(address, HTTP_TIMEOUT_S)
         while not stop.is_set():
-            t0 = time.monotonic_ns()
             try:
+                client.connect()  # latency counts the exchange, not the connect
+                t0 = time.monotonic_ns()
                 _raw, status, _body = client.request(request)
             except socket.timeout:
                 timeouts += 1

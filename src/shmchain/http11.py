@@ -1,7 +1,6 @@
-"""Minimal HTTP/1.1 framing: request parsing, request/response serialization,
-blocking response reads, pipelined ones included, and a keep-alive client.
-One head parser frames requests and responses alike. Content-Length framing
-only; a Transfer-Encoding is rejected in either direction.
+"""Minimal HTTP/1.1 framing: one head parser for requests and responses,
+serialization, blocking (pipelined) response reads and a keep-alive client.
+Content-Length framing only; a Transfer-Encoding is rejected either way.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ class HttpRequest:
 
 
 def _parse_head(buf):
-    """Frame the message at the head of ``buf``: None while its head is not
-    whole, else (start line, header fields, body start, body end). Raises
-    ParseError on a head too large, a malformed header line, a
-    Transfer-Encoding, or a Content-Length that is not ASCII digits."""
+    """Frame the message at the head of ``buf``: None until its head is whole,
+    else (start line, headers, body start, Content-Length or None). ParseError
+    on a bad head, header line or Content-Length, or a Transfer-Encoding."""
     head_end = buf.find(b"\r\n\r\n")
     if head_end < 0:
         if len(buf) > MAX_HEADER_BYTES:
@@ -48,14 +46,17 @@ def _parse_head(buf):
         headers.append((name, value.strip()))
     if _find(headers, "transfer-encoding") is not None:
         raise ParseError("transfer-encoding not supported")
-    length_text = _find(headers, "content-length")
-    body_len = 0
-    if length_text is not None:
-        # str.isdigit alone passes "²", which int rejects
-        if not (length_text.isascii() and length_text.isdigit()):
-            raise ParseError(f"bad content-length: {length_text!r}")
-        body_len = int(length_text)
-    return lines[0], headers, head_end + 4, head_end + 4 + body_len
+    length = _find(headers, "content-length")
+    body_len = None if length is None else _digits(length, 1, 18, "content-length")
+    return lines[0], headers, head_end + 4, body_len
+
+
+def _digits(text, min_len, max_len, what):
+    """int(text) if ``text`` is min_len to max_len ASCII digits, else
+    ParseError: str.isdigit alone passes "²" and 4301 digits, which int rejects."""
+    if not (text.isascii() and text.isdigit() and min_len <= len(text) <= max_len):
+        raise ParseError(f"bad {what}: {text!r}")
+    return int(text)
 
 
 def _find(headers, lname):
@@ -69,23 +70,22 @@ def try_parse_request(buf) -> tuple[HttpRequest | None, int]:
     """Parse one request from the head of ``buf``.
 
     Returns (request, consumed bytes), or (None, 0) when more data is needed.
-    Raises ParseError on malformed input, a bad request line as soon as the
-    head is whole.
+    Raises ParseError on malformed input.
     """
     head = _parse_head(buf)
     if head is None:
         return None, 0
-    request_line, headers, body_start, total = head
+    request_line, headers, body_start, body_len = head
     parts = request_line.split(" ")
     if len(parts) != 3 or not parts[0].isalpha() or not parts[2].startswith("HTTP/1."):
         raise ParseError(f"malformed request line: {request_line!r}")
     method, target, version = parts[0].upper(), parts[1], parts[2]
     if not target:
         raise ParseError("empty request target")
+    total = body_start + (body_len or 0)
     if len(buf) < total:
         return None, 0
-    body = bytes(buf[body_start:total])
-    return HttpRequest(method, target, version, headers, body), total
+    return HttpRequest(method, target, version, headers, bytes(buf[body_start:total])), total
 
 
 def serialize_request(method: str, target: str, headers, body: bytes,
@@ -130,20 +130,17 @@ def read_response(sock: socket.socket, buf: bytearray | None = None
     connection is not reusable.
     """
     keep = buf is not None
-    if buf is None:
-        buf = bytearray()
+    buf = buf if keep else bytearray()
     head = None
     while head is None or len(buf) < total:
-        if head is None:
-            head = _parse_head(buf)
-            if head is not None:
-                status_line, headers, body_start, total = head
-                code = status_line.partition(" ")[2].partition(" ")[0]
-                if not (code.isascii() and code.isdigit()):
-                    raise ParseError(f"malformed status line: {status_line!r}")
-                if _find(headers, "content-length") is None:
-                    raise ParseError("response missing content-length")
-                continue
+        if head is None and (head := _parse_head(buf)) is not None:
+            status_line, headers, body_start, body_len = head
+            code = status_line.partition(" ")[2].partition(" ")[0]
+            status = _digits(code, 3, 3, "status code")  # RFC 9112: 3DIGIT
+            if body_len is None:
+                raise ParseError("response missing content-length")
+            total = body_start + body_len
+            continue
         chunk = sock.recv(65536)
         if not chunk:
             raise ParseError("connection closed mid body" if head else
@@ -153,24 +150,26 @@ def read_response(sock: socket.socket, buf: bytearray | None = None
     del buf[:total]
     connection = (_find(headers, "connection") or "keep-alive").lower()
     reusable = connection != "close" and (keep or not buf)
-    return raw, int(code), raw[body_start:], reusable
+    return raw, status, raw[body_start:], reusable
 
 
 class KeepAliveClient:
-    """A blocking keep-alive client of one address, one request at a time.
-    It connects on first use and again after a non-reusable response; a
-    failed send, receive or framing closes it and raises (OSError or
-    ParseError)."""
+    """A blocking keep-alive client of one address, one request at a time. It
+    connects on first use and again after a non-reusable response; a failed
+    send, receive or framing closes it and raises (OSError or ParseError)."""
 
     def __init__(self, address: tuple[str, int], timeout: float):
-        self.address = address
-        self.timeout = timeout
+        self.address, self.timeout = address, timeout
         self._sock: socket.socket | None = None
+
+    def connect(self) -> None:
+        """Connect unless connected; ``request`` calls this first."""
+        if self._sock is None:
+            self._sock = socket.create_connection(self.address, timeout=self.timeout)
 
     def request(self, data: bytes) -> tuple[bytes, int, bytes]:
         """Send one serialized request; returns (raw, status, body)."""
-        if self._sock is None:
-            self._sock = socket.create_connection(self.address, timeout=self.timeout)
+        self.connect()
         try:
             self._sock.sendall(data)
             raw, status, body, reusable = read_response(self._sock)

@@ -19,6 +19,7 @@ from shmchain.bench import (
     pktgen_run,
 )
 from shmchain.errors import InvalidConfig, InvalidTolerance, NeverLossFree
+from shmchain.http11 import read_response, serialize_request
 
 
 class RateLimitedSink:
@@ -130,6 +131,27 @@ def test_http_load_against_stub():
         assert report.latency is not None
     finally:
         stub.stop()
+
+
+@pytest.mark.parametrize("length", [pytest.param(b"\xb2", id="superscript-two"),
+                                    pytest.param(b"1" * 4301, id="4301-digits")])
+def test_stub_closes_on_a_bad_content_length_and_serves_on(monkeypatch, length):
+    """The stub upstream hangs up on a request it cannot frame, without a
+    dead serve thread, and answers the next connection."""
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
+    stub = StaticUpstream(b"direct\n")
+    try:
+        with socket.create_connection(stub.address, timeout=5) as sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nContent-Length: " + length +
+                         b"\r\n\r\n")
+            assert sock.recv(1024) == b""
+        with socket.create_connection(stub.address, timeout=5) as sock:
+            sock.sendall(serialize_request("GET", "/", [("Host", "t")], b""))
+            assert read_response(sock)[1] == 200
+    finally:
+        stub.stop()
+    assert died == []
 
 
 def test_http_load_counts_requests_a_closing_server_never_answers(monkeypatch):

@@ -237,6 +237,8 @@ class TestHttpWire:
                      id="content-length-not-digits"),
         pytest.param(b"POST /x HTTP/1.1\r\nContent-Length: \xb2\r\n\r\nab",
                      id="content-length-non-ascii-digit"),
+        pytest.param(b"POST /x HTTP/1.1\r\nContent-Length: " + b"1" * 4301 +
+                     b"\r\n\r\n", id="content-length-4301-digits"),
     ])
     def test_malformed_request_is_a_parse_error(self, raw):
         with pytest.raises(ParseError):
@@ -251,6 +253,10 @@ class TestHttpWire:
                      id="status-not-digits"),
         pytest.param([b"HTTP/1.1 \xb200 OK\r\nContent-Length: 0\r\n\r\n"],
                      id="status-non-ascii-digit"),
+        pytest.param([b"HTTP/1.1 20 OK\r\nContent-Length: 0\r\n\r\n"],
+                     id="status-not-three-digits"),
+        pytest.param([b"HTTP/1.1 " + b"2" * 4301 + b" OK\r\nContent-Length: 0\r\n\r\n"],
+                     id="status-4301-digits"),
         pytest.param([b"HTTP/1.1 200 OK\r\nX-Up u0\r\nContent-Length: 0\r\n\r\n"],
                      id="header-without-colon"),
         pytest.param([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
@@ -259,6 +265,8 @@ class TestHttpWire:
                      id="content-length-not-digits"),
         pytest.param([b"HTTP/1.1 200 OK\r\nContent-Length: \xb2\r\n\r\nab"],
                      id="content-length-non-ascii-digit"),
+        pytest.param([b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 4301 +
+                      b"\r\n\r\n"], id="content-length-4301-digits"),
         pytest.param([b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n"],
                      id="no-content-length"),
         pytest.param([b"HTTP/1.1 200 OK\r\nContent-"], id="closed-before-head"),
@@ -341,18 +349,20 @@ def test_parse_error_resets_connection(registry, upstreams):
         plane.close()
 
 
+@pytest.mark.parametrize("length", [pytest.param(b"\xb2", id="superscript-two"),
+                                    pytest.param(b"1" * 4301, id="4301-digits")])
 @pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
 def test_non_ascii_content_length_is_answered_400_and_the_broker_goes_on(
-        registry, upstreams, mode):
-    """A request whose Content-Length is "²" gets a 400, not a dead io
-    thread: a fresh connection then gets its 200."""
+        registry, upstreams, mode, length):
+    """A request whose Content-Length is "²", or 4301 digits, gets a 400,
+    not a dead io thread: a fresh connection then gets its 200."""
     pool = registry.create(PoolConfig(f"sup-req-{mode.value}", 16, 4096))
     plane = make_plane(pool, upstreams, mode)
     plane.start()
     try:
         with socket.create_connection(plane.listen_address, timeout=5) as sock:
             sock.sendall(b"POST /old/x HTTP/1.1\r\nHost: t\r\n"
-                         b"Content-Length: \xb2\r\n\r\nab")
+                         b"Content-Length: " + length + b"\r\n\r\nab")
             (status, _raw), = read_responses(sock, 1)
         assert status == 400
         assert http_roundtrip(plane, "GET", "/old/y")[0] == 200
@@ -362,13 +372,21 @@ def test_non_ascii_content_length_is_answered_400_and_the_broker_goes_on(
     assert plane.parse_errors == 1
 
 
+@pytest.mark.parametrize("answer", [
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: \xb2\r\n\r\n",
+                 id="length-superscript-two"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 4301 + b"\r\n\r\n",
+                 id="length-4301-digits"),
+    pytest.param(b"HTTP/1.1 " + b"2" * 4301 + b" OK\r\nContent-Length: 0\r\n\r\n",
+                 id="status-4301-digits"),
+])
 @pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
 def test_non_ascii_content_length_upstream_is_answered_502_and_the_broker_goes_on(
-        registry, mode):
-    """An upstream response whose Content-Length is "²" is answered 502, not
-    by a dead egress thread: the next request gets its 200."""
-    backend = ScriptedBackend(answers={
-        "/bad": b"HTTP/1.1 200 OK\r\nContent-Length: \xb2\r\n\r\n"})
+        registry, mode, answer):
+    """An upstream response whose Content-Length is "²" or 4301 digits, or
+    whose status is 4301 digits, is answered 502, not by a dead egress
+    thread: the next request gets its 200."""
+    backend = ScriptedBackend(answers={"/bad": answer})
     pool = registry.create(PoolConfig(f"sup-resp-{mode.value}", 16, 4096))
     config = BrokerConfig(upstreams=[backend.address], mode=mode)
     plane = ProxyPlane(pool, config, name="sup-resp")
