@@ -85,7 +85,8 @@ def try_parse_request(buf) -> tuple[HttpRequest | None, int]:
     total = body_start + (body_len or 0)
     if len(buf) < total:
         return None, 0
-    return HttpRequest(method, target, version, headers, bytes(buf[body_start:total])), total
+    body = bytes(buf[body_start:total])
+    return HttpRequest(method, target, version, headers, body), total
 
 
 def serialize_request(method: str, target: str, headers, body: bytes,
