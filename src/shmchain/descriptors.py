@@ -49,13 +49,18 @@ class HttpExchangeMeta:
     backend_choice: int | None = None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PacketDescriptor:
     """Unit of zero-copy handoff: a pointer into the pool plus routing state.
 
     Stored by value in rings and inboxes; the frame it references has exactly
     one live owner at a time, and transports move that ownership with the
     descriptor.
+
+    Descriptors compare by identity, not by field: each is one unit of
+    ownership, so two with equal fields are still two owners. It also keeps
+    a membership test over a burst, such as ``None in outs``, in C, with no
+    generated ``__eq__`` called per descriptor.
     """
 
     frame: FrameRef

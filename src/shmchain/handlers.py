@@ -54,23 +54,28 @@ def make_l3_router(route_map: dict[str, str] | None = None):
 
     def handler(ctx: HandlerContext, batch) -> list:
         out = []
-        append = out.append
         mutated = dropped = 0
-        for desc, view in zip(batch, ctx.pool.frame_views(batch)):
+        views = ctx.pool.frame_views(batch)
+        i = 0  # indexing the views costs less than a zip over a short burst
+        for desc in batch:
+            view = views[i]
+            i += 1
             if desc.length < min_len:
                 dropped += 1
-                append(None)
+                out.append(None)
             elif view is None:
-                append(None)
+                out.append(None)
             else:
-                new_dst = lookup(bytes(view[lo:hi]))
+                new_dst = lookup(view[lo:hi].tobytes())
                 if new_dst is not None:
                     view[lo:hi] = new_dst
                     mutated += 1
-                append(desc)
+                out.append(desc)
         ctx.processed += len(out)
-        ctx.mutated += mutated
-        ctx.dropped += dropped
+        if mutated:
+            ctx.mutated += mutated
+        if dropped:
+            ctx.dropped += dropped
         return out
 
     handler.mutates = ((IPV4_DST_OFFSET, IPV4_DST_OFFSET + 4),)
@@ -85,21 +90,26 @@ def make_l2_forwarder(dst_mac: str = "02:00:00:00:00:02"):
 
     def handler(ctx: HandlerContext, batch) -> list:
         out = []
-        append = out.append
         mutated = dropped = 0
-        for desc, view in zip(batch, ctx.pool.frame_views(batch)):
+        views = ctx.pool.frame_views(batch)
+        i = 0
+        for desc in batch:
+            view = views[i]
+            i += 1
             if desc.length < ETH_HEADER_LEN:
                 dropped += 1
-                append(None)
+                out.append(None)
             elif view is None:
-                append(None)
+                out.append(None)
             else:
                 view[lo:hi] = mac
                 mutated += 1
-                append(desc)
+                out.append(desc)
         ctx.processed += len(out)
-        ctx.mutated += mutated
-        ctx.dropped += dropped
+        if mutated:
+            ctx.mutated += mutated
+        if dropped:
+            ctx.dropped += dropped
         return out
 
     handler.mutates = ((ETH_DST_OFFSET, ETH_DST_OFFSET + 6),)

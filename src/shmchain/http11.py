@@ -21,7 +21,7 @@ class HttpRequest:
     target: str
     version: str
     headers: list[tuple[str, str]]
-    body: bytes
+    body: bytes | None  # None: refused for its size, not read
 
     def header(self, name: str) -> str | None:
         return _find(self.headers, name.lower())
@@ -66,23 +66,31 @@ def _find(headers, lname):
     return None
 
 
-def try_parse_request(buf) -> tuple[HttpRequest | None, int]:
+def try_parse_request(buf, max_body: int | None = None
+                      ) -> tuple[HttpRequest | None, int]:
     """Parse one request from the head of ``buf``.
 
     Returns (request, consumed bytes), or (None, 0) when more data is needed.
-    Raises ParseError on malformed input.
+    Raises ParseError on malformed input. A request whose Content-Length is
+    larger than ``max_body`` is returned as soon as its head is whole, with
+    ``body`` None and ``consumed`` its whole length, body included, though
+    the body may not have arrived yet.
     """
     head = _parse_head(buf)
     if head is None:
         return None, 0
     request_line, headers, body_start, body_len = head
     parts = request_line.split(" ")
-    if len(parts) != 3 or not parts[0].isalpha() or not parts[2].startswith("HTTP/1."):
+    # RFC 9112 methods are ASCII tokens; isalpha alone passes "é"
+    if (len(parts) != 3 or not (parts[0].isascii() and parts[0].isalpha())
+            or not parts[2].startswith("HTTP/1.")):
         raise ParseError(f"malformed request line: {request_line!r}")
     method, target, version = parts[0].upper(), parts[1], parts[2]
     if not target:
         raise ParseError("empty request target")
     total = body_start + (body_len or 0)
+    if max_body is not None and (body_len or 0) > max_body:
+        return HttpRequest(method, target, version, headers, None), total
     if len(buf) < total:
         return None, 0
     body = bytes(buf[body_start:total])

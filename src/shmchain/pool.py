@@ -18,7 +18,10 @@ frame access makes its index, ownership and bounds checks once, in
 ``_base``, then slices that view: ``write_frame``, ``read_frame`` and
 ``frame_view`` each do so directly. ``frame_views`` makes the same checks
 for a whole burst of descriptors in one loop, for the handlers and both
-planes' egress. ``try_alloc_frame(payload)`` allocates a frame and writes
+planes' egress. The checks read the pool's constants from attributes set
+once in ``__init__``: the frame count and size, and the generation list,
+which is the owner's or ``None`` for an attacher; no check reads
+``config``. ``try_alloc_frame(payload)`` allocates a frame and writes
 a payload at its start in one call, for ingress; it makes no ownership
 check, since nobody else can hold a frame it has just allocated. Only the
 allocator state, the free stack and the generation counters, is under the
@@ -94,12 +97,15 @@ class FramePool:
                  segment=None):
         self.config = config
         self._segment = segment  # SharedMemory keeping the mmap alive
-        self._owner = owner
         # one view for the pool's life; every frame access slices it
         self._view = memoryview(region)
+        self._frame_count = config.frame_count
         self._frame_size = config.frame_size
         self._lock = threading.Lock()
-        self._gen = [0] * config.frame_count
+        # allocator state lives with the creator; a secondary attacher has
+        # none and trusts the descriptors routed to it (admission happened
+        # at attach time, via the prefix)
+        self._gen = [0] * config.frame_count if owner else None
         # LIFO free stack; index 0 is handed out first.
         self._free = list(range(config.frame_count - 1, -1, -1))
         self.closed = False
@@ -122,28 +128,31 @@ class FramePool:
         no other owner, so the write makes none of ``_base``'s ownership
         checks. A payload larger than a frame raises ``OutOfBounds`` before
         anything is allocated."""
-        if not self._owner:
+        gens = self._gen
+        if gens is None:
             raise NotPoolOwner(
                 f"pool {self.config.domain_prefix!r} attached read/write only; "
                 "allocation belongs to the creating process"
             )
+        size = 0 if payload is None else len(payload)
         fsz = self._frame_size
-        if payload is not None and len(payload) > fsz:
-            raise OutOfBounds(f"payload of {len(payload)} bytes, frame_size {fsz}")
+        if size > fsz:
+            raise OutOfBounds(f"payload of {size} bytes, frame_size {fsz}")
+        free = self._free
         # acquire/release costs half of a ``with`` block
         lock = self._lock
         lock.acquire()
         try:
-            if not self._free:
+            if not free:
                 return None
-            idx = self._free.pop()
-            gen = self._gen[idx] + 1  # now odd: allocated
-            self._gen[idx] = gen
+            idx = free.pop()
+            gen = gens[idx] + 1  # now odd: allocated
+            gens[idx] = gen
         finally:
             lock.release()
-        if payload is not None:
+        if size:
             base = idx * fsz
-            self._view[base:base + len(payload)] = payload
+            self._view[base:base + size] = payload
         # FrameRef(idx, gen) without the Python frame of its generated __new__
         return _new_tuple(FrameRef, (idx, gen))
 
@@ -159,30 +168,27 @@ class FramePool:
         outside the pool, ``DoubleFree`` for the frame's last allocation
         once it is free again, and ``StaleRef`` for any other ref that is
         not the frame's current allocation."""
-        if not self._owner:
-            raise NotPoolOwner(self.config.domain_prefix)
-        frame_count = self.config.frame_count
         gens = self._gen
+        if gens is None:
+            raise NotPoolOwner(self.config.domain_prefix)
+        frame_count = self._frame_count
         free = self._free
         fault = None
         lock = self._lock
         lock.acquire()
         try:
             for index, generation in refs:
-                if not 0 <= index < frame_count:
-                    if fault is None:
-                        fault = OutOfBounds(f"frame index {index}")
-                    continue
-                current = gens[index]
-                if generation == current and current % 2 == 1:
-                    gens[index] = current + 1  # now even: free
+                if 0 <= index < frame_count and generation == gens[index] and generation & 1:
+                    gens[index] = generation + 1  # now even: free
                     free.append(index)
                 elif fault is None:
-                    if generation == current - 1 and current % 2 == 0:
+                    if not 0 <= index < frame_count:
+                        fault = OutOfBounds(f"frame index {index}")
+                    elif generation == gens[index] - 1 and generation & 1:
                         # this very ref already performed the free
                         fault = DoubleFree(f"frame {index} gen {generation}")
                     else:
-                        fault = StaleRef(f"frame {index} gen {generation} vs {current}")
+                        fault = StaleRef(f"frame {index} gen {generation} vs {gens[index]}")
         finally:
             lock.release()
         if fault is not None:
@@ -194,16 +200,14 @@ class FramePool:
         """Region offset of ``length`` bytes at ``offset`` in ``ref``'s frame,
         after the index, ownership and bounds checks."""
         index, generation = ref
-        if not 0 <= index < self.config.frame_count:
+        if not 0 <= index < self._frame_count:
             raise OutOfBounds(f"frame index {index}")
-        if self._owner:
-            # allocator state lives with the creator; a secondary attacher
-            # trusts the descriptors routed to it (admission happened at
-            # attach time, via the prefix)
-            current = self._gen[index]
+        gens = self._gen
+        if gens is not None:
+            current = gens[index]
             if generation != current or current % 2 == 0:
                 raise StaleRef(f"frame {index} gen {generation} vs {current}")
-        fsz = self.config.frame_size
+        fsz = self._frame_size
         if offset < 0 or length < 0 or offset + length > fsz:
             raise OutOfBounds(f"offset {offset} length {length} frame_size {fsz}")
         return index * fsz + offset
@@ -220,7 +224,7 @@ class FramePool:
     def frame_view(self, ref: FrameRef, offset: int = 0, length: int | None = None):
         """Writable zero-copy window into the frame; bounds checked."""
         if length is None:
-            length = self.config.frame_size - offset
+            length = self._frame_size - offset
         base = self._base(ref, offset, length)
         return self._view[base:base + length]
 
@@ -230,23 +234,21 @@ class FramePool:
         desc.length)`` for each, with ``_base``'s checks made in one loop.
         A descriptor whose frame fails them gets ``None``, not a raise, so
         one bad frame leaves the rest of its burst alone."""
-        frame_count = self.config.frame_count
-        fsz = self.config.frame_size
-        gens = self._gen if self._owner else None
+        frame_count = self._frame_count
+        fsz = self._frame_size
+        gens = self._gen
         region = self._view
         views = []
-        append = views.append
         for desc in descs:
             index, generation = desc.frame
             offset = desc.offset
             end = offset + desc.length
-            if (not 0 <= index < frame_count or offset < 0 or not offset <= end <= fsz
-                    or gens is not None
-                    and (generation != gens[index] or not generation & 1)):
-                append(None)
-            else:
+            if (0 <= offset <= end <= fsz and 0 <= index < frame_count
+                    and (gens is None or generation == gens[index] and generation & 1)):
                 base = index * fsz
-                append(region[base + offset:base + end])
+                views.append(region[base + offset:base + end])
+            else:
+                views.append(None)
         return views
 
     # -- introspection ------------------------------------------------------

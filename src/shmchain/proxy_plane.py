@@ -77,7 +77,7 @@ class BrokerConfig:
 
 class _ClientConn:
     __slots__ = ("sock", "conn_id", "buffer", "lock", "closed", "flow",
-                 "next_seq", "sent_seq", "ready", "parked")
+                 "next_seq", "sent_seq", "ready", "parked", "discard")
 
     def __init__(self, sock, conn_id, flow):
         self.sock = sock
@@ -92,6 +92,7 @@ class _ClientConn:
         # set while parsing waits: a request waits for a frame, or (for
         # good) a bad request ended the stream
         self.parked = False
+        self.discard = 0  # bytes of a refused body still to skip (io thread)
 
 
 class UpstreamPool:
@@ -320,11 +321,23 @@ class ProxyPlane(ChainRuntime):
 
     def _pump(self, conn) -> None:
         """Ingest every complete request in the buffer; the sequencer keeps
-        their answers in order."""
+        their answers in order.
+
+        A request whose body cannot fit a frame is counted as ingested and
+        dropped as ``oversize``, as the packet plane counts it, and answered
+        413 as soon as its head is whole. Its body is skipped as it arrives,
+        never buffered, and the request after it is parsed as usual."""
         while not conn.parked and not conn.closed:
+            if conn.discard:
+                skipped = min(conn.discard, len(conn.buffer))
+                del conn.buffer[:skipped]
+                conn.discard -= skipped
+                if conn.discard:
+                    return
             seq = conn.next_seq
             try:
-                request, consumed = try_parse_request(conn.buffer)
+                request, consumed = try_parse_request(conn.buffer,
+                                                      self.pool.config.frame_size)
             except ParseError:
                 self.parse_errors += 1
                 conn.parked = True
@@ -333,8 +346,14 @@ class ProxyPlane(ChainRuntime):
                 return
             if request is None:
                 return
-            del conn.buffer[:consumed]
             conn.next_seq = seq + 1
+            if request.body is None:
+                conn.discard = consumed
+                self.ingress_count += 1
+                self._count_drop("oversize")
+                self._respond(conn, seq, simple_response(413, "Payload Too Large"))
+                continue
+            del conn.buffer[:consumed]
             self._ingest(conn, seq, request)
 
     def _retry_parked(self) -> None:
@@ -355,18 +374,12 @@ class ProxyPlane(ChainRuntime):
 
         Socket read into the broker buffer and buffer into the frame are the
         two audited ingest copies; the frame is allocated and the body
-        written into it with one ``try_alloc_frame(body)``. Pool pressure,
-        a None from that call, parks the request, and stops parsing its
-        connection, instead of dropping it (stream semantics). A body larger
-        than a frame is ingested and dropped as ``oversize``, as the packet
-        plane counts it, and answered 413.
+        written into it with one ``try_alloc_frame(body)``; ``_pump`` has
+        already answered a body larger than a frame. Pool pressure, a None
+        from that call, parks the request, and stops parsing its
+        connection, instead of dropping it (stream semantics).
         """
         body = request.body
-        if len(body) > self.pool.config.frame_size:
-            self.ingress_count += 1
-            self._count_drop("oversize")
-            self._respond(conn, seq, simple_response(413, "Payload Too Large"))
-            return
         ref = self.pool.try_alloc_frame(body)
         if ref is None:
             conn.parked = True

@@ -85,6 +85,13 @@ class DescriptorRing:
             raise ValueError("max_n must be >= 1")
         tail = self._tail
         n = self._head - tail
+        if n == 1:  # a lone packet's burst: a plain load and store beat slices
+            slots = self._slots
+            start = tail & self._mask
+            out = [slots[start]]
+            slots[start] = None
+            self._tail = tail + 1
+            return out
         if n > max_n:
             n = max_n
         elif n == 0:

@@ -40,19 +40,26 @@ class RoutingTable:
         return self._entries.get(fn_id)
 
 
+# the rules of a source that has none; never written
+_NO_RULES: dict[str, bool] = {}
+
+
 class FilterTable:
     """(src, dst) -> allow/deny with a deny default.
 
     Lookups are total: pairs without an explicit rule get the default. Planes
     install an allow rule alongside each route, so deny rules are the
     explicit exceptions, exactly like an admission list.
+
+    The rules are kept per source, ``src -> {dst: allowed}``, so a check
+    makes two dict lookups and builds no key tuple.
     """
 
     def __init__(self, default: str = DENY):
         if default not in (ALLOW, DENY):
             raise ValueError(default)
-        self._rules: dict[tuple[str, str], str] = {}
-        self._default = default
+        self._rules: dict[str, dict[str, bool]] = {}
+        self._default = default == ALLOW
         self._lock = threading.Lock()
 
     def set(self, src: str, dst: str, verdict: str) -> None:
@@ -60,7 +67,8 @@ class FilterTable:
             raise ValueError(f"verdict must be allow or deny, got {verdict!r}")
         with self._lock:
             rules = dict(self._rules)
-            rules[(src, dst)] = verdict
+            rules[src] = {**rules.get(src, _NO_RULES), dst: verdict == ALLOW}
+            # swap wholesale so concurrent checks never see a torn table
             self._rules = rules
 
     def allow(self, src: str, dst: str) -> None:
@@ -70,4 +78,4 @@ class FilterTable:
         self.set(src, dst, DENY)
 
     def check(self, src: str, dst: str) -> bool:
-        return self._rules.get((src, dst), self._default) == ALLOW
+        return self._rules.get(src, _NO_RULES).get(dst, self._default)

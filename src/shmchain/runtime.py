@@ -27,7 +27,9 @@ into its inbox (event).
 
 A function runs over a burst in ``_run_handlers``, which calls its handler
 once for the whole burst (``handlers.py``), as DPDK and VPP run a stage
-over a vector of packets.
+over a vector of packets. A burst that loses nothing is handed on as the
+handler's own list, with no copy and no loop; only a burst with a refused
+descriptor is filtered into a new one.
 
 Polling mode runs the whole chain to completion on one worker thread, as
 DPDK runs a core's functions in one loop. Each ``route_step`` visits the
@@ -379,12 +381,15 @@ class ChainRuntime:
     def _run_handlers(self, reg: Registration, batch) -> list:
         """Run one function over a burst: one call of its handler, which
         returns a list lined up with the burst. Returns the descriptors to
-        hand on, in order; each one the handler refused is dropped as
+        hand on, in order: the handler's own list when it refused none,
+        with no copy made. Each one the handler refused is dropped as
         ``handler``. If the call raises, or what it returns does not line
         up with the burst, the whole burst is dropped."""
         try:
             outs = reg.handler(reg.context, batch)
             aligned = len(outs) == len(batch)
+            if aligned and None not in outs:
+                return outs
         except Exception:
             aligned = False
         if not aligned:

@@ -179,6 +179,13 @@ class TestHttpWire:
         assert request.target == "/x"
         assert request.body == b"abc"
 
+    def test_body_over_max_body_is_refused_once_the_head_is_whole(self):
+        head = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\n"
+        request, consumed = try_parse_request(head + b"abc", max_body=9)
+        assert (request.method, request.body, consumed) == ("POST", None, len(head) + 10)
+        request, consumed = try_parse_request(head + b"abc", max_body=10)
+        assert request is None and consumed == 0  # fits: wait for the body
+
     def test_parse_needs_more_data(self):
         request, consumed = try_parse_request(b"GET /x HTTP/1.1\r\nContent-")
         assert request is None and consumed == 0
@@ -239,6 +246,7 @@ class TestHttpWire:
                      id="content-length-non-ascii-digit"),
         pytest.param(b"POST /x HTTP/1.1\r\nContent-Length: " + b"1" * 4301 +
                      b"\r\n\r\n", id="content-length-4301-digits"),
+        pytest.param(b"G\xe9t /x HTTP/1.1\r\n\r\n", id="method-not-ascii"),
     ])
     def test_malformed_request_is_a_parse_error(self, raw):
         with pytest.raises(ParseError):
@@ -363,6 +371,26 @@ def test_non_ascii_content_length_is_answered_400_and_the_broker_goes_on(
         with socket.create_connection(plane.listen_address, timeout=5) as sock:
             sock.sendall(b"POST /old/x HTTP/1.1\r\nHost: t\r\n"
                          b"Content-Length: " + length + b"\r\n\r\nab")
+            (status, _raw), = read_responses(sock, 1)
+        assert status == 400
+        assert http_roundtrip(plane, "GET", "/old/y")[0] == 200
+        assert_threads_alive(plane)
+    finally:
+        plane.close()
+    assert plane.parse_errors == 1
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_non_ascii_method_is_answered_400_and_the_broker_goes_on(registry,
+                                                                  upstreams, mode):
+    """A method with a latin-1 letter is a 400, never forwarded upstream
+    upper-cased: a fresh connection then gets its 200."""
+    pool = registry.create(PoolConfig(f"method-{mode.value}", 16, 4096))
+    plane = make_plane(pool, upstreams, mode)
+    plane.start()
+    try:
+        with socket.create_connection(plane.listen_address, timeout=5) as sock:
+            sock.sendall(b"G\xe9t /old/x HTTP/1.1\r\nHost: t\r\n\r\n")
             (status, _raw), = read_responses(sock, 1)
         assert status == 400
         assert http_roundtrip(plane, "GET", "/old/y")[0] == 200
@@ -792,6 +820,35 @@ def test_oversize_body_is_answered_413_and_counted_as_a_drop(registry,
     assert stats["drops"] == {"oversize": 1}
     assert (stats["ingest"], stats["egress"]) == (2, 1)
     assert stats["ingest"] == stats["egress"] + sum(stats["drops"].values())
+    assert pool.free_count == pool.config.frame_count
+
+
+@pytest.mark.parametrize("mode", [Mode.POLLING, Mode.EVENT])
+def test_oversize_head_is_answered_413_before_its_body_arrives(registry,
+                                                               upstreams, mode):
+    """A head that declares 4 MiB to a pool of 2048-byte frames gets its 413
+    before any body byte is sent. The body is then skipped as it arrives,
+    and a small request sent after it on the same connection gets its 200."""
+    size = 4 << 20
+    pool = registry.create(PoolConfig(f"early-413-{mode.value}", 16, 2048))
+    plane = make_plane(pool, upstreams, mode)
+    plane.start()
+    try:
+        with socket.create_connection(plane.listen_address, timeout=5) as sock:
+            sock.sendall(b"POST /old/big HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: %d\r\n\r\n" % size)
+            buf = bytearray()
+            raw, status, _body, _ = read_response(sock, buf)
+            assert status == 413
+            sock.sendall(b"x" * size)
+            pipeline(sock, ["/old/small"])
+            raw, small, _body, _ = read_response(sock, buf)
+    finally:
+        plane.close()
+    assert (small, x_path(raw)) == (200, "/new/small")
+    stats = plane.stats()
+    assert stats["drops"] == {"oversize": 1}
+    assert (stats["ingest"], stats["egress"]) == (2, 1)
     assert pool.free_count == pool.config.frame_count
 
 

@@ -4,6 +4,7 @@ still in flight at stop is counted as a shutdown drop, every frame comes
 back to the pool at stop, no plane runs more threads than its stages
 need, and a plane runs on one CPU with the thread that started it."""
 
+import functools
 import os
 import socket
 import sys
@@ -322,6 +323,45 @@ def test_one_route_step_runs_a_burst_to_completion(registry, upstreams):
         plane.stop()
     assert got == [rewritten(packet) for packet in sent]
     assert plane.stats()["drops"] == {}
+    assert pool.free_count == pool.config.frame_count
+
+
+def python_calls(run) -> int:
+    """Python function calls ``run()`` makes, itself included, counted as
+    ``sys.setprofile`` "call" events."""
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_burst_of_one_pays_a_bounded_fixed_cost(registry, upstreams):
+    """A one-packet polling ingress makes at most 6 Python calls, and the
+    one-packet step that carries it through both functions and out at most
+    22: the step itself, per function the ring dequeue, the handler run, the
+    handler, its ``frame_views``, the route step, its next-hop lookup and
+    filter check, then the ring hop, and at egress ``_egress``,
+    ``_transmit``, its ``frame_views``, the sink, ``_free`` and
+    ``free_frames``. So fixed cost added to either cannot go unnoticed."""
+    pool = registry.create(PoolConfig("rt-fixed-cost", 64, 2048))
+    plane = build("packet", Mode.POLLING, pool, upstreams)
+    plane.start()
+    try:
+        halt_stages(plane)
+        packet = build_packet(64, 0, 1)
+        assert python_calls(functools.partial(plane.ingress, packet)) <= 6
+        assert python_calls(plane.route_step) <= 22
+    finally:
+        plane.stop()
+    assert plane.stats()["egress"] == 1
     assert pool.free_count == pool.config.frame_count
 
 
