@@ -13,8 +13,11 @@ The packet rewriters reach their frames through
 ``ctx.pool.frame_views(batch)``, which makes the pool's ownership and bounds
 checks for the whole burst in one loop and gives ``None`` for a frame that
 fails them, so such a descriptor is refused without touching the rest of
-its burst. The proxy-side functions work on each descriptor's parsed
-metadata and refuse a descriptor that has none.
+its burst. They, and the packet plane's ``_transmit``, walk the burst and
+its views with one index rather than with ``zip``: on a burst of one, the
+polling plane's common case, the zips cost a one-packet step about 0.5 us
+of 5 (``tools/step_cost.py``). The proxy-side functions work on each
+descriptor's parsed metadata and refuse a descriptor that has none.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def make_l3_router(route_map: dict[str, str] | None = None):
         out = []
         mutated = dropped = 0
         views = ctx.pool.frame_views(batch)
-        i = 0  # indexing the views costs less than a zip over a short burst
+        i = 0
         for desc in batch:
             view = views[i]
             i += 1
@@ -72,10 +75,8 @@ def make_l3_router(route_map: dict[str, str] | None = None):
                     mutated += 1
                 out.append(desc)
         ctx.processed += len(out)
-        if mutated:
-            ctx.mutated += mutated
-        if dropped:
-            ctx.dropped += dropped
+        ctx.mutated += mutated
+        ctx.dropped += dropped
         return out
 
     handler.mutates = ((IPV4_DST_OFFSET, IPV4_DST_OFFSET + 4),)
@@ -106,10 +107,8 @@ def make_l2_forwarder(dst_mac: str = "02:00:00:00:00:02"):
                 mutated += 1
                 out.append(desc)
         ctx.processed += len(out)
-        if mutated:
-            ctx.mutated += mutated
-        if dropped:
-            ctx.dropped += dropped
+        ctx.mutated += mutated
+        ctx.dropped += dropped
         return out
 
     handler.mutates = ((ETH_DST_OFFSET, ETH_DST_OFFSET + 6),)

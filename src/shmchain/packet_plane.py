@@ -154,7 +154,7 @@ class PacketPlane(ChainRuntime):
         sink, ledger = self._sink, self.ledger
         sent = []
         views = self.pool.frame_views(batch)
-        i = 0  # indexing the views costs less than a zip over a short burst
+        i = 0
         for desc in batch:
             view = views[i]
             i += 1

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from httpclient import http_roundtrip
+from steplib import halt_stages, python_calls
 
 from shmchain.audit import AuditLedger
 from shmchain.bench import StaticUpstream, build_packet
@@ -286,15 +287,6 @@ def test_stats_count_event_hops_and_wakeups(registry, upstreams, mode):
         assert 1 <= stats["event_wakeups"] <= stats["event_hops"]
 
 
-def halt_stages(plane):
-    """Stop a started plane's threads but leave it running, so that a test
-    steps its chain by hand."""
-    plane._stop.set()
-    for thread in plane._threads.values():
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
 def rewritten(packet: bytes) -> bytes:
     """``packet`` as it leaves the packet chain of ``build``."""
     packet = bytearray(packet)
@@ -324,23 +316,6 @@ def test_one_route_step_runs_a_burst_to_completion(registry, upstreams):
     assert got == [rewritten(packet) for packet in sent]
     assert plane.stats()["drops"] == {}
     assert pool.free_count == pool.config.frame_count
-
-
-def python_calls(run) -> int:
-    """Python function calls ``run()`` makes, itself included, counted as
-    ``sys.setprofile`` "call" events."""
-    calls = 0
-
-    def profile(_frame, event, _arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def test_a_burst_of_one_pays_a_bounded_fixed_cost(registry, upstreams):

@@ -1,17 +1,16 @@
 """Fixed and per-packet cost of the polling step, printed as one JSON object.
 
     python3 tools/step_cost.py
-    python3 tools/step_cost.py --steps 20000 --runs 3
 
 Builds chainbench's ``l2l3-poll-64`` chain (``l3route -> l2fwd``, polling,
 64 B UDP packets) from this checkout's ``src/``, with the plane's default
-null sink, starts it, and halts its worker thread so that this process
-steps the chain by hand. The plane has no public start without threads,
-so the halt sets the plane's stop event and joins its threads, as the
-tests' ``halt_stages`` does. ``start`` has already confined the calling
-thread to one CPU, as it does for any caller. The script then times, with
-``time.perf_counter_ns`` around each call and a median over ``--steps``
-calls per run (an eighth as many for the full bursts):
+null sink, starts it, and halts its worker thread with the tests'
+``halt_stages`` so that this process steps the chain by hand. The plane has
+no public start without threads, so the halt sets the plane's stop event
+and joins its threads. ``start`` has already confined the calling thread to
+one CPU, as it does for any caller. The script then times, with
+``time.perf_counter_ns`` around each call and a median over ``STEPS`` calls
+(an eighth as many for the full bursts):
 
 - ``step_one_us``: one ``route_step`` carrying one packet through both
   functions and out;
@@ -20,16 +19,16 @@ calls per run (an eighth as many for the full bursts):
 - ``step_empty_us``: one ``route_step`` that finds nothing;
 - ``ingress_one_us``: one polling ``ingress`` into an empty RX ring.
 
-Each figure is listed once per run, so the spread between runs shows.
-``step_one_calls`` and ``ingress_one_calls`` count ``sys.setprofile``
-``"call"`` events, and ``step_one_opcodes`` and ``ingress_one_opcodes``
-count ``sys.settrace`` opcode events of one one-packet step and one
-ingress, each with a ``*_by_function`` table of where they ran.
+One invocation is one run; run it several times, alternating with another
+checkout, to see the spread. ``step_one_calls`` and ``ingress_one_calls``
+count Python calls with the tests' ``python_calls``, and
+``step_one_opcodes`` and ``ingress_one_opcodes`` count ``sys.settrace``
+opcode events of one one-packet step and one ingress, each with a
+``*_by_function`` table of where they ran.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import statistics
@@ -39,15 +38,17 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
 from chainbench.packets import SPEC, PacketSet  # noqa: E402
 from shmchain.chainspec import build_planes, parse_spec  # noqa: E402
 from shmchain.pool import PoolRegistry  # noqa: E402
 from shmchain.runtime import BURST  # noqa: E402
+from steplib import halt_stages, python_calls  # noqa: E402
 
 SIZE = 64
 SEED = 1
+STEPS = 20_000
 
 
 def halted_plane(registry: PoolRegistry):
@@ -57,11 +58,7 @@ def halted_plane(registry: PoolRegistry):
                                   registry=registry)
     plane = planes["chain"]
     plane.start()
-    plane._stop.set()
-    for thread in plane._threads.values():
-        thread.join(timeout=5)
-        if thread.is_alive():
-            raise RuntimeError(f"{thread.name} did not stop")
+    halt_stages(plane)
     return plane
 
 
@@ -108,22 +105,6 @@ def measure(plane, packets: list[bytes], steps: int) -> dict[str, float]:
     }
 
 
-def count_calls(run) -> int:
-    calls = 0
-
-    def profile(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def count_opcodes(run) -> Counter:
     """Opcode events of ``run()`` and every Python call under it, per
     ``file:function``."""
@@ -144,37 +125,23 @@ def count_opcodes(run) -> Counter:
     return counts
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--steps", type=int, default=20_000,
-                        help="timed calls per figure and run (default 20000)")
-    parser.add_argument("--runs", type=int, default=3,
-                        help="runs, each on a fresh plane (default 3)")
-    args = parser.parse_args(argv)
+def main() -> int:
     packet_set = PacketSet(SEED, SIZE)
     packets = [packet_set.packet(seq) for seq in range(BURST)]
-    runs = []
-    for _ in range(args.runs):
-        registry = PoolRegistry()
-        plane = halted_plane(registry)
-        try:
-            runs.append(measure(plane, packets, args.steps))
-        finally:
-            plane.stop()
-            registry.clear()
     registry = PoolRegistry()
     plane = halted_plane(registry)
     try:
+        result = {name: round(value, 3)
+                  for name, value in measure(plane, packets, STEPS).items()}
         plane.ingress(packets[0])
-        step_calls = count_calls(plane.route_step)
-        ingress_calls = count_calls(functools.partial(plane.ingress, packets[0]))
+        step_calls = python_calls(plane.route_step)
+        ingress_calls = python_calls(functools.partial(plane.ingress, packets[0]))
         opcodes = count_opcodes(plane.route_step)
         ingress_opcodes = count_opcodes(functools.partial(plane.ingress, packets[0]))
         plane.route_step()
     finally:
         plane.stop()
         registry.clear()
-    result = {name: [round(run[name], 3) for run in runs] for name in runs[0]}
     result["step_one_calls"] = step_calls
     result["ingress_one_calls"] = ingress_calls
     result["step_one_opcodes"] = sum(opcodes.values())
