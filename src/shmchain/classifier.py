@@ -109,17 +109,15 @@ class HandoffAdapter:
     the split between them is a convention of this adapter.
     """
 
-    def __init__(self, ledger: AuditLedger | None = None, deliver=None,
-                 trace_prefix: str = "handoff"):
+    def __init__(self, ledger: AuditLedger | None = None, deliver=None):
         self.ledger = ledger
         self.deliver = deliver
-        self.trace_prefix = trace_prefix
         self._seq = itertools.count()
         self.crossed = 0
         self.trace_ids: list[str] = []
 
     def __call__(self, payload: bytes, desc) -> None:
-        trace_id = f"{self.trace_prefix}-{next(self._seq)}"
+        trace_id = f"handoff-{next(self._seq)}"
         lifted = bytes(payload)  # the one audited copy: kernel to broker
         if self.ledger is not None:
             self.ledger.record_vector(trace_id, 0, HANDOFF_COST)

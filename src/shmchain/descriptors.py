@@ -53,6 +53,9 @@ class HttpExchangeMeta:
 class PacketDescriptor:
     """Unit of zero-copy handoff: a pointer into the pool plus routing state.
 
+    ``frame`` names the frame and ``length`` the message in it, which
+    starts at byte 0 of the frame.
+
     Stored by value in rings and inboxes; the frame it references has exactly
     one live owner at a time, and transports move that ownership with the
     descriptor.
@@ -64,7 +67,6 @@ class PacketDescriptor:
     """
 
     frame: FrameRef
-    offset: int
     length: int
     trace_id: int
     flow: FlowKey | None = None

@@ -23,10 +23,6 @@ class NotPoolOwner(ShmChainError):
     """Allocation attempted through a secondary (attached) handle."""
 
 
-class PoolExhausted(ShmChainError):
-    pass
-
-
 class StaleRef(ShmChainError):
     """The frame was reallocated or released since this ref was issued."""
 

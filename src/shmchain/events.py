@@ -60,7 +60,6 @@ class EventEndpoint:
         # transport statistics (distinct from the audit ledger)
         self.delivered = 0
         self.wakeups = 0   # recv_batch calls that blocked and then returned work
-        self.drains = 0    # recv_batch calls that returned descriptors
 
     def deliver(self, desc) -> None:
         """Append one descriptor, and wake the receiver if it sleeps; safe
@@ -97,7 +96,6 @@ class EventEndpoint:
             os.eventfd_read(self._efd)
             blocked = True
         self.wakeups += blocked
-        self.drains += 1
         return batch
 
     def pending(self) -> int:

@@ -81,11 +81,12 @@ def try_parse_request(buf, max_body: int | None = None
         return None, 0
     request_line, headers, body_start, body_len = head
     parts = request_line.split(" ")
-    # RFC 9112 methods are ASCII tokens; isalpha alone passes "é"
+    # RFC 9112 methods are ASCII tokens; isalpha alone passes "é". They are
+    # case-sensitive (RFC 9110 §9.1), so the method goes on as it came.
     if (len(parts) != 3 or not (parts[0].isascii() and parts[0].isalpha())
             or not parts[2].startswith("HTTP/1.")):
         raise ParseError(f"malformed request line: {request_line!r}")
-    method, target, version = parts[0].upper(), parts[1], parts[2]
+    method, target, version = parts
     if not target:
         raise ParseError("empty request target")
     total = body_start + (body_len or 0)

@@ -100,7 +100,7 @@ class PacketPlane(ChainRuntime):
             if ref is None:
                 self._count_drop("pool_exhausted")
                 return False
-            return self._enter(PacketDescriptor(ref, 0, size, next(self._trace_ids), flow))
+            return self._enter(PacketDescriptor(ref, size, next(self._trace_ids), flow))
         rings = self._nic_rings
         fill = rings.fill
         ref = fill.dequeue()
@@ -118,7 +118,7 @@ class PacketPlane(ChainRuntime):
                 self._count_drop("pool_exhausted")
                 return False
         self.pool.write_frame(ref, 0, payload)
-        desc = PacketDescriptor(ref, 0, size, next(self._trace_ids), flow)
+        desc = PacketDescriptor(ref, size, next(self._trace_ids), flow)
         if self.ledger is not None:
             # the NIC's delivery interrupt; the hop into the entry function,
             # made here in this context, is audited as that function's wakeup

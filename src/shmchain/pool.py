@@ -12,7 +12,7 @@ chain. Generation counters turn violations of the discipline into immediate
 ``StaleRef``/``DoubleFree`` errors instead of silent corruption.
 
 Every packet passes through this module on each stage, so its hot path
-is kept lean. A ref is a plain tuple, ``FrameRef(index, generation)``. A
+is kept lean. A ref is a plain ``(index, generation)`` pair. A
 pool keeps one ``memoryview`` of its region for its whole life, and every
 frame access makes its index, ownership and bounds checks once, in
 ``_base``, then slices that view: ``write_frame``, ``read_frame`` and
@@ -21,8 +21,9 @@ for a whole burst of descriptors in one loop, for the handlers and both
 planes' egress. The checks read the pool's constants from attributes set
 once in ``__init__``: the frame count and size, and the generation list,
 which is the owner's or ``None`` for an attacher; no check reads
-``config``. ``try_alloc_frame(payload)`` allocates a frame and writes
-a payload at its start in one call, for ingress; it makes no ownership
+``config``. ``try_alloc_frame(payload)`` is the one allocation call: it
+takes a frame, or returns ``None`` when none is free, and writes a payload
+at the frame's start in the same call, for ingress; it makes no ownership
 check, since nobody else can hold a frame it has just allocated. Only the
 allocator state, the free stack and the generation counters, is under the
 pool lock, because ingress allocates and egress frees on different
@@ -39,7 +40,6 @@ import threading
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import NamedTuple
 
 from ._util import is_power_of_two
 from .errors import (
@@ -48,7 +48,6 @@ from .errors import (
     InvalidConfig,
     NotPoolOwner,
     OutOfBounds,
-    PoolExhausted,
     StaleRef,
     UnknownPrefix,
 )
@@ -75,22 +74,17 @@ class PoolConfig:
             )
 
 
-class FrameRef(NamedTuple):
-    """Handle to one frame; dies when the frame is freed or reallocated."""
-
-    index: int
-    generation: int
-
-
-_new_tuple = tuple.__new__
+#: handle to one frame, ``(index, generation)``; dies when the frame is
+#: freed or reallocated
+FrameRef = tuple[int, int]
 
 
 class FramePool:
     """Frame allocator over one shared byte region.
 
     Generation parity encodes state: odd means allocated, even means free.
-    Both ``alloc_frame`` and ``free_frame`` bump the counter, so a ref issued
-    before a free can never pass validation again.
+    Both ``try_alloc_frame`` and ``free_frames`` bump the counter, so a ref
+    issued before a free can never pass validation again.
     """
 
     def __init__(self, config: PoolConfig, region, *, owner: bool = True,
@@ -112,15 +106,9 @@ class FramePool:
 
     # -- allocator ---------------------------------------------------------
 
-    def alloc_frame(self) -> FrameRef:
-        ref = self.try_alloc_frame()
-        if ref is None:
-            raise PoolExhausted(self.config.domain_prefix)
-        return ref
-
     def try_alloc_frame(self, payload=None) -> FrameRef | None:
-        """Exception-free allocation for drop-on-exhaustion hot paths: None
-        when no frame is free.
+        """Allocate a frame and return its ref, or None when no frame is
+        free, so that a hot path drops on exhaustion without a raise.
 
         With ``payload``, the new frame also gets it written at offset 0, as
         a NIC writes a packet into a buffer it already holds: allocation
@@ -153,8 +141,7 @@ class FramePool:
         if size:
             base = idx * fsz
             self._view[base:base + size] = payload
-        # FrameRef(idx, gen) without the Python frame of its generated __new__
-        return _new_tuple(FrameRef, (idx, gen))
+        return idx, gen
 
     def free_frame(self, ref: FrameRef) -> None:
         """Free one frame: ``free_frames`` over a burst of one, so the
@@ -230,10 +217,10 @@ class FramePool:
 
     def frame_views(self, descs) -> list:
         """Writable zero-copy windows into the frames of a burst of
-        descriptors, in order: ``frame_view(desc.frame, desc.offset,
-        desc.length)`` for each, with ``_base``'s checks made in one loop.
-        A descriptor whose frame fails them gets ``None``, not a raise, so
-        one bad frame leaves the rest of its burst alone."""
+        descriptors, in order: ``frame_view(desc.frame, 0, desc.length)``
+        for each, with ``_base``'s checks made in one loop. A descriptor
+        whose frame fails them gets ``None``, not a raise, so one bad frame
+        leaves the rest of its burst alone."""
         frame_count = self._frame_count
         fsz = self._frame_size
         gens = self._gen
@@ -241,12 +228,11 @@ class FramePool:
         views = []
         for desc in descs:
             index, generation = desc.frame
-            offset = desc.offset
-            end = offset + desc.length
-            if (0 <= offset <= end <= fsz and 0 <= index < frame_count
+            length = desc.length
+            if (0 <= length <= fsz and 0 <= index < frame_count
                     and (gens is None or generation == gens[index] and generation & 1)):
                 base = index * fsz
-                views.append(region[base + offset:base + end])
+                views.append(region[base:base + length])
             else:
                 views.append(None)
         return views

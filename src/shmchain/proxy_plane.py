@@ -394,7 +394,7 @@ class ProxyPlane(ChainRuntime):
         if self.ledger is not None:
             self.ledger.record_vector(trace_id, 0, INGEST_COST)
         self.ingress_count += 1
-        desc = PacketDescriptor(ref, 0, len(body), trace_id, flow=conn.flow,
+        desc = PacketDescriptor(ref, len(body), trace_id, flow=conn.flow,
                                 meta=meta)
         self._enter(desc)
 

@@ -12,7 +12,7 @@ import threading
 import time
 
 from shmchain.descriptors import PacketDescriptor
-from shmchain.errors import InboxFull, PoolExhausted
+from shmchain.errors import InboxFull
 from shmchain.events import EventEndpoint
 from shmchain.pool import FrameRef, PoolConfig, PoolRegistry
 from shmchain.rings import DescriptorRing
@@ -110,8 +110,7 @@ def stress_event_channel(n_per_sender: int, senders: int = 2,
     for sid in range(senders):
         seq = [i for s, i in received if s == sid]
         assert seq == sorted(seq), f"sender {sid} order broken"
-    return {"ops": 2 * total, "wakeups": endpoint.wakeups,
-            "drains": endpoint.drains, "items": total}
+    return {"ops": 2 * total, "wakeups": endpoint.wakeups, "items": total}
 
 
 def stress_event_pingpong(round_trips: int, timeout: float = 30.0) -> dict:
@@ -186,38 +185,39 @@ def stress_pool_ownership(n_threads: int = 8, cycles_per_thread: int = 25000,
                     return
                 if held and (len(held) > 4 or rng.random() < 0.5):
                     ref = held.pop(rng.randrange(len(held)))
+                    index = ref[0]
                     data = pool.read_frame(ref, 0, 4)
                     if int.from_bytes(data, "big") != tag:
-                        violations.append(f"frame {ref.index} stolen from {tag}")
+                        violations.append(f"frame {index} stolen from {tag}")
                         stop.set()
                         return
                     with shadow_lock:
-                        if shadow.get(ref.index) != tag:
+                        if shadow.get(index) != tag:
                             violations.append(
-                                f"shadow mismatch on frame {ref.index}")
+                                f"shadow mismatch on frame {index}")
                             stop.set()
                             return
-                        del shadow[ref.index]
+                        del shadow[index]
                     pool.free_frame(ref)
                 else:
-                    try:
-                        ref = pool.alloc_frame()
-                    except PoolExhausted:
+                    ref = pool.try_alloc_frame()
+                    if ref is None:
                         continue
+                    index = ref[0]
                     with shadow_lock:
-                        if ref.index in shadow:
+                        if index in shadow:
                             violations.append(
-                                f"frame {ref.index} double-allocated")
+                                f"frame {index} double-allocated")
                             stop.set()
                             return
-                        shadow[ref.index] = tag
+                        shadow[index] = tag
                     pool.write_frame(ref, 0, tag.to_bytes(4, "big"))
                     held.append(ref)
         finally:
             for ref in held:
                 try:
                     with shadow_lock:
-                        shadow.pop(ref.index, None)
+                        shadow.pop(ref[0], None)
                     pool.free_frame(ref)
                 except Exception:
                     pass

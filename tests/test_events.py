@@ -13,8 +13,8 @@ from shmchain.packet_plane import PacketPlane
 
 
 def make_desc(pool, trace=0):
-    ref = pool.alloc_frame()
-    return PacketDescriptor(ref, 0, 0, trace)
+    ref = pool.try_alloc_frame()
+    return PacketDescriptor(ref, 0, trace)
 
 
 class CountingOs:
@@ -73,7 +73,7 @@ def test_awake_receiver_costs_no_syscall(counting_os):
     assert [len(b) for b in batches] == [32, 32, 32, 4]
     assert [i for b in batches for i in b] == list(range(100))
     assert (counting_os.writes, counting_os.reads) == (0, 0)
-    assert (endpoint.wakeups, endpoint.drains) == (0, 4)
+    assert endpoint.wakeups == 0
 
 
 def test_delivery_signals_a_blocked_receiver_once(counting_os):
@@ -167,10 +167,13 @@ def test_wakeup_coalescing_bound(big_pool):
     for i in range(n):
         endpoint.deliver(make_desc(pool, trace=i))
     drained = []
+    sizes = []
 
     def receiver():
         while len(drained) < n:
-            drained.extend(endpoint.recv_batch(32))
+            batch = endpoint.recv_batch(32)
+            sizes.append(len(batch))
+            drained.extend(batch)
 
     thread = threading.Thread(target=receiver, daemon=True)
     thread.start()
@@ -180,7 +183,7 @@ def test_wakeup_coalescing_bound(big_pool):
     assert receiver_done, "receiver lost a wakeup"
     assert [d.trace_id for d in drained] == list(range(n))
     assert endpoint.wakeups <= n
-    assert endpoint.drains >= -(-n // 32)  # ceil
+    assert max(sizes) <= 32
 
 
 def test_fifo_per_sender(big_pool):

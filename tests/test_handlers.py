@@ -37,15 +37,15 @@ def trial_division_count(limit: int) -> int:
 
 
 def make_packet_desc(pool, payload: bytes, trace=0):
-    ref = pool.alloc_frame()
+    ref = pool.try_alloc_frame()
     pool.write_frame(ref, 0, payload)
-    return PacketDescriptor(ref, 0, len(payload), trace)
+    return PacketDescriptor(ref, len(payload), trace)
 
 
 def make_meta_desc(pool, path="/x", method="GET"):
-    ref = pool.alloc_frame()
+    ref = pool.try_alloc_frame()
     meta = HttpExchangeMeta(method, path, "HTTP/1.1", [], None, 0)
-    return PacketDescriptor(ref, 0, 0, 0, meta=meta)
+    return PacketDescriptor(ref, 0, 0, meta=meta)
 
 
 def sample_packet(dst_ip=b"\x0a\x00\x00\x05", size=64) -> bytes:
@@ -239,11 +239,11 @@ def run_function(registry, name, handler, items, burst_size):
     reg = plane.register("f", recorded)
     batch = []
     for trace, (length, dst, _stale, path) in enumerate(items):
-        ref = pool.alloc_frame()  # frame ``trace``
+        ref = pool.try_alloc_frame()  # frame ``trace``
         pool.write_frame(ref, 0, sample_packet(dst, size=80)[:length])
         meta = (None if path is None else
                 HttpExchangeMeta("GET", path, "HTTP/1.1", [], None, 0, seq=trace))
-        batch.append(PacketDescriptor(ref, 0, length, trace, meta=meta))
+        batch.append(PacketDescriptor(ref, length, trace, meta=meta))
     for desc, (_length, _dst, stale, _path) in zip(batch, items):
         if stale:
             pool.free_frame(desc.frame)

@@ -158,7 +158,7 @@ def test_pool_exhaustion_counts_drop(registry):
     plane.set_entry("a")
     plane.set_route("a", EGRESS)
     plane.set_sink(lambda p, d: None)
-    refs = [pool.alloc_frame() for _ in range(4)]  # exhaust by hand
+    refs = [pool.try_alloc_frame() for _ in range(4)]  # exhaust by hand
     plane.start()
     try:
         assert plane.ingress(build_packet(64, 0, 1)) is False

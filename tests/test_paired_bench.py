@@ -1,7 +1,13 @@
-"""The paired-run tool reproduces the summaries recorded from raw runs."""
+"""The paired-run tool reproduces the summaries recorded from raw runs,
+and stopping it stops the run it waits for."""
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,3 +185,68 @@ def test_within_bound_compares_change_worse_by_with_the_bound(paired_bench):
     assert not beyond["cpu_us_per_op"]["gain_shown"]
     text = "\n".join(paired_bench.format_summary("w", beyond))
     assert "gain shown no  within bound no" in text
+
+
+# a stand-in for chainbench/run.py: it starts a load process of its own,
+# writes its own pid and the load's to run.pid and waits
+FAKE_RUN = """
+import os, subprocess, sys, time
+load = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+with open("run.tmp", "w") as f:
+    f.write(f"{os.getpid()} {load.pid}")
+os.rename("run.tmp", "run.pid")
+time.sleep(60)
+"""
+
+# the tool's process: it waits in run_once on the fake run
+TOOL = """
+import importlib.util, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("paired_bench", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+module.raise_on_sigterm()
+module.run_once(Path(sys.argv[2]), "fake", 1, 1)
+"""
+
+
+def _running(pid: int) -> bool:
+    """The process exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_sigterm_stops_the_run_and_its_load_process(tmp_path):
+    """SIGTERM to the tool while ``run_once`` waits ends the run and the
+    process the run started, not just the tool."""
+    side = tmp_path / "side"
+    (side / "chainbench").mkdir(parents=True)
+    (side / "chainbench" / "run.py").write_text(FAKE_RUN)
+    tool = subprocess.Popen([sys.executable, "-c", TOOL,
+                             str(ROOT / "tools" / "paired_bench.py"), str(side)])
+    pid_file = side / "run.pid"
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists():
+            assert time.monotonic() < deadline, "the fake run never started its load"
+            assert tool.poll() is None, "the tool ended early"
+            time.sleep(0.01)
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        grandchild = pids[1]
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=10) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while _running(grandchild) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(grandchild), "the run's load process outlived the tool"
+    finally:
+        if tool.poll() is None:
+            tool.kill()
+            tool.wait(timeout=10)
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

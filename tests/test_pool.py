@@ -19,7 +19,6 @@ from shmchain.errors import (
     InvalidConfig,
     NotPoolOwner,
     OutOfBounds,
-    PoolExhausted,
     StaleRef,
     UnknownPrefix,
 )
@@ -67,7 +66,7 @@ def test_attach_unknown_prefix_refused(registry):
 def test_attach_shares_storage(registry):
     pool = registry.create(PoolConfig("mn0", 4, 2048))
     handles = [registry.attach("mn0") for _ in range(3)]
-    ref = pool.alloc_frame()
+    ref = pool.try_alloc_frame()
     pool.write_frame(ref, 0, b"\xab" * 100)
     for handle in handles:
         assert handle.read_frame(ref, 0, 100) == b"\xab" * 100
@@ -75,26 +74,24 @@ def test_attach_shares_storage(registry):
 
 def test_capacity_and_exhaustion(registry):
     pool = registry.create(PoolConfig("mn0", 2, 2048))
-    pool.alloc_frame()
-    pool.alloc_frame()
-    with pytest.raises(PoolExhausted):
-        pool.alloc_frame()
-    # the drop-on-exhaustion form answers None, with or without a payload
+    assert pool.try_alloc_frame() is not None
+    assert pool.try_alloc_frame() is not None
+    # an empty pool answers None, with or without a payload
     assert pool.try_alloc_frame() is None
     assert pool.try_alloc_frame(b"late") is None
     assert pool.free_count == 0
 
 
 def test_alloc_free_alloc_same_index_new_generation(pool):
-    first = pool.alloc_frame()
+    first = pool.try_alloc_frame()
     pool.free_frame(first)
-    second = pool.alloc_frame()
-    assert second.index == first.index
-    assert second.generation != first.generation
+    second = pool.try_alloc_frame()
+    assert second[0] == first[0]
+    assert second[1] != first[1]
 
 
 def test_conservation_after_full_cycle(pool):
-    refs = [pool.alloc_frame() for _ in range(64)]
+    refs = [pool.try_alloc_frame() for _ in range(64)]
     assert pool.free_count == 0
     for ref in refs:
         pool.free_frame(ref)
@@ -102,9 +99,9 @@ def test_conservation_after_full_cycle(pool):
 
 
 def test_stale_ref_after_free(pool):
-    ref = pool.alloc_frame()
+    ref = pool.try_alloc_frame()
     pool.free_frame(ref)
-    pool.alloc_frame()  # reuse the slot
+    pool.try_alloc_frame()  # reuse the slot
     with pytest.raises(StaleRef):
         pool.read_frame(ref, 0, 1)
     with pytest.raises(StaleRef):
@@ -112,7 +109,7 @@ def test_stale_ref_after_free(pool):
 
 
 def test_double_free_detected(pool):
-    ref = pool.alloc_frame()
+    ref = pool.try_alloc_frame()
     pool.free_frame(ref)
     with pytest.raises(DoubleFree):
         pool.free_frame(ref)
@@ -124,11 +121,11 @@ def test_free_frames_frees_every_good_ref_then_raises(pool, bad_first, fault):
     """A burst with one stale and one already-freed ref among good ones:
     every good ref is freed, then the fault ``free_frame`` gives for the
     first bad ref is raised."""
-    good = [pool.alloc_frame() for _ in range(4)]
-    stale = pool.alloc_frame()
+    good = [pool.try_alloc_frame() for _ in range(4)]
+    stale = pool.try_alloc_frame()
     pool.free_frame(stale)
-    assert pool.alloc_frame().index == stale.index  # the slot lives again
-    freed = pool.alloc_frame()
+    assert pool.try_alloc_frame()[0] == stale[0]  # the slot lives again
+    freed = pool.try_alloc_frame()
     pool.free_frame(freed)  # nothing is allocated after this free
     bad = [stale, freed] if bad_first == "stale" else [freed, stale]
     with pytest.raises(fault):
@@ -143,21 +140,21 @@ def test_free_frames_frees_every_good_ref_then_raises(pool, bad_first, fault):
 
 
 def test_free_frames_out_of_range_frees_the_rest(pool):
-    good = pool.alloc_frame()
+    good = pool.try_alloc_frame()
     with pytest.raises(OutOfBounds):
-        pool.free_frames([FrameRef(64, 1), good])
+        pool.free_frames([(64, 1), good])
     assert pool.free_count == 64
 
 
 def test_free_frames_same_ref_twice_is_a_double_free(pool):
-    ref = pool.alloc_frame()
+    ref = pool.try_alloc_frame()
     with pytest.raises(DoubleFree):
         pool.free_frames([ref, ref])
     assert pool.free_count == 64
 
 
 def test_free_frames_empty_burst_does_nothing(pool):
-    live = pool.alloc_frame()
+    live = pool.try_alloc_frame()
     pool.free_frames([])
     pool.free_frames(())
     assert pool.free_count == 63
@@ -168,14 +165,13 @@ def test_fused_alloc_writes_the_payload_at_offset_0(pool):
     """``try_alloc_frame(payload)`` writes the payload at the start of the
     frame it allocates, and nothing past it; a payload of a whole frame
     fits."""
-    used = pool.alloc_frame()
+    used = pool.try_alloc_frame()
     pool.write_frame(used, 0, b"\xee" * 2048)
     pool.free_frame(used)
     ref = pool.try_alloc_frame(b"hello")
-    assert ref.index == used.index and pool.free_count == 63
-    views = pool.frame_views([PacketDescriptor(ref, 0, 5, 0),
-                              PacketDescriptor(ref, 5, 1, 0)])
-    assert [bytes(view) for view in views] == [b"hello", b"\xee"]
+    assert ref[0] == used[0] and pool.free_count == 63
+    views = pool.frame_views([PacketDescriptor(ref, 6, 0)])
+    assert [bytes(view) for view in views] == [b"hello\xee"]
     whole = pool.try_alloc_frame(b"\x01" * 2048)
     assert pool.read_frame(whole, 0, 2048) == b"\x01" * 2048
 
@@ -184,17 +180,17 @@ def test_fused_alloc_refuses_an_oversize_payload_before_allocating(pool):
     with pytest.raises(OutOfBounds):
         pool.try_alloc_frame(b"x" * 2049)
     assert pool.free_count == 64
-    assert pool.try_alloc_frame(b"x").index == 0  # the stack is untouched
+    assert pool.try_alloc_frame(b"x")[0] == 0  # the stack is untouched
 
 
 def test_write_read_round_trip(pool):
-    ref = pool.alloc_frame()
+    ref = pool.try_alloc_frame()
     pool.write_frame(ref, 0, b"\xab" * 100)
     assert pool.read_frame(ref, 0, 100) == b"\xab" * 100
 
 
 def test_out_of_bounds(pool):
-    ref = pool.alloc_frame()
+    ref = pool.try_alloc_frame()
     with pytest.raises(OutOfBounds):
         pool.write_frame(ref, 2047, b"xx")
     with pytest.raises(OutOfBounds):
@@ -205,10 +201,10 @@ def test_out_of_bounds(pool):
 
 @pytest.mark.parametrize("op", sorted(FRAME_OPS))
 def test_stale_ref_refused_by_every_access(pool, op):
-    ref = pool.alloc_frame()
+    ref = pool.try_alloc_frame()
     pool.free_frame(ref)
-    again = pool.alloc_frame()  # the slot is live again under a new generation
-    assert again.index == ref.index
+    again = pool.try_alloc_frame()  # the slot is live again under a new generation
+    assert again[0] == ref[0]
     with pytest.raises(StaleRef):
         FRAME_OPS[op](pool, ref)
     pool.write_frame(again, 0, b"live")  # the live ref still works
@@ -219,54 +215,52 @@ def test_stale_ref_refused_by_every_access(pool, op):
 @pytest.mark.parametrize("index", [-1, 64, 1 << 20])
 def test_out_of_range_index_refused_by_every_access(pool, op, index):
     with pytest.raises(OutOfBounds):
-        FRAME_OPS[op](pool, FrameRef(index, 1))
+        FRAME_OPS[op](pool, (index, 1))
     assert pool.free_count == 64
 
 
 def test_frame_views_checks_each_descriptor_of_a_burst(pool):
     """``frame_views`` gives what ``frame_view`` gives for each good
     descriptor and ``None`` for each that ``frame_view`` refuses: a freed
-    frame, a reallocated one, an index out of range, a window past the
+    frame, a reallocated one, an index out of range, a length past the
     frame or a negative one. The good views are writable windows."""
-    live = pool.alloc_frame()
+    live = pool.try_alloc_frame()
     pool.write_frame(live, 0, b"live-bytes")
-    stale = pool.alloc_frame()
+    stale = pool.try_alloc_frame()
     pool.free_frame(stale)
-    reused = pool.alloc_frame()
-    assert reused.index == stale.index
-    freed = pool.alloc_frame()
+    reused = pool.try_alloc_frame()
+    assert reused[0] == stale[0]
+    freed = pool.try_alloc_frame()
     pool.free_frame(freed)  # nothing is allocated after this free
     descs = [
-        PacketDescriptor(live, 0, 10, 0),
-        PacketDescriptor(freed, 0, 4, 1),
-        PacketDescriptor(live, 5, 5, 2),
-        PacketDescriptor(stale, 0, 4, 3),
-        PacketDescriptor(FrameRef(64, 1), 0, 4, 4),
-        PacketDescriptor(live, 2040, 9, 5),
-        PacketDescriptor(live, -1, 4, 6),
-        PacketDescriptor(live, 4, -1, 7),
-        PacketDescriptor(reused, 0, 2048, 8),
+        PacketDescriptor(live, 10, 0),
+        PacketDescriptor(freed, 4, 1),
+        PacketDescriptor(stale, 4, 2),
+        PacketDescriptor((64, 1), 4, 3),
+        PacketDescriptor(live, 2049, 4),
+        PacketDescriptor(live, -1, 5),
+        PacketDescriptor(reused, 2048, 6),
     ]
     views = pool.frame_views(descs)
-    good = [0, 2, 8]
+    good = [0, 6]
     assert [i for i, view in enumerate(views) if view is not None] == good
     for i in good:
         d = descs[i]
-        assert bytes(views[i]) == bytes(pool.frame_view(d.frame, d.offset, d.length))
+        assert bytes(views[i]) == bytes(pool.frame_view(d.frame, 0, d.length))
     for i, d in enumerate(descs):
         if i not in good:
             with pytest.raises((OutOfBounds, StaleRef)):
-                pool.frame_view(d.frame, d.offset, d.length)
-    views[2][0:5] = b"BYTES"
+                pool.frame_view(d.frame, 0, d.length)
+    views[0][5:10] = b"BYTES"
     assert pool.read_frame(live, 0, 10) == b"live-BYTES"
     assert pool.frame_views([]) == []
 
 
-def test_frame_ref_is_a_hashable_value():
-    ref = FrameRef(3, 7)
-    assert (ref.index, ref.generation) == (3, 7)
-    assert ref == FrameRef(3, 7) and ref != FrameRef(3, 9)
-    assert len({ref, FrameRef(3, 7), FrameRef(4, 7)}) == 2
+def test_frame_ref_is_a_hashable_value(pool):
+    ref = pool.try_alloc_frame()
+    assert type(ref) is tuple and ref == (0, 1)
+    assert ref != (0, 3)
+    assert len({ref, (0, 1), (1, 1)}) == 2
 
 
 class YieldingGenerations(list):
@@ -295,7 +289,7 @@ def test_racing_frees_exactly_one_wins(pool):
         rounds = 0
         while rounds < 3 or time.monotonic() < deadline:
             rounds += 1
-            refs = [pool.alloc_frame() for _ in range(frames)]
+            refs = [pool.try_alloc_frame() for _ in range(frames)]
             freed: list[FrameRef] = []
             refused: list[FrameRef] = []
             other: list[BaseException] = []
@@ -327,7 +321,7 @@ def test_racing_frees_exactly_one_wins(pool):
             assert pool.free_count == frames
     finally:
         sys.setswitchinterval(old_interval)
-    indices = [pool.alloc_frame().index for _ in range(frames)]
+    indices = [pool.try_alloc_frame()[0] for _ in range(frames)]
     assert sorted(indices) == list(range(frames))
     assert pool.free_count == 0
 
@@ -335,7 +329,7 @@ def test_racing_frees_exactly_one_wins(pool):
 def test_shared_pool_releases_after_views_dropped(tmp_path):
     reg = PoolRegistry(registry_dir=tmp_path)
     pool = reg.create(PoolConfig("shared-views", 8, 2048), shared=True)
-    refs = [pool.alloc_frame() for _ in range(3)]
+    refs = [pool.try_alloc_frame() for _ in range(3)]
     for n, ref in enumerate(refs):
         view = pool.frame_view(ref)
         view[:4] = bytes([n]) * 4
@@ -354,9 +348,9 @@ def test_shared_pool_releases_after_views_dropped(tmp_path):
 def test_isolation_between_prefixes(registry):
     a = registry.create(PoolConfig("pa", 4, 2048))
     b = registry.create(PoolConfig("pb", 4, 2048))
-    ref_a = a.alloc_frame()
+    ref_a = a.try_alloc_frame()
     a.write_frame(ref_a, 0, b"AAAA")
-    ref_b = b.alloc_frame()
+    ref_b = b.try_alloc_frame()
     b.write_frame(ref_b, 0, b"BBBB")
     assert a.read_frame(ref_a, 0, 4) == b"AAAA"
     assert b.read_frame(ref_b, 0, 4) == b"BBBB"
@@ -365,7 +359,7 @@ def test_isolation_between_prefixes(registry):
 def _child_attach(registry_dir, prefix, index, out):
     reg = PoolRegistry(registry_dir=registry_dir)
     handle = reg.attach(prefix)
-    ref = FrameRef(index, 1)
+    ref = (index, 1)
     data = handle.read_frame(ref, 0, 8)
     handle.write_frame(ref, 8, b"reply!!!")
     handle.close()
@@ -418,13 +412,13 @@ def test_multiprocess_attach_shares_frames(tmp_path):
     reg = PoolRegistry(registry_dir=tmp_path)
     pool = reg.create(PoolConfig("shared0", 8, 2048), shared=True)
     try:
-        ref = pool.alloc_frame()
-        assert ref.index == 0 and ref.generation == 1
+        ref = pool.try_alloc_frame()
+        assert ref == (0, 1)
         pool.write_frame(ref, 0, b"hello-mp")
         ctx = multiprocessing.get_context("fork")
         out = ctx.Queue()
         proc = ctx.Process(target=_child_attach,
-                           args=(tmp_path, "shared0", ref.index, out))
+                           args=(tmp_path, "shared0", ref[0], out))
         proc.start()
         assert out.get(timeout=10) == b"hello-mp"
         proc.join(timeout=10)
@@ -440,11 +434,11 @@ def test_secondary_attach_cannot_allocate(tmp_path):
         other = PoolRegistry(registry_dir=tmp_path)
         handle = other.attach("shared1")
         with pytest.raises(NotPoolOwner):
-            handle.alloc_frame()
+            handle.try_alloc_frame()
         with pytest.raises(NotPoolOwner):
             handle.try_alloc_frame(b"payload")
         with pytest.raises(NotPoolOwner):
-            handle.free_frames([FrameRef(0, 1)])
+            handle.free_frames([(0, 1)])
         handle.close()
     finally:
         reg.clear()

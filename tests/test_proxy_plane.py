@@ -179,6 +179,13 @@ class TestHttpWire:
         assert request.target == "/x"
         assert request.body == b"abc"
 
+    def test_method_is_forwarded_in_the_case_the_client_sent(self):
+        request, _consumed = try_parse_request(b"get /x HTTP/1.1\r\n\r\n")
+        assert request.method == "get"
+        raw = serialize_request(request.method, request.target, request.headers,
+                                request.body)
+        assert raw.startswith(b"get /x ")
+
     def test_body_over_max_body_is_refused_once_the_head_is_whole(self):
         head = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\n"
         request, consumed = try_parse_request(head + b"abc", max_body=9)

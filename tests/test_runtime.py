@@ -5,12 +5,15 @@ back to the pool at stop, no plane runs more threads than its stages
 need, and a plane runs on one CPU with the thread that started it."""
 
 import functools
+import json
 import os
 import socket
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -218,11 +221,11 @@ def test_stop_raises_ownership_fault_after_full_teardown(registry, upstreams):
     plane._stop.set()
     for thread in plane._threads.values():
         thread.join(timeout=5)
-    freed, live = pool.alloc_frame(), pool.alloc_frame()
+    freed, live = pool.try_alloc_frame(), pool.try_alloc_frame()
     pool.free_frame(freed)
     rx = plane._regs["b"].rx
     for seq, ref in enumerate((freed, live)):
-        assert rx.enqueue(PacketDescriptor(ref, 0, 64, seq))
+        assert rx.enqueue(PacketDescriptor(ref, 64, seq))
     with pytest.raises(DoubleFree):
         plane.stop()
     assert not plane.running
@@ -338,6 +341,27 @@ def test_a_burst_of_one_pays_a_bounded_fixed_cost(registry, upstreams):
         plane.stop()
     assert plane.stats()["egress"] == 1
     assert pool.free_count == pool.config.frame_count
+
+
+def test_step_cost_tool_reports_every_figure():
+    """``tools/step_cost.py``, whose figures the docs cite, runs from the
+    repository root and prints a positive figure under every key, with no
+    more calls than the guard above allows."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "tools/step_cost.py"], cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    figures = ("step_one_us", "step_per_packet_64_us", "step_empty_us",
+               "ingress_one_us", "step_one_calls", "ingress_one_calls",
+               "step_one_opcodes", "ingress_one_opcodes")
+    tables = ("step_one_opcodes_by_function", "ingress_one_opcodes_by_function")
+    assert sorted(result) == sorted(figures + tables)
+    for key in figures:
+        assert result[key] > 0, key
+    for key in tables:
+        assert result[key] and min(result[key].values()) > 0, key
+    assert result["step_one_calls"] <= 22 and result["ingress_one_calls"] <= 6
 
 
 def test_bad_frame_drops_alone_and_stop_raises_its_fault(registry, upstreams):

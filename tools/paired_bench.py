@@ -14,7 +14,9 @@ the root of the repo, in the layout of the earlier ``BENCH_*.json`` files:
 ``command``, ``host``, ``sets`` and ``set_notes``. Each set holds the
 ``sides`` (the short hashes of its two commits), its raw ``paired`` runs, a
 ``summary`` and, with ``--trace-seconds``, one traced run per workload and
-side under ``trace``. An existing file gains the new set.
+side under ``trace``. An existing file gains the new set. SIGTERM stops
+the run in progress, its load generator included, and removes the
+checkouts.
 
 A traced run also gets ``self_share``: each layer's ``*.self_us_per_op`` as
 a share of the sum over all layers of that run. The two traced runs are not
@@ -48,6 +50,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -234,18 +237,39 @@ def checkout(rev: str, dest: Path) -> str:
     return short
 
 
+def raise_on_sigterm() -> None:
+    """Make SIGTERM raise ``SystemExit`` in the main thread, so that
+    ``run_once`` stops its run and the temporary checkouts are removed."""
+    def stop(signum, _frame):
+        sys.exit(128 + signum)
+
+    signal.signal(signal.SIGTERM, stop)
+
+
 def run_once(side_dir: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
     """One ``chainbench/run.py`` run in ``side_dir``; its result with the
     metrics flattened to values. A run that wrote no result is kept as a
-    failed one with its exit code and the tail of its output."""
+    failed one with its exit code and the tail of its output. The run gets
+    a session of its own; if anything interrupts the wait for it, the whole
+    session, the run's load generator included, is killed."""
     cmd = [sys.executable, "chainbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=side_dir, capture_output=True, text=True)
+    with subprocess.Popen(cmd, cwd=side_dir, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the whole session has ended
+                pass
+            raise
     out_file = side_dir / "chainbench-out" / f"{workload}-seed{seed}-trace{trace}.json"
     if not out_file.exists():
         return {"correct": False, "failed": None, "exit_code": proc.returncode,
-                "errors": (proc.stdout + proc.stderr).splitlines()[-10:], "metrics": {}}
+                "errors": (stdout + stderr).splitlines()[-10:], "metrics": {}}
     result = json.loads(out_file.read_text())
     out_file.unlink()  # a later run with the same name must not read this one
     run = {key: result[key] for key in RUN_KEYS if key in result}
@@ -318,6 +342,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seconds", type=float, default=0,
                         help="seconds of one traced run per workload and side; 0 for none")
     args = parser.parse_args(argv)
+    raise_on_sigterm()
     benchmark = load_benchmark()
 
     if args.summarize is not None:
